@@ -14,6 +14,7 @@
 //! matches the lower bound of Theorem 3.5 (Section 3.3).
 
 use crate::shares::{self, ShareRounding};
+use pq_mpc::net::Shipment;
 use pq_mpc::{map_servers_parallel, Cluster, Message, RunMetrics, Server};
 use pq_query::{evaluate_bound, instantiate, ConjunctiveQuery};
 use pq_relation::{BucketHasher, HashFamily, MultiplyShiftHash, Relation, Value};
@@ -185,26 +186,13 @@ impl HyperCubeRouter {
             }
             fragments
         };
-        let pool = pq_exec::current().filter(|p| p.threads() > 1);
-        let fragments: Vec<Relation> = match pool {
-            Some(pool) if n >= 2 * pq_relation::MORSEL_ROWS => {
-                let ranges: Vec<(usize, usize)> = (0..n)
-                    .step_by(pq_relation::MORSEL_ROWS)
-                    .map(|lo| (lo, (lo + pq_relation::MORSEL_ROWS).min(n)))
-                    .collect();
-                let mut parts = pool
-                    .map_indexed(&ranges, |_, &(lo, hi)| route_morsel(lo, hi))
-                    .into_iter();
-                let mut merged = parts.next().unwrap_or_default();
-                for part in parts {
-                    for (dest, fragment) in merged.iter_mut().zip(&part) {
-                        dest.append(fragment);
-                    }
-                }
-                merged
+        let mut parts = map_morsels(n, route_morsel).into_iter();
+        let mut fragments = parts.next().unwrap_or_default();
+        for part in parts {
+            for (dest, fragment) in fragments.iter_mut().zip(&part) {
+                dest.append(fragment);
             }
-            _ => route_morsel(0, n),
-        };
+        }
         fragments
             .into_iter()
             .enumerate()
@@ -222,6 +210,125 @@ impl HyperCubeRouter {
             .flat_map(|relation| self.route_relation(relation))
             .collect()
     }
+
+    /// Route a set of bound relations for a cluster that folds the `p`
+    /// logical servers onto `workers` processes (`server % workers`):
+    /// the [`Shipment`] holds at most one fragment per (worker, relation),
+    /// with each row **once per worker** that hosts any of its destination
+    /// grid points — not once per grid point, as [`Self::route_bound`]
+    /// would ship it. The model account is still kept per logical server,
+    /// by counting: `received_bits` and `messages` are exactly what
+    /// [`Cluster::communicate`] records for `route_bound`'s messages, so
+    /// the load the paper bounds is unchanged while the wire carries the
+    /// `workers`-fold replication instead of the `p`-fold one.
+    ///
+    /// Morsel-parallel like [`Self::route_relation`], with the same
+    /// input-order guarantee for every fragment at any pool size.
+    ///
+    /// # Panics
+    /// Panics when `workers == 0`, or when a row is bound for a logical
+    /// server `>= p` (the simulator's contract for oversized grids).
+    pub fn route_folded(
+        &self,
+        bound: &[Relation],
+        p: usize,
+        workers: usize,
+        bits_per_value: u64,
+    ) -> Shipment {
+        assert!(workers > 0, "a cluster needs at least one worker");
+        let mut shipment = Shipment::new(p, workers);
+        for relation in bound {
+            self.fold_relation(relation, bits_per_value, &mut shipment);
+        }
+        shipment
+    }
+
+    /// [`Self::route_folded`] for one relation, added onto `shipment`.
+    fn fold_relation(&self, relation: &Relation, bits_per_value: u64, shipment: &mut Shipment) {
+        let p = shipment.received_bits.len();
+        let workers = shipment.fragments.len();
+        let (bound, free_offsets) = self.route_plan(relation.schema().attributes());
+        let grid = self.grid_size();
+        // `(base + off) % workers` depends on `base` only through its
+        // residue, so the deduplicated worker list of a row is a lookup.
+        let hosts: Vec<Vec<usize>> = (0..workers)
+            .map(|residue| {
+                let mut hit = vec![false; workers];
+                for &off in &free_offsets {
+                    hit[(residue + off) % workers] = true;
+                }
+                (0..workers).filter(|&w| hit[w]).collect()
+            })
+            .collect();
+        let copies: usize = hosts.iter().map(Vec::len).sum();
+        // Per morsel: rows per base grid index (the model account's raw
+        // material) and one fragment per worker.
+        let route_morsel = |lo: usize, hi: usize| -> (Vec<u64>, Vec<Relation>) {
+            let per_worker = (hi - lo) * copies / (workers * workers) + 1;
+            let mut fragments: Vec<Relation> = (0..workers)
+                .map(|_| Relation::with_capacity(relation.schema().clone(), per_worker))
+                .collect();
+            let mut base_rows = vec![0u64; grid];
+            for r in lo..hi {
+                let row = relation.row(r);
+                let base = self.base_index(&bound, row);
+                base_rows[base] += 1;
+                for &worker in &hosts[(self.server_offset + base) % workers] {
+                    fragments[worker].push_row(row);
+                }
+            }
+            (base_rows, fragments)
+        };
+        let mut parts = map_morsels(relation.len(), route_morsel).into_iter();
+        let (mut base_rows, mut fragments) = parts.next().unwrap_or_default();
+        for (part_rows, part) in parts {
+            for (total, rows) in base_rows.iter_mut().zip(part_rows) {
+                *total += rows;
+            }
+            for (dest, fragment) in fragments.iter_mut().zip(&part) {
+                dest.append(fragment);
+            }
+        }
+        // Bound and free dimensions are disjoint, so every (base, offset)
+        // pair is a distinct logical server: one model message each.
+        let bits_per_row = relation.arity() as u64 * bits_per_value;
+        for (base, &rows) in base_rows.iter().enumerate() {
+            if rows == 0 {
+                continue;
+            }
+            for &off in &free_offsets {
+                let server = self.server_offset + base + off;
+                assert!(
+                    server < p,
+                    "message addressed to server {server} but the run has only {p} servers"
+                );
+                shipment.received_bits[server] += rows * bits_per_row;
+                shipment.messages += 1;
+            }
+        }
+        for (worker, fragment) in fragments.into_iter().enumerate() {
+            if !fragment.is_empty() {
+                shipment.fragments[worker].push(fragment);
+            }
+        }
+    }
+}
+
+/// Run `route_morsel` over the row range `0..n` and return its results in
+/// morsel order: one call for the whole range when the relation is small
+/// or the calling thread has no multi-threaded `pq-exec` pool installed,
+/// else one call per [`pq_relation::MORSEL_ROWS`] rows on that pool.
+fn map_morsels<T: Send>(n: usize, route_morsel: impl Fn(usize, usize) -> T + Sync) -> Vec<T> {
+    match pq_exec::current().filter(|p| p.threads() > 1) {
+        Some(pool) if n >= 2 * pq_relation::MORSEL_ROWS => {
+            let ranges: Vec<(usize, usize)> = (0..n)
+                .step_by(pq_relation::MORSEL_ROWS)
+                .map(|lo| (lo, (lo + pq_relation::MORSEL_ROWS).min(n)))
+                .collect();
+            pool.map_indexed(&ranges, |_, &(lo, hi)| route_morsel(lo, hi))
+        }
+        _ => vec![route_morsel(0, n)],
+    }
 }
 
 /// The result of a HyperCube run.
@@ -238,19 +345,15 @@ pub struct HyperCubeRun {
 /// Evaluate the query locally at one server over the fragments it received.
 /// Missing fragments mean the server cannot produce any answers.
 pub fn local_join(query: &ConjunctiveQuery, server: &Server) -> Relation {
-    let mut bound = Vec::with_capacity(query.num_atoms());
-    for atom in query.atoms() {
-        match server.fragment(atom.relation()) {
-            Some(fragment) => bound.push(fragment.clone()),
-            None => {
-                return Relation::empty(pq_relation::Schema::new(
-                    query.name(),
-                    query.variables(),
-                ))
-            }
-        }
+    let fragments: Option<Vec<&Relation>> = query
+        .atoms()
+        .iter()
+        .map(|atom| server.fragment(atom.relation()))
+        .collect();
+    match fragments {
+        Some(bound) => evaluate_bound(query, &bound),
+        None => Relation::empty(pq_relation::Schema::new(query.name(), query.variables())),
     }
-    evaluate_bound(query, &bound)
 }
 
 /// Run the HyperCube algorithm with explicitly provided integer shares.
@@ -464,6 +567,52 @@ mod tests {
         let db = identity_db(&q, 100);
         let run = run_hypercube(&q, &db, 8, 3);
         assert_eq!(run.metrics.total_bits(), db.total_size_bits());
+    }
+
+    #[test]
+    fn folding_ships_each_row_once_per_worker_and_keeps_the_model_account() {
+        // Triangle on a 4x4x4 grid (strides 16/4/1) over 2 workers: S1 fixes
+        // x1, x2 and fans out over x3 (offsets 0..4, both parities), S2 and
+        // S3 fan out over even offsets only (one worker per row).
+        let q = ConjunctiveQuery::triangle();
+        let db = matching_db(&q, 500, 5);
+        let bound = instantiate(&q, &db);
+        let shares: BTreeMap<String, usize> =
+            [("x1", 4usize), ("x2", 4), ("x3", 4)].iter().map(|(v, s)| (v.to_string(), *s)).collect();
+        let router = HyperCubeRouter::new(&q, &shares, 7, 0, 0);
+        let shipment = router.route_folded(&bound, 64, 2, db.bits_per_value());
+        let shipped: usize = shipment.fragments.iter().flatten().map(Relation::len).sum();
+        assert_eq!(shipped, 500 * 2 + 500 + 500);
+        let mut cluster = Cluster::new(64, db.bits_per_value());
+        let stats = cluster.communicate(router.route_bound(&bound));
+        assert_eq!(stats.total_bits() / (2 * db.bits_per_value()), 3 * 500 * 4);
+        assert_eq!(shipment.received_bits, stats.received_bits);
+        assert_eq!(shipment.messages, stats.messages);
+    }
+
+    #[test]
+    fn folded_routing_is_identical_at_any_pool_size() {
+        let q = ConjunctiveQuery::triangle();
+        let db = matching_db(&q, 3 * pq_relation::MORSEL_ROWS + 17, 9);
+        let bound = instantiate(&q, &db);
+        let shares: BTreeMap<String, usize> =
+            [("x1", 3usize), ("x2", 2), ("x3", 4)].iter().map(|(v, s)| (v.to_string(), *s)).collect();
+        let router = HyperCubeRouter::new(&q, &shares, 3, 0, 1);
+        let fold = || router.route_folded(&bound, 25, 3, db.bits_per_value());
+        let inline = pq_exec::TaskPool::new(1).install(fold);
+        let pooled = pq_exec::TaskPool::new(4).install(fold);
+        assert_eq!(inline, pooled);
+    }
+
+    #[test]
+    #[should_panic(expected = "only 8 servers")]
+    fn folding_an_oversized_grid_panics_like_the_simulator() {
+        let q = ConjunctiveQuery::triangle();
+        let db = identity_db(&q, 10);
+        let shares: BTreeMap<String, usize> =
+            [("x1", 4usize), ("x2", 4), ("x3", 4)].iter().map(|(v, s)| (v.to_string(), *s)).collect();
+        let router = HyperCubeRouter::new(&q, &shares, 1, 0, 0);
+        router.route_folded(&instantiate(&q, &db), 8, 2, 8);
     }
 
     #[test]

@@ -161,12 +161,17 @@ pub fn run_plan_on_observed(
 }
 
 /// One HyperCube round on the pool's workers: borrow warm (health-checked)
-/// connections, route the bound atoms with the plan's shares (the same
-/// router and seed the simulator would use, so the model's per-round
-/// `received_bits` come out identical), barrier on every worker's local
-/// join, and merge. The routing closure re-runs per retry attempt over the
-/// immutable snapshot — which is what makes the pool's automatic retry of
-/// a failed round safe (see [`pq_mpc::net::pool`]).
+/// connections, route the bound atoms with the plan's shares straight into
+/// a worker-granular shipment ([`HyperCubeRouter::route_folded`]: every
+/// row crosses a worker's socket once, however many of that worker's
+/// logical servers want it), barrier on every worker's local join, and
+/// merge. Same router and seed as the simulator, and the model account is
+/// counted per logical server, so the per-round `received_bits` and
+/// `messages` come out identical to [`run_plan`]'s. The routing closure
+/// re-runs per retry attempt over the immutable snapshot, folding for that
+/// attempt's live worker count — which is what makes the pool's automatic
+/// retry of a failed round on a reduced topology safe (see
+/// [`pq_mpc::net::pool`]).
 fn run_plan_cluster(
     plan: &Plan,
     snapshot: &Snapshot,
@@ -190,12 +195,13 @@ fn run_plan_cluster(
             })
             .collect(),
     };
-    let (raw, metrics) = pool.execute(
+    let bits_per_value = database.bits_per_value();
+    let (raw, metrics) = pool.execute_folded(
         plan.p,
-        database.bits_per_value(),
+        bits_per_value,
         database.total_size_bits(),
         &program,
-        &|| router.route_bound(&bound),
+        &|workers| Ok(router.route_folded(&bound, plan.p, workers, bits_per_value)),
         registry,
     )?;
     let mut output = raw.project(&plan.parsed.head, query.name());

@@ -2,27 +2,32 @@
 //!
 //! A [`Coordinator`] owns one TCP connection per worker and drives the
 //! same round structure as the in-process [`crate::Cluster`]: ship this
-//! round's messages, barrier, inspect results. The algorithm above it
-//! still thinks in `p` *logical* servers — the coordinator maps logical
-//! server `s` onto worker `s % workers` (see the module docs of
-//! [`crate::net`] for why that folding is sound and complete) and records
-//! two parallel cost accounts per round:
+//! round's [`Shipment`], barrier, inspect results. The algorithm above it
+//! still thinks in `p` *logical* servers, while the unit of shipping is
+//! the *worker*: logical server `s` lives on worker `s % workers` (see the
+//! module docs of [`crate::net`] for why that folding is sound and
+//! complete), and the coordinator records two parallel cost accounts per
+//! round:
 //!
 //! * the model's [`crate::RoundStats::received_bits`] (length `p`,
 //!   idealised `bits_per_value` accounting, bit-identical to what the
-//!   simulator would report for the same messages), and
+//!   simulator would report for the same routing — it comes with the
+//!   shipment, counted per logical server whatever was folded), and
 //! * the measured [`crate::RoundStats::wire_bytes`] (length `workers`,
 //!   what each worker actually read off its socket, frame headers
 //!   included).
 //!
 //! The write phase is deadlock-free by construction: the coordinator
-//! writes *all* fragments and every `Execute` before reading anything,
-//! and workers write only after receiving their `Execute`.
+//! feeds the workers one after the other (fragments, `Execute`, flush)
+//! and reads nothing before every worker has its `Execute`, while workers
+//! write only after receiving theirs — so an early worker computes, and at
+//! worst blocks on its answer, while the later ones are still being fed.
 
-use crate::message::{Message, Payload};
+use crate::message::Message;
 use crate::metrics::{RoundStats, RunMetrics};
 use crate::net::codec::{read_frame, write_frame, Frame, FrameError};
 use crate::net::retry::RetryPolicy;
+use crate::net::shipment::Shipment;
 use pq_obs::MetricsRegistry;
 use pq_relation::Relation;
 use std::io::{BufReader, BufWriter, Write};
@@ -497,10 +502,10 @@ impl Coordinator {
         self.metrics.input_bits = bits;
     }
 
-    /// Execute one communication round on the cluster: ship every message
-    /// to its logical server's worker, tell all workers to run `program`
-    /// over their fragments, barrier on their answers and return the
-    /// merged, deduplicated result.
+    /// Execute one communication round on the cluster from simulator-style
+    /// messages: [`Shipment::from_messages`] buckets them under each
+    /// logical server's worker, then [`Coordinator::run_shipment`] runs the
+    /// round.
     ///
     /// # Errors
     /// Any [`ClusterError`]; the coordinator is not usable afterwards
@@ -514,35 +519,48 @@ impl Coordinator {
         messages: Vec<Message>,
         program: &RoundProgram,
     ) -> Result<Relation, ClusterError> {
+        let shipment =
+            Shipment::from_messages(messages, self.p, self.num_workers(), self.bits_per_value)?;
+        self.run_shipment(shipment, program)
+    }
+
+    /// Execute one communication round on the cluster: feed the workers
+    /// one after the other — that worker's fragments, its `Execute`, a
+    /// flush — so the first starts joining while the rest are still being
+    /// fed, then barrier on their answers and return the merged,
+    /// deduplicated result. The shipment's model account becomes the
+    /// round's [`RoundStats::received_bits`] and `messages` as is.
+    ///
+    /// # Errors
+    /// Any [`ClusterError`]; the coordinator is not usable afterwards
+    /// (a failed round leaves workers in an unknown state).
+    ///
+    /// # Panics
+    /// Panics when the shipment was folded for a different `p` or worker
+    /// count than this coordinator's.
+    pub fn run_shipment(
+        &mut self,
+        shipment: Shipment,
+        program: &RoundProgram,
+    ) -> Result<Relation, ClusterError> {
         let start = Instant::now();
         let workers = self.num_workers();
-        let p = self.p;
         let round = (self.metrics.rounds.len() + 1) as u64;
-        let mut received = vec![0u64; p];
-        let count = messages.len();
-        // Write phase: all fragments, then Execute to every worker (ones
-        // with no fragments still barrier and answer empty).
-        for msg in messages {
-            assert!(
-                msg.to < p,
-                "message addressed to server {} but the run has only {p} servers",
-                msg.to
-            );
-            received[msg.to] += msg.payload.size_bits(self.bits_per_value);
-            let worker = msg.to % workers;
-            let relation = match msg.payload {
-                Payload::Tuples(relation) => relation,
-                Payload::Raw { label, .. } => {
-                    return Err(ClusterError::Protocol {
-                        worker,
-                        message: format!(
-                            "the wire backend ships only tuple payloads, got raw payload {label:?}"
-                        ),
-                    })
-                }
-            };
-            self.write(worker, &Frame::Fragment { round, relation })?;
-        }
+        let Shipment {
+            received_bits,
+            messages,
+            fragments,
+        } = shipment;
+        assert_eq!(
+            received_bits.len(),
+            self.p,
+            "the shipment's model account must cover the run's logical servers"
+        );
+        assert_eq!(
+            fragments.len(),
+            workers,
+            "the shipment must be folded for this coordinator's worker count"
+        );
         let execute = Frame::Execute {
             round,
             name: program.name.clone(),
@@ -553,7 +571,13 @@ impl Coordinator {
                 .map(|a| (a.relation.clone(), a.variables.clone()))
                 .collect(),
         };
-        for worker in 0..workers {
+        // Write phase, worker by worker (ones with no fragments still get
+        // their Execute, barrier and answer empty). Nothing is read before
+        // every worker has its Execute.
+        for (worker, relations) in fragments.into_iter().enumerate() {
+            for relation in relations {
+                self.write(worker, &Frame::Fragment { round, relation })?;
+            }
             self.write(worker, &execute)?;
             self.connections[worker]
                 .writer
@@ -607,8 +631,8 @@ impl Coordinator {
         output.dedup();
         let stats = RoundStats {
             round: round as usize,
-            received_bits: received,
-            messages: count,
+            received_bits,
+            messages,
             wire_bytes,
             wall_micros: start.elapsed().as_micros() as u64,
         };

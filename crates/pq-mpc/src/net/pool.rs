@@ -25,9 +25,10 @@
 //!
 //! # Why retrying a round is safe
 //!
-//! Rounds are idempotent by construction. The messages a run ships are
-//! recomputed per attempt by a pure closure over the engine's *immutable*
-//! snapshot — nothing is consumed by a failed attempt. Every attempt
+//! Rounds are idempotent by construction. The [`Shipment`] a run sends is
+//! recomputed per attempt — for that attempt's worker count — by a pure
+//! closure over the engine's *immutable* snapshot; nothing is consumed by
+//! a failed attempt. Every attempt
 //! opens with a `Hello` on every connection, which resets the worker's
 //! per-connection fragment state, and a worker folds fragments only from
 //! its own connection — so a half-shipped failed attempt leaves no
@@ -42,10 +43,11 @@
 //! (`wire_bytes.len() == workers`) downstream assertions rely on. Retry
 //! attempts may *shrink* the topology to the workers that still answer,
 //! as long as at least [`ClusterConfig::effective_min_workers`] of them
-//! do (default: a majority). That is sound because the coordinator folds
-//! `p` logical servers onto whatever worker count it Hello'd (`server %
-//! workers` — see [`crate::net`]): a 2-worker retry of a 3-worker run
-//! computes the same answer, just with more logical servers per process.
+//! do (default: a majority). That is sound because the routing closure
+//! folds the `p` logical servers onto whatever worker count the attempt
+//! Hello'd (`server % workers` — see [`crate::net`]): a 2-worker retry of
+//! a 3-worker run is re-folded for two workers and computes the same
+//! answer, just with more logical servers per process.
 //! A reduced-topology success is therefore *not* a degraded answer — it
 //! is exact — and is reported with `degraded = false`.
 
@@ -55,6 +57,7 @@ use crate::net::coordinator::{
     ClusterConfig, ClusterError, Connection, Coordinator, RoundProgram,
 };
 use crate::net::retry::{Breaker, Clock, SystemClock};
+use crate::net::shipment::Shipment;
 use pq_obs::MetricsRegistry;
 use pq_relation::Relation;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -194,12 +197,43 @@ impl WorkerPool {
         }
     }
 
+    /// Execute one communication round of a run on the cluster from
+    /// simulator-style messages: a thin adapter over
+    /// [`WorkerPool::execute_folded`] that buckets whatever `messages`
+    /// returns under each attempt's worker count
+    /// ([`Shipment::from_messages`]). `messages` is called once per
+    /// attempt and must be pure over immutable inputs.
+    ///
+    /// # Errors
+    /// As [`WorkerPool::execute_folded`].
+    pub fn execute(
+        &self,
+        p: usize,
+        bits_per_value: u64,
+        input_bits: u64,
+        program: &RoundProgram,
+        messages: &dyn Fn() -> Vec<Message>,
+        registry: Option<&Arc<MetricsRegistry>>,
+    ) -> Result<(Relation, RunMetrics), ClusterError> {
+        self.execute_folded(
+            p,
+            bits_per_value,
+            input_bits,
+            program,
+            &|workers| Shipment::from_messages(messages(), p, workers, bits_per_value),
+            registry,
+        )
+    }
+
     /// Execute one communication round of a run on the cluster, with the
     /// full resilience stack: breaker admission, per-query deadline,
     /// pooled connections (health-checked, redialled as needed), and
-    /// retry on a rebuilt topology. `messages` is called once per attempt
-    /// to (re)route the run's fragments — it must be pure over immutable
-    /// inputs, which is what makes the retry safe (see the module docs).
+    /// retry on a rebuilt topology. `route` is called once per attempt
+    /// with *that attempt's* live worker count and returns the round's
+    /// [`Shipment`] folded for it — a retry on a reduced topology
+    /// re-folds for the smaller count. It must be pure over immutable
+    /// inputs, which is what makes the retry safe (see the module docs);
+    /// an `Err` from it fails the attempt like a failed round.
     ///
     /// On success the returned [`RunMetrics`] describe exactly the one
     /// successful attempt (plus `input_bits`), as the model accounting
@@ -210,13 +244,13 @@ impl WorkerPool {
     /// The last attempt's [`ClusterError`], [`ClusterError::BreakerOpen`]
     /// when failing fast, or [`ClusterError::DeadlineExceeded`] when the
     /// budget drained mid-run.
-    pub fn execute(
+    pub fn execute_folded(
         &self,
         p: usize,
         bits_per_value: u64,
         input_bits: u64,
         program: &RoundProgram,
-        messages: &dyn Fn() -> Vec<Message>,
+        route: &dyn Fn(usize) -> Result<Shipment, ClusterError>,
         registry: Option<&Arc<MetricsRegistry>>,
     ) -> Result<(Relation, RunMetrics), ClusterError> {
         let inner = &self.inner;
@@ -229,7 +263,7 @@ impl WorkerPool {
         let start = inner.clock.now();
         let result = match inner.breaker.admit(start) {
             Err(retry_in) => Err(ClusterError::BreakerOpen { retry_in }),
-            Ok(()) => self.attempts(p, bits_per_value, input_bits, program, messages, salt),
+            Ok(()) => self.attempts(p, bits_per_value, input_bits, program, route, salt),
         };
         match &result {
             Ok(_) => {
@@ -257,7 +291,7 @@ impl WorkerPool {
         bits_per_value: u64,
         input_bits: u64,
         program: &RoundProgram,
-        messages: &dyn Fn() -> Vec<Message>,
+        route: &dyn Fn(usize) -> Result<Shipment, ClusterError>,
         salt: u64,
     ) -> Result<(Relation, RunMetrics), ClusterError> {
         let inner = &self.inner;
@@ -300,7 +334,9 @@ impl WorkerPool {
             if let Some(registry) = self.registry_for_rounds() {
                 coordinator.set_registry(registry);
             }
-            match coordinator.run_round(messages(), program) {
+            let round = route(coordinator.num_workers())
+                .and_then(|shipment| coordinator.run_shipment(shipment, program));
+            match round {
                 Ok(output) => {
                     let (connections, metrics) = coordinator.take_connections();
                     let now = inner.clock.now();
@@ -557,6 +593,63 @@ mod tests {
         assert_eq!(pool.breaker_state(), BreakerState::Closed);
         drop(pool);
         workers.shutdown();
+    }
+
+    /// A worker that accepts one connection, stops listening, reads up to
+    /// the round's `Execute` and hangs up without answering: the first
+    /// attempt routes for it and fails, every later dial is refused.
+    fn worker_dying_mid_round() -> (String, std::thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let address = listener.local_addr().unwrap().to_string();
+        let handle = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            drop(listener);
+            let mut reader = std::io::BufReader::new(stream);
+            while let Ok(Some((frame, _))) = crate::net::read_frame(&mut reader) {
+                if matches!(frame, crate::net::Frame::Execute { .. }) {
+                    break;
+                }
+            }
+        });
+        (address, handle)
+    }
+
+    #[test]
+    fn the_route_is_asked_once_per_attempt_for_that_attempts_worker_count() {
+        let workers = LocalWorkers::spawn(2).unwrap();
+        let (dying, handle) = worker_dying_mid_round();
+        let mut addresses = workers.addresses().to_vec();
+        addresses.push(dying);
+        let config = ClusterConfig::new(addresses).with_retry(RetryPolicy {
+            retries: 2,
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(2),
+        });
+        let pool = WorkerPool::new(config);
+        let asked = Mutex::new(Vec::new());
+        let (output, metrics) = pool
+            .execute_folded(
+                4,
+                16,
+                1000,
+                &identity_program(),
+                &|workers| {
+                    asked.lock().unwrap().push(workers);
+                    Shipment::from_messages(broadcast(4), 4, workers, 16)
+                },
+                None,
+            )
+            .unwrap();
+        assert_eq!(output.len(), 2);
+        // Attempt 0 folded for the full topology and lost a worker
+        // mid-round; the retry re-folded for the two survivors.
+        assert_eq!(*asked.lock().unwrap(), vec![3, 2]);
+        assert_eq!(metrics.rounds[0].wire_bytes.len(), 2);
+        assert_eq!(metrics.rounds[0].received_bits.len(), 4);
+        assert_eq!(pool.stats().retries, 1);
+        drop(pool);
+        workers.shutdown();
+        handle.join().unwrap();
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! joins the fragments of the listed atoms, projects to the output
 //! variables and replies with an `Answer` frame carrying its head fragment
 //! and the bytes it measured on the wire for the round. Local computation
-//! is free in the MPC model, but the wall clock still pays for it: the
-//! coordinator folds many logical servers onto each worker (`server %
-//! workers`) and merges their fragments, so the one join a worker runs per
-//! round is large — each connection therefore runs its local join under
-//! the worker's persistent [`pq_exec::TaskPool`]
+//! is free in the MPC model, but the wall clock still pays for it: many
+//! logical servers fold onto each worker (`server % workers`) and all
+//! their rows end up in one stored fragment per relation, so the one join
+//! a worker runs per round is large — it reads the stored fragments in
+//! place, and each connection runs its local join under the worker's
+//! persistent [`pq_exec::TaskPool`]
 //! ([`serve_worker_pooled`]; the other entry points use the process-wide
 //! pool), which lets the morsel-parallel kernels in [`pq_relation`] spread
 //! that single join across cores without spawning a thread per round. A
@@ -34,6 +35,7 @@
 use crate::net::codec::{read_frame, write_frame, Frame};
 use pq_obs::{Counter, LogLevel, Logger, MetricsRegistry};
 use pq_relation::{natural_join_all, project, Relation, Schema};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
@@ -121,7 +123,10 @@ fn serve_connection(
     limits: WorkerLimits,
     pool: &Arc<pq_exec::TaskPool>,
 ) -> bool {
-    let peer = stream.local_addr().map(|a| a.to_string()).unwrap_or_default();
+    // `peer` is the coordinator's end of the socket, `worker` ours: log
+    // lines carry both, error frames sent to the peer name the worker.
+    let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_default();
+    let worker = stream.local_addr().map(|a| a.to_string()).unwrap_or_default();
     let reader_stream = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return false,
@@ -145,6 +150,7 @@ fn serve_connection(
                 obs.logger
                     .warn("dropping connection after framing error")
                     .kv("peer", &peer)
+                    .kv("worker", &worker)
                     .kv("error", &e)
                     .emit();
                 // Best-effort located error back to the peer, then drop the
@@ -153,7 +159,7 @@ fn serve_connection(
                 let _ = write_frame(
                     &mut writer,
                     &Frame::Error {
-                        message: format!("worker {peer}: {e}"),
+                        message: format!("worker {worker}: {e}"),
                     },
                 );
                 let _ = writer.flush();
@@ -176,6 +182,7 @@ fn serve_connection(
                     obs.logger
                         .warn("rejecting fragment over the per-connection byte cap")
                         .kv("peer", &peer)
+                        .kv("worker", &worker)
                         .kv("relation", relation.name())
                         .kv("held_bytes", fragment_bytes)
                         .kv("incoming_bytes", incoming)
@@ -185,7 +192,7 @@ fn serve_connection(
                         &mut writer,
                         &Frame::Error {
                             message: format!(
-                                "worker {peer}: fragment store over the {}-byte cap \
+                                "worker {worker}: fragment store over the {}-byte cap \
                                  ({fragment_bytes} held + {incoming} incoming)",
                                 limits.max_fragment_bytes
                             ),
@@ -246,6 +253,7 @@ fn serve_connection(
                 obs.logger
                     .warn("coordinator reported an error")
                     .kv("peer", &peer)
+                    .kv("worker", &worker)
                     .kv("error", &message)
                     .emit();
                 return false;
@@ -275,11 +283,14 @@ fn local_answer(
     output_vars: &[String],
     atoms: &[(String, Vec<String>)],
 ) -> Relation {
-    let bound: Vec<Relation> = atoms
+    let bound: Vec<Cow<'_, Relation>> = atoms
         .iter()
         .map(|(relation, variables)| match fragments.get(relation) {
-            Some(fragment) => fragment.clone(),
-            None => Relation::empty(Schema::new(relation.clone(), variables.clone())),
+            Some(fragment) => Cow::Borrowed(fragment),
+            None => Cow::Owned(Relation::empty(Schema::new(
+                relation.clone(),
+                variables.clone(),
+            ))),
         })
         .collect();
     let joined = natural_join_all(&bound);

@@ -11,6 +11,7 @@
 use crate::atom::Atom;
 use crate::query::ConjunctiveQuery;
 use pq_relation::{natural_join_all, Database, Relation, Schema};
+use std::borrow::Borrow;
 
 /// Bind a stored relation to an atom: the result has one column per
 /// *distinct* variable of the atom, named after the variables.
@@ -93,8 +94,9 @@ pub fn evaluate_sequential(query: &ConjunctiveQuery, database: &Database) -> Rel
 /// Evaluate the query over already-bound relations (one per atom, schema
 /// attributes named by query variables). Exposed so distributed algorithms
 /// can reuse the same local-evaluation code on whatever fragments a server
-/// received.
-pub fn evaluate_bound(query: &ConjunctiveQuery, bound: &[Relation]) -> Relation {
+/// received — by reference (`&[&Relation]`) when the fragments are stored
+/// elsewhere.
+pub fn evaluate_bound<R: Borrow<Relation>>(query: &ConjunctiveQuery, bound: &[R]) -> Relation {
     let joined = natural_join_all(bound);
     let head = query.variables();
     let mut out = joined.project(&head, query.name());

@@ -36,6 +36,7 @@ use crate::relation::Relation;
 use crate::rowindex::RowKeyIndex;
 use crate::schema::Schema;
 use crate::tuple::Value;
+use std::borrow::{Borrow, Cow};
 
 /// Natural join of two relations over their shared attribute names.
 ///
@@ -233,11 +234,15 @@ fn push_joined(out: &mut Relation, lrow: &[Value], rrow: &[Value], right_extra: 
 /// unbounded `A⋈B⋈C⋈…` name string.
 ///
 /// Returns an empty nullary relation when the input list is empty.
-pub fn natural_join_all(relations: &[Relation]) -> Relation {
+///
+/// The inputs are only read — pass owned relations or references
+/// (`&[&Relation]`), whichever the caller holds; a server joining the
+/// fragments it stores never has to copy them first.
+pub fn natural_join_all<R: Borrow<Relation>>(relations: &[R]) -> Relation {
     if relations.is_empty() {
         return Relation::empty(Schema::new("⊤", vec![]));
     }
-    let mut remaining: Vec<&Relation> = relations.iter().collect();
+    let mut remaining: Vec<&Relation> = relations.iter().map(Borrow::borrow).collect();
     // Start from the smallest relation: cheap and a decent heuristic.
     let start = remaining
         .iter()
@@ -245,7 +250,7 @@ pub fn natural_join_all(relations: &[Relation]) -> Relation {
         .min_by_key(|(_, r)| r.len())
         .map(|(i, _)| i)
         .expect("non-empty");
-    let mut acc = remaining.remove(start).clone();
+    let mut acc = Cow::Borrowed(remaining.remove(start));
     let mut joined = 1usize;
     while !remaining.is_empty() {
         // Prefer a relation sharing attributes with the accumulator; for
@@ -266,11 +271,12 @@ pub fn natural_join_all(relations: &[Relation]) -> Relation {
                     .expect("non-empty remaining")
             });
         let r = remaining.remove(next);
-        acc = natural_join(&acc, r);
+        let mut step = natural_join(&acc, r);
         joined += 1;
-        acc.rename(format!("⋈{joined}"));
+        step.rename(format!("⋈{joined}"));
+        acc = Cow::Owned(step);
     }
-    acc
+    acc.into_owned()
 }
 
 /// Project a relation onto the given attributes with set semantics and a
@@ -414,7 +420,7 @@ mod tests {
 
     #[test]
     fn join_all_of_empty_list_is_nullary_empty() {
-        let out = natural_join_all(&[]);
+        let out = natural_join_all::<Relation>(&[]);
         assert_eq!(out.arity(), 0);
         assert!(out.is_empty());
     }

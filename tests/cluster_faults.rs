@@ -10,12 +10,14 @@
 //! truncated frame or staying silent, so the faults are injected at the
 //! raw byte level beneath the codec.
 
+use pq_core::hypercube::HyperCubeRouter;
 use pq_mpc::net::{
     read_frame, serve_worker, shutdown_workers, AtomSpec, BreakerState, Clock, ClusterConfig,
     ClusterError, Coordinator, Frame, LocalWorkers, RetryPolicy, RoundProgram, TestClock,
     WorkerPool, MAGIC,
 };
 use pq_mpc::Message;
+use pq_query::{Atom, ConjunctiveQuery};
 use pq_relation::{Relation, Schema};
 use proptest::prelude::*;
 use std::io::{BufReader, Read, Write};
@@ -220,13 +222,10 @@ fn a_silent_worker_times_out_within_the_configured_deadline() {
     );
 }
 
-/// The answer the round must produce, computed with a textbook
-/// nested-loop join over the same R and S rows — independent of every
-/// cluster code path, so it can act as the oracle for the recovery and
-/// chaos tests below.
-fn oracle_join() -> Vec<Vec<u64>> {
-    let r = [[1u64, 2], [3, 4]];
-    let s = [[2u64, 20]];
+/// R(x, y) ⋈ S(y, z) as a textbook nested-loop join, sorted — independent
+/// of every cluster code path, so it can act as the oracle for the
+/// recovery and chaos tests below.
+fn nested_loop_join(r: &[[u64; 2]], s: &[[u64; 2]]) -> Vec<Vec<u64>> {
     let mut rows: Vec<Vec<u64>> = r
         .iter()
         .flat_map(|&[x, y]| {
@@ -237,6 +236,11 @@ fn oracle_join() -> Vec<Vec<u64>> {
         .collect();
     rows.sort();
     rows
+}
+
+/// The answer [`round_messages`]' round must produce.
+fn oracle_join() -> Vec<Vec<u64>> {
+    nested_loop_join(&[[1, 2], [3, 4]], &[[2, 20]])
 }
 
 fn sorted_rows(output: &Relation) -> Vec<Vec<u64>> {
@@ -293,6 +297,76 @@ fn every_fault_is_recovered_by_a_pool_retry() {
         workers.shutdown();
         handle.join().expect("faulty worker thread exits");
     }
+}
+
+/// Losing one of three workers mid-round: the first attempt routed the
+/// HyperCube shuffle for three workers; the retry must ask the router
+/// again and ship a shipment folded for the two survivors — not replay the
+/// three-worker one — and still produce the oracle's rows under the
+/// simulator's model account.
+#[test]
+fn losing_a_worker_mid_round_refolds_the_shuffle_for_the_survivors() {
+    let query = ConjunctiveQuery::new(
+        "Q",
+        vec![
+            Atom::from_strs("R", &["x", "y"]),
+            Atom::from_strs("S", &["y", "z"]),
+        ],
+    );
+    let r: Vec<[u64; 2]> = (0..60).map(|i| [i, i % 12]).collect();
+    let s: Vec<[u64; 2]> = (0..24).map(|j| [j % 12, 100 + j]).collect();
+    let relation = |name: &str, attrs: &[&str], rows: &[[u64; 2]]| {
+        Relation::from_rows(
+            Schema::from_strs(name, attrs),
+            rows.iter().map(|row| row.to_vec()).collect(),
+        )
+    };
+    let bound = [
+        relation("R", &["x", "y"], &r),
+        relation("S", &["y", "z"], &s),
+    ];
+    let oracle = nested_loop_join(&r, &s);
+    assert_eq!(oracle.len(), 120);
+
+    let shares = [("x", 2usize), ("y", 3), ("z", 2)]
+        .iter()
+        .map(|&(v, share)| (v.to_string(), share))
+        .collect();
+    let router = HyperCubeRouter::new(&query, &shares, 7, 0, 0);
+    let (p, bits_per_value) = (router.grid_size(), 8);
+
+    let workers = LocalWorkers::spawn(2).expect("spawn");
+    let (faulty_address, handle) = faulty_worker(Fault::DieMidRound);
+    let mut addresses = workers.addresses().to_vec();
+    addresses.push(faulty_address);
+    let pool = resilient_pool(addresses, 4);
+    let folded_for = std::sync::Mutex::new(Vec::new());
+    let (output, metrics) = pool
+        .execute_folded(
+            p,
+            bits_per_value,
+            0,
+            &round_program(),
+            &|workers| {
+                folded_for.lock().expect("no panics").push(workers);
+                Ok(router.route_folded(&bound, p, workers, bits_per_value))
+            },
+            None,
+        )
+        .expect("the pool must recover from losing one of three workers");
+    assert_eq!(sorted_rows(&output), oracle);
+    let folded_for = folded_for.into_inner().expect("no panics");
+    assert_eq!(folded_for.first(), Some(&3), "the first attempt runs on the full topology");
+    assert_eq!(folded_for.last(), Some(&2), "the retry re-folds for the survivors");
+    let round = &metrics.rounds[0];
+    assert_eq!(round.wire_bytes.len(), 2);
+    let mut simulator = pq_mpc::Cluster::new(p, bits_per_value);
+    let simulated = simulator.communicate(router.route_bound(&bound));
+    assert_eq!(round.received_bits, simulated.received_bits);
+    assert_eq!(round.messages, simulated.messages);
+    drop(pool);
+    workers.shutdown();
+    handle.join().expect("faulty worker thread exits");
 }
 
 /// A flapping cluster: every worker down long enough for consecutive

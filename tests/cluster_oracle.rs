@@ -4,18 +4,20 @@
 //! the sequential `natural_join_all` oracle — for random databases, a
 //! suite of query shapes, and `p` both above and below the worker count.
 //!
-//! Beyond row-for-row equality the suite checks the two cost accounts
-//! against each other: the cluster's *model* bits (`received_bits`) must be
+//! Beyond row-for-row equality the suite checks the two cost accounts:
+//! the cluster's *model* account (`received_bits`, `messages`) must be
 //! bit-identical to the simulator's for one-round HyperCube plans (same
-//! router, same seed, same shares), and the *measured* wire bytes must
-//! bracket the model load — at least `total_bits / 8` (the wire ships
-//! 64-bit values, the model charges `log n` bits) and at most the model's
-//! value count at 64 bits plus bounded framing overhead.
+//! router, same seed, same shares) on *any* worker count, while the
+//! *measured* wire bytes track the worker-granular shipping — every input
+//! tuple reaches at least one worker (so the wire carries at least the
+//! input), and no tuple reaches a worker twice (so it carries at most the
+//! smaller of the model's replication and `workers` copies of the input,
+//! at 64 bits a value, plus bounded framing overhead).
 
 use pq_bench::matching_database_for_query;
 use pq_engine::{Engine, ExecBackend, Strategy};
 use pq_mpc::net::{ClusterConfig, LocalWorkers};
-use pq_query::{evaluate_sequential, ConjunctiveQuery};
+use pq_query::{evaluate_sequential, instantiate, ConjunctiveQuery};
 use pq_relation::{Database, Relation, Schema, Tuple};
 use proptest::prelude::*;
 
@@ -107,22 +109,30 @@ fn assert_cluster_matches_simulator(
     assert_eq!(round.wire_bytes.len(), workers, "wire account is per worker");
     assert!(round.wall_micros > 0, "round wall time is measured");
 
-    // Lower bound: the wire ships every model value as a 64-bit word plus
-    // headers, and the model charges `bits_per_value <= 64` bits for it.
-    assert!(
-        round.total_wire_bytes() * 8 >= round.total_bits(),
-        "wire bytes ({}) cannot undercut the model bits ({})",
-        round.total_wire_bytes(),
-        round.total_bits()
-    );
-    // Upper bound: 64 bits per model value, plus a generous per-frame and
-    // per-worker allowance for headers, schemas and Execute programs.
+    // Lower bound: every tuple of every atom reaches at least one worker,
+    // as 64-bit words, and the model charges `bits_per_value <= 64` bits a
+    // value. (Model bits are *not* a lower bound: a worker hosting several
+    // of a tuple's logical servers receives it once.)
     let bits_per_value = db.bits_per_value().max(1);
-    let values_shipped = round.total_bits() / bits_per_value;
-    let overhead_bits = 8 * (round.messages as u64 * 512 + workers as u64 * 2048);
+    let bound = instantiate(query, db);
+    let input_values: u64 = bound.iter().map(|r| (r.arity() * r.len()) as u64).sum();
     assert!(
-        round.total_wire_bytes() * 8 <= values_shipped * 64 + overhead_bits,
-        "wire bytes ({}) exceed 64 bits/value on {} model values plus framing",
+        round.total_wire_bytes() * 8 >= input_values * bits_per_value,
+        "wire bytes ({}) cannot undercut the {} input values",
+        round.total_wire_bytes(),
+        input_values
+    );
+    // Upper bound: a tuple crosses a worker's socket at most once, so the
+    // wire carries at most one 64-bit copy per model delivery and at most
+    // `workers` copies of the input, plus a generous allowance for the
+    // headers and schemas of at most one fragment frame per (worker, atom)
+    // and an Execute program per worker.
+    let model_values = round.total_bits() / bits_per_value;
+    let values_shipped = model_values.min(input_values * workers as u64);
+    let overhead_bytes = (workers * bound.len() * 512 + workers * 2048) as u64;
+    assert!(
+        round.total_wire_bytes() <= values_shipped * 8 + overhead_bytes,
+        "wire bytes ({}) exceed 8 bytes/value on {} shipped values plus framing",
         round.total_wire_bytes(),
         values_shipped
     );
@@ -131,11 +141,13 @@ fn assert_cluster_matches_simulator(
     // HyperCube, both backends routed the same messages with the same
     // seed, so the per-logical-server bit counts must be identical.
     if matches!(sim.plan.strategy, Strategy::HyperCube { .. }) {
+        let simulated = &sim.outcome.metrics.rounds[0];
         assert_eq!(
-            round.received_bits, sim.outcome.metrics.rounds[0].received_bits,
-            "cluster model bits must match the simulator bit-for-bit on {}",
+            round.received_bits, simulated.received_bits,
+            "cluster model bits must match the simulator bit-for-bit on {} ({workers} workers)",
             query.name()
         );
+        assert_eq!(round.messages, simulated.messages);
     }
 
     // The simulator, by contrast, must never claim measured traffic.
@@ -149,19 +161,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     // The headline oracle: random databases x query suite x p in
-    // {2, 4, 8}, over 3 workers (so p = 4 and p = 8 exercise the
-    // logical-server folding, p = 2 leaves a worker idle).
+    // {2, 4, 8}, over 1 worker (everything folds onto it), 2, worker
+    // counts that do not divide the share grid (3, 5), and more workers
+    // than grid points (11: some stay idle).
     #[test]
     fn cluster_matches_simulator_on_random_databases(
         seed in 0u64..1000,
         m in 20usize..60,
         p_choice in 0usize..3,
+        workers_choice in 0usize..5,
         skew in any::<bool>(),
     ) {
         let p = [2, 4, 8][p_choice];
+        let workers = [1, 2, 3, 5, 11][workers_choice];
         for query in query_suite() {
             let db = database_for(&query, m, seed, skew);
-            assert_cluster_matches_simulator(&query, &db, p, 3);
+            assert_cluster_matches_simulator(&query, &db, p, workers);
         }
     }
 }
@@ -190,6 +205,20 @@ fn a_single_worker_carries_every_logical_server() {
     let query = ConjunctiveQuery::triangle();
     let db = database_for(&query, 80, 11, false);
     assert_cluster_matches_simulator(&query, &db, 8, 1);
+}
+
+#[test]
+fn the_model_account_is_the_simulators_on_every_worker_count() {
+    // One plan (triangle, p = 27, shares 3x3x3) over 1 worker, 2, counts
+    // that do not divide the grid, and more workers than grid points: the
+    // helper asserts `received_bits` and `messages` against the simulator
+    // for each, while the wire bounds move with the worker count.
+    let query = ConjunctiveQuery::triangle();
+    let db = database_for(&query, 200, 23, false);
+    for workers in [1, 2, 3, 5, 30] {
+        let strategy = assert_cluster_matches_simulator(&query, &db, 27, workers);
+        assert_eq!(strategy, "one-round HyperCube");
+    }
 }
 
 #[test]

@@ -6,7 +6,9 @@
 //! * packing-polytope vertices are always feasible packings and `L(u,M,p)`
 //!   never exceeds `L_lower`;
 //! * integer shares never exceed the server budget;
-//! * multi-round plans compute the query, whatever the fan-in.
+//! * multi-round plans compute the query, whatever the fan-in;
+//! * worker-granular routing (`route_folded`) ships the per-worker set
+//!   union of `route_bound`'s messages under the simulator's model account.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -94,6 +96,85 @@ proptest! {
         let run = hypercube::run_hypercube(&query, &db, p, seed);
         let oracle = evaluate_sequential(&query, &db);
         prop_assert_eq!(run.output.canonicalized(), oracle.canonicalized());
+    }
+
+    // Worker-granular routing against the per-logical-server router it
+    // folds: for random queries, shares, server offsets and worker counts,
+    // every worker's fragment holds exactly the rows some message with
+    // `to % workers == worker` carries — each as often as the input has it,
+    // however many of the worker's logical servers want it — and the model
+    // account is the one the simulator records for the unfolded messages.
+    #[test]
+    fn route_folded_is_the_per_worker_union_of_route_bound(
+        query in arbitrary_connected_query(),
+        share_seed in proptest::collection::vec(1usize..5, 6..7),
+        server_offset in 0usize..5,
+        workers in 1usize..8,
+        bits_per_value in 1u64..40,
+        seed in 0u64..1000,
+    ) {
+        let db = random_database(&query, 60, 40, seed);
+        let mut bound = pq_query::instantiate(&query, &db);
+        // Duplicate input rows must keep their multiplicity, not gain one.
+        let first = bound[0].clone();
+        bound[0].append(&first);
+        let shares: BTreeMap<String, usize> = query
+            .variables()
+            .into_iter()
+            .zip(share_seed)
+            .collect();
+        let router = hypercube::HyperCubeRouter::new(&query, &shares, seed, 0, server_offset);
+        let p = server_offset + router.grid_size();
+        let shipment = router.route_folded(&bound, p, workers, bits_per_value);
+        let messages = router.route_bound(&bound);
+
+        prop_assert_eq!(shipment.fragments.len(), workers);
+        let count_rows = |relations: Vec<&Relation>| {
+            let mut counts: BTreeMap<(String, Vec<u64>), usize> = BTreeMap::new();
+            for relation in relations {
+                for row in relation.iter() {
+                    *counts.entry((relation.name().to_string(), row.to_vec())).or_default() += 1;
+                }
+            }
+            counts
+        };
+        let input = count_rows(bound.iter().collect());
+        for (worker, fragments) in shipment.fragments.iter().enumerate() {
+            let names: Vec<&str> = fragments.iter().map(Relation::name).collect();
+            let mut distinct = names.clone();
+            distinct.dedup();
+            prop_assert!(names.len() == distinct.len(), "one fragment per (worker, relation)");
+            prop_assert!(fragments.iter().all(|f| !f.is_empty()));
+            let folded = count_rows(fragments.iter().collect());
+            let unfolded = count_rows(
+                messages
+                    .iter()
+                    .filter(|m| m.to % workers == worker)
+                    .map(|m| match &m.payload {
+                        pq_mpc::Payload::Tuples(relation) => relation,
+                        pq_mpc::Payload::Raw { .. } => unreachable!("routers ship tuples"),
+                    })
+                    .collect(),
+            );
+            prop_assert!(
+                folded.keys().eq(unfolded.keys()),
+                "worker {worker} of {workers} holds {:?}, the messages carry {:?}",
+                folded.keys(),
+                unfolded.keys()
+            );
+            for (row, &copies) in &folded {
+                prop_assert!(
+                    copies == input[row],
+                    "row {row:?} is {copies} times on worker {worker}, {} times in the input",
+                    input[row]
+                );
+            }
+        }
+
+        let mut cluster = pq_mpc::Cluster::new(p, bits_per_value);
+        let stats = cluster.communicate(messages);
+        prop_assert_eq!(&shipment.received_bits, &stats.received_bits);
+        prop_assert_eq!(shipment.messages, stats.messages);
     }
 
     #[test]
