@@ -154,7 +154,7 @@ fn bench_engine_backend(c: &mut Criterion) {
 /// TCP handshake every time — what every cluster query paid before the
 /// pool existed).
 fn bench_cluster_reconnect(c: &mut Criterion) {
-    use pq_mpc::net::{AtomSpec, Coordinator, RoundProgram, WorkerPool};
+    use pq_mpc::net::{AtomSpec, Coordinator, RoundProgram, Shipment, WorkerPool};
     use pq_mpc::Message;
     use pq_relation::{Relation, Schema};
 
@@ -198,7 +198,8 @@ fn bench_cluster_reconnect(c: &mut Criterion) {
     group.bench_function("fresh_dial_round", |b| {
         b.iter(|| {
             let mut coordinator = Coordinator::connect(&config, 2, 16).expect("connect");
-            coordinator.run_round(messages(), &program).expect("runs").len()
+            let shipment = Shipment::from_messages(messages(), 2, 2, 16);
+            coordinator.run_shipment(shipment, &program).expect("runs").len()
         })
     });
     drop(pool);

@@ -14,12 +14,10 @@
 //!   skew in Example 4.1, and the multi-round strawman against which the
 //!   bushy plans of Section 5 are compared.
 
-use crate::hypercube::local_join;
+use crate::hypercube::run_one_round;
 use pq_mpc::{broadcast_relation, map_servers_parallel, Cluster, Message, RunMetrics};
 use pq_query::{evaluate_bound, instantiate, ConjunctiveQuery};
-use pq_relation::{
-    natural_join, BucketHasher, Database, HashFamily, MultiplyShiftHash, Relation, Schema,
-};
+use pq_relation::{natural_join, BucketHasher, Database, HashFamily, MultiplyShiftHash, Relation};
 
 /// Result of a baseline run: the answer plus communication metrics.
 #[derive(Debug, Clone)]
@@ -34,28 +32,18 @@ pub struct BaselineRun {
 /// `|I|`, no parallelism (the degenerate case the MPC model excludes by
 /// requiring `L < M`).
 pub fn single_server_join(query: &ConjunctiveQuery, database: &Database, p: usize) -> BaselineRun {
-    let bound = instantiate(query, database);
-    let mut cluster = Cluster::new(p, database.bits_per_value());
-    cluster.set_input_bits(database.total_size_bits());
-    let messages = bound
-        .iter()
-        .map(|rel| Message::tuples(0, rel.clone()))
+    let messages = instantiate(query, database)
+        .into_iter()
+        .map(|rel| Message::tuples(0, rel))
         .collect();
-    cluster.communicate(messages);
-    let output = local_join(query, cluster.server(0));
-    BaselineRun {
-        output,
-        metrics: cluster.into_metrics(),
-    }
+    let (output, metrics) = run_one_round(query, database, p, messages);
+    BaselineRun { output, metrics }
 }
 
 /// Broadcast every relation except the largest, partition the largest one
 /// round-robin. One round; load `≈ M_max/p + Σ_{j≠max} M_j`.
 pub fn broadcast_join(query: &ConjunctiveQuery, database: &Database, p: usize) -> BaselineRun {
     let bound = instantiate(query, database);
-    let mut cluster = Cluster::new(p, database.bits_per_value());
-    cluster.set_input_bits(database.total_size_bits());
-
     let largest = bound
         .iter()
         .enumerate()
@@ -75,18 +63,8 @@ pub fn broadcast_join(query: &ConjunctiveQuery, database: &Database, p: usize) -
             messages.extend(broadcast_relation(rel, p));
         }
     }
-    cluster.communicate(messages);
-
-    let outputs = map_servers_parallel(cluster.servers(), |_, s| local_join(query, s));
-    let mut output = Relation::empty(Schema::new(query.name(), query.variables()));
-    for o in &outputs {
-        output.append(o);
-    }
-    output.dedup();
-    BaselineRun {
-        output,
-        metrics: cluster.into_metrics(),
-    }
+    let (output, metrics) = run_one_round(query, database, p, messages);
+    BaselineRun { output, metrics }
 }
 
 /// The standard parallel (shuffle) hash join, run as a left-deep sequence of
@@ -250,7 +228,7 @@ pub fn oracle(query: &ConjunctiveQuery, database: &Database) -> Relation {
 mod tests {
     use super::*;
     use pq_query::evaluate_sequential;
-    use pq_relation::DataGenerator;
+    use pq_relation::{DataGenerator, Schema};
 
     fn triangle_db(m: usize, seed: u64) -> Database {
         let mut gen = DataGenerator::new(seed, (m * 50) as u64);

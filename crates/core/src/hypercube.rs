@@ -17,7 +17,7 @@ use crate::shares::{self, ShareRounding};
 use pq_mpc::net::Shipment;
 use pq_mpc::{map_servers_parallel, Cluster, Message, RunMetrics, Server};
 use pq_query::{evaluate_bound, instantiate, ConjunctiveQuery};
-use pq_relation::{BucketHasher, HashFamily, MultiplyShiftHash, Relation, Value};
+use pq_relation::{BucketHasher, Database, HashFamily, MultiplyShiftHash, Relation, Schema, Value};
 use std::collections::BTreeMap;
 
 /// A configured HyperCube router: the grid layout (shares per variable), the
@@ -352,41 +352,66 @@ pub fn local_join(query: &ConjunctiveQuery, server: &Server) -> Relation {
         .collect();
     match fragments {
         Some(bound) => evaluate_bound(query, &bound),
-        None => Relation::empty(pq_relation::Schema::new(query.name(), query.variables())),
+        None => Relation::empty(Schema::new(query.name(), query.variables())),
     }
 }
 
-/// Run the HyperCube algorithm with explicitly provided integer shares.
-pub fn run_hypercube_with_shares(
+/// Where the HyperCube algorithm sends each tuple: the round's messages for
+/// the given integer shares on a grid anchored at server 0.
+///
+/// # Panics
+/// Panics when the share grid has more points than `p`.
+pub fn route_hypercube(
     query: &ConjunctiveQuery,
-    database: &pq_relation::Database,
+    database: &Database,
     p: usize,
     shares: &BTreeMap<String, usize>,
     seed: u64,
-) -> HyperCubeRun {
-    let bound = instantiate(query, database);
-    let mut cluster = Cluster::new(p, database.bits_per_value());
-    cluster.set_input_bits(database.total_size_bits());
-
+) -> Vec<Message> {
     let router = HyperCubeRouter::new(query, shares, seed, 0, 0);
     assert!(
         router.grid_size() <= p,
         "share grid of size {} does not fit on {p} servers",
         router.grid_size()
     );
-    let messages = router.route_bound(&bound);
-    cluster.communicate(messages);
+    router.route_bound(&instantiate(query, database))
+}
 
+/// Run one communication round in process — what every one-round
+/// algorithm shares once it has decided where each tuple goes: deliver
+/// `messages` to `p` simulated servers (the model's cost account), join
+/// locally at every server, merge the answers and deduplicate.
+pub fn run_one_round(
+    query: &ConjunctiveQuery,
+    database: &Database,
+    p: usize,
+    messages: Vec<Message>,
+) -> (Relation, RunMetrics) {
+    let mut cluster = Cluster::new(p, database.bits_per_value());
+    cluster.set_input_bits(database.total_size_bits());
+    cluster.communicate(messages);
     let outputs = map_servers_parallel(cluster.servers(), |_, server| local_join(query, server));
-    let mut output = Relation::empty(pq_relation::Schema::new(query.name(), query.variables()));
+    let mut output = Relation::empty(Schema::new(query.name(), query.variables()));
     for o in &outputs {
         output.append(o);
     }
     output.dedup();
+    (output, cluster.into_metrics())
+}
 
+/// Run the HyperCube algorithm with explicitly provided integer shares.
+pub fn run_hypercube_with_shares(
+    query: &ConjunctiveQuery,
+    database: &Database,
+    p: usize,
+    shares: &BTreeMap<String, usize>,
+    seed: u64,
+) -> HyperCubeRun {
+    let messages = route_hypercube(query, database, p, shares, seed);
+    let (output, metrics) = run_one_round(query, database, p, messages);
     HyperCubeRun {
         output,
-        metrics: cluster.into_metrics(),
+        metrics,
         shares: shares.clone(),
     }
 }
@@ -395,7 +420,7 @@ pub fn run_hypercube_with_shares(
 /// database's relation sizes (Eq. 10), route, and join locally.
 pub fn run_hypercube(
     query: &ConjunctiveQuery,
-    database: &pq_relation::Database,
+    database: &Database,
     p: usize,
     seed: u64,
 ) -> HyperCubeRun {
@@ -408,7 +433,7 @@ pub fn run_hypercube(
 mod tests {
     use super::*;
     use pq_query::evaluate_sequential;
-    use pq_relation::{DataGenerator, Database, Schema};
+    use pq_relation::DataGenerator;
 
     fn matching_db(query: &ConjunctiveQuery, m: usize, seed: u64) -> Database {
         let mut gen = DataGenerator::new(seed, (m as u64 * 100).max(1000));
@@ -588,6 +613,34 @@ mod tests {
         assert_eq!(stats.total_bits() / (2 * db.bits_per_value()), 3 * 500 * 4);
         assert_eq!(shipment.received_bits, stats.received_bits);
         assert_eq!(shipment.messages, stats.messages);
+    }
+
+    #[test]
+    fn both_shipment_builders_keep_the_same_invariant() {
+        // Folding ready-made messages set-wise must ship exactly what the
+        // folding router ships — the same row set in one fragment per
+        // (worker, relation), no row twice — under the same model account.
+        let q = ConjunctiveQuery::triangle();
+        let db = matching_db(&q, 500, 5);
+        let bound = instantiate(&q, &db);
+        let shares: BTreeMap<String, usize> =
+            [("x1", 3usize), ("x2", 3), ("x3", 3)].iter().map(|(v, s)| (v.to_string(), *s)).collect();
+        let router = HyperCubeRouter::new(&q, &shares, 7, 0, 0);
+        let bits = db.bits_per_value();
+        for workers in [1, 2, 3] {
+            let folded = router.route_folded(&bound, 27, workers, bits);
+            let from_messages = Shipment::from_messages(router.route_bound(&bound), 27, workers, bits);
+            assert_eq!(from_messages.received_bits, folded.received_bits);
+            assert_eq!(from_messages.messages, folded.messages);
+            for (ours, theirs) in from_messages.fragments.iter().zip(&folded.fragments) {
+                assert_eq!(ours.len(), 3, "one fragment per relation at {workers} workers");
+                for (a, b) in ours.iter().zip(theirs) {
+                    assert_eq!(a.len(), b.len(), "{} at {workers} workers", a.name());
+                    assert_eq!(a.canonicalized(), b.canonicalized());
+                    assert_eq!(a.len(), a.canonicalized().len(), "no row twice");
+                }
+            }
+        }
     }
 
     #[test]

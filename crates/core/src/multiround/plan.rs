@@ -10,10 +10,10 @@
 //! Example 5.2's plan for `L_16` at ε = 1/2 has two levels: four `L_4`
 //! operators in round one, then an `L_4` over the four views in round two.
 
-use crate::hypercube::HyperCubeRouter;
+use crate::hypercube::{local_join, HyperCubeRouter};
 use crate::shares;
 use pq_mpc::{map_servers_parallel, Cluster, Message, RunMetrics};
-use pq_query::{evaluate_bound, instantiate, Atom, ConjunctiveQuery};
+use pq_query::{instantiate, Atom, ConjunctiveQuery};
 use pq_relation::{Database, Relation, Schema};
 use std::collections::BTreeMap;
 
@@ -238,21 +238,7 @@ pub fn execute_plan(
         let mut produced = Vec::new();
         for (view_name, induced, offset, block) in node_queries {
             let servers = &cluster.servers()[offset..offset + block];
-            let outputs = map_servers_parallel(servers, |_, server| {
-                let mut bound = Vec::new();
-                for atom in induced.atoms() {
-                    match server.fragment(atom.relation()) {
-                        Some(f) => bound.push(f.clone()),
-                        None => {
-                            return Relation::empty(Schema::new(
-                                induced.name(),
-                                induced.variables(),
-                            ))
-                        }
-                    }
-                }
-                evaluate_bound(&induced, &bound)
-            });
+            let outputs = map_servers_parallel(servers, |_, server| local_join(&induced, server));
             let mut view = Relation::empty(Schema::new(view_name.clone(), induced.variables()));
             for o in &outputs {
                 view.append(o);

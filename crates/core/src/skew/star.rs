@@ -16,12 +16,12 @@
 //! matches the heavy-hitter bound of Eq. 20 up to constants, which
 //! Theorem 4.4 shows is unavoidable.
 
-use crate::hypercube::{local_join, HyperCubeRouter};
+use crate::hypercube::{run_one_round, HyperCubeRouter};
 use crate::shares;
 use crate::skew::heavy::{heavy_hitters_of_variable, VariableHeavyHitters};
-use pq_mpc::{map_servers_parallel, Cluster, Message, RunMetrics};
+use pq_mpc::{Message, RunMetrics};
 use pq_query::{instantiate, residual::residual_query, ConjunctiveQuery};
-use pq_relation::{Database, Relation, Schema, Value};
+use pq_relation::{Database, Relation, Value};
 use std::collections::BTreeMap;
 
 /// Result of a skew-aware run.
@@ -69,12 +69,28 @@ pub fn run_star_skew_aware(
     p: usize,
     seed: u64,
 ) -> SkewAwareRun {
+    let (messages, heavy_hitters) = route_star_skew_aware(query, database, p, seed);
+    let (output, metrics) = run_one_round(query, database, p, messages);
+    SkewAwareRun {
+        output,
+        metrics,
+        heavy_hitters,
+    }
+}
+
+/// Where the skew-aware star algorithm sends each tuple: the single
+/// round's messages (statistics broadcast, light hash partition, one
+/// residual HyperCube block per heavy hitter) and the heavy hitters of the
+/// centre variable.
+pub fn route_star_skew_aware(
+    query: &ConjunctiveQuery,
+    database: &Database,
+    p: usize,
+    seed: u64,
+) -> (Vec<Message>, Vec<Value>) {
     let z = star_center(query);
     let bound = instantiate(query, database);
     let hitters = heavy_hitters_of_variable(query, database, &z, p as f64);
-
-    let mut cluster = Cluster::new(p, database.bits_per_value());
-    cluster.set_input_bits(database.total_size_bits());
     let mut messages: Vec<Message> = Vec::new();
 
     // Broadcast the heavy-hitter statistics (O(p) values) to every server.
@@ -144,20 +160,7 @@ pub fn run_star_skew_aware(
         }
     }
 
-    cluster.communicate(messages);
-
-    let outputs = map_servers_parallel(cluster.servers(), |_, server| local_join(query, server));
-    let mut output = Relation::empty(Schema::new(query.name(), query.variables()));
-    for o in &outputs {
-        output.append(o);
-    }
-    output.dedup();
-
-    SkewAwareRun {
-        output,
-        metrics: cluster.into_metrics(),
-        heavy_hitters: heavy_values,
-    }
+    (messages, heavy_values)
 }
 
 /// The paper's per-hitter server allocation: for every 0/1 packing `u` of
@@ -209,7 +212,7 @@ mod tests {
     use crate::baselines::shuffle_hash_join;
     use crate::bounds::skew_bounds::star_heavy_hitter_bound;
     use pq_query::evaluate_sequential;
-    use pq_relation::DataGenerator;
+    use pq_relation::{DataGenerator, Schema};
 
     /// A star database where value 0 of z carries `heavy` tuples in every
     /// relation, and the remaining tuples form matchings.

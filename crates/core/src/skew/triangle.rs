@@ -22,19 +22,36 @@
 //! All three parts are routed within a single communication round; local
 //! joins at each server produce the triangles, which are deduplicated.
 
-use crate::hypercube::{local_join, HyperCubeRouter};
+use crate::hypercube::{run_one_round, HyperCubeRouter};
 use crate::shares;
 use crate::skew::heavy::heavy_hitters_of_variable;
 use crate::skew::star::SkewAwareRun;
-use pq_mpc::{broadcast_relation, map_servers_parallel, Cluster, Message};
+use pq_mpc::{broadcast_relation, Message};
 use pq_query::{instantiate, ConjunctiveQuery};
-use pq_relation::{Database, Relation, Schema, Value};
+use pq_relation::{Database, Relation, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Run the skew-aware triangle algorithm on `p` servers. The database must
 /// contain binary relations `S1`, `S2`, `S3` matching
 /// [`ConjunctiveQuery::triangle`].
 pub fn run_triangle_skew_aware(database: &Database, p: usize, seed: u64) -> SkewAwareRun {
+    let (messages, heavy_hitters) = route_triangle_skew_aware(database, p, seed);
+    let (output, metrics) = run_one_round(&ConjunctiveQuery::triangle(), database, p, messages);
+    SkewAwareRun {
+        output,
+        metrics,
+        heavy_hitters,
+    }
+}
+
+/// Where the skew-aware triangle algorithm sends each tuple of the
+/// canonical `S1`, `S2`, `S3`: the single round's messages (statistics
+/// broadcast plus the three parts above) and every `m/p^{1/3}`-heavy value.
+pub fn route_triangle_skew_aware(
+    database: &Database,
+    p: usize,
+    seed: u64,
+) -> (Vec<Message>, Vec<Value>) {
     let query = ConjunctiveQuery::triangle();
     let bound = instantiate(&query, database);
     let variables = query.variables(); // x1, x2, x3
@@ -52,8 +69,6 @@ pub fn run_triangle_skew_aware(database: &Database, p: usize, seed: u64) -> Skew
         cube_freqs.insert(v.clone(), hc.frequencies.clone());
     }
 
-    let mut cluster = Cluster::new(p, database.bits_per_value());
-    cluster.set_input_bits(database.total_size_bits());
     let mut messages: Vec<Message> = Vec::new();
 
     // Broadcast the heavy-hitter statistics.
@@ -246,23 +261,10 @@ pub fn run_triangle_skew_aware(database: &Database, p: usize, seed: u64) -> Skew
         }
     }
 
-    cluster.communicate(messages);
-
-    let outputs = map_servers_parallel(cluster.servers(), |_, server| local_join(&query, server));
-    let mut output = Relation::empty(Schema::new(query.name(), query.variables()));
-    for o in &outputs {
-        output.append(o);
-    }
-    output.dedup();
-
     let mut all_heavy: Vec<Value> = heavy_cube.values().flat_map(|s| s.iter().copied()).collect();
     all_heavy.sort_unstable();
     all_heavy.dedup();
-    SkewAwareRun {
-        output,
-        metrics: cluster.into_metrics(),
-        heavy_hitters: all_heavy,
-    }
+    (messages, all_heavy)
 }
 
 #[cfg(test)]
@@ -270,7 +272,7 @@ mod tests {
     use super::*;
     use crate::hypercube::run_hypercube;
     use pq_query::evaluate_sequential;
-    use pq_relation::{DataGenerator, Tuple};
+    use pq_relation::{DataGenerator, Schema, Tuple};
 
     /// A triangle database where vertex 0 is a hub: it participates in
     /// `hub` edges of S1 (as x1) and `hub` edges of S3 (as the x1 side),

@@ -641,7 +641,7 @@ fn run_worker(options: &Options) -> ! {
     // runs on it, so `--threads` is worker-side parallelism.
     let pool = pq_exec::TaskPool::new(options.common.threads);
     pool.attach_registry(&registry);
-    if let Err(e) = pq_mpc::net::serve_worker_pooled(&listener, &obs, limits, &pool) {
+    if let Err(e) = pq_mpc::net::serve_worker(&listener, &obs, limits, &pool) {
         logger.error("worker failed").kv("error", e).emit();
         std::process::exit(1);
     }

@@ -1,25 +1,32 @@
 //! The executor: turn a [`Plan`] into an answer.
 //!
-//! Every strategy bottoms out in the MPC simulator, whose per-server local
-//! computation phases run on real OS threads through
-//! [`pq_mpc::map_servers_parallel`] — the executor inherits the paper's
-//! communication accounting ([`RunMetrics`]) for free and adds wall-clock
-//! timing. Answers are returned with columns in the user's head order,
-//! whatever variable order the underlying algorithm produced.
+//! A plan's [`Strategy`] decides one thing — *where each tuple is sent* —
+//! and one `match` on it yields that round's router. Everything after the
+//! shuffle is shared: the in-process transport is
+//! [`pq_core::hypercube::run_one_round`] (the MPC simulator, whose
+//! per-server local joins run on the `pq-exec` pool), the TCP transport is
+//! [`WorkerPool`], and which one runs is the backend's choice, never the
+//! strategy's. So the worker cluster executes the algorithm the planner
+//! chose for every one-round strategy, with the model account
+//! ([`RunMetrics`]) bit-identical to the simulator's; only a
+//! [`Strategy::MultiRound`] plan, which the wire cannot run yet, degrades
+//! there to one-round HyperCube with the plan's LP shares. Answers are
+//! returned with columns in the user's head order, whatever variable order
+//! the underlying algorithm produced.
 
 use crate::backend::{ExecBackend, FallbackPolicy};
 use crate::planner::{Plan, Strategy};
 use crate::snapshot::Snapshot;
-use pq_core::hypercube::{run_hypercube_with_shares, HyperCubeRouter};
+use pq_core::hypercube::{route_hypercube, run_one_round, HyperCubeRouter};
 use pq_core::multiround::plan::execute_plan as execute_multiround;
-use pq_core::skew::star::run_star_skew_aware;
-use pq_core::skew::triangle::run_triangle_skew_aware;
+use pq_core::skew::star::route_star_skew_aware;
+use pq_core::skew::triangle::route_triangle_skew_aware;
 use pq_mpc::net::{AtomSpec, ClusterError, RoundProgram, WorkerPool};
-use pq_mpc::RunMetrics;
+use pq_mpc::{Message, RunMetrics};
 use pq_obs::MetricsRegistry;
 use pq_query::{bind_atom, instantiate, ConjunctiveQuery};
 use pq_relation::{Database, Relation};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -34,65 +41,45 @@ pub struct RunOutcome {
     pub wall: Duration,
 }
 
-/// Execute `plan` over a database [`Snapshot`]. The `seed` selects the hash
-/// functions of the HyperCube routers; any value gives a correct answer.
-/// Takes the snapshot immutably, so arbitrarily many executions (of the
-/// same or different plans) can run concurrently against shared data.
+/// Where a strategy sends each tuple of its one round.
+enum Router<'a> {
+    /// The HyperCube grid with these shares: per logical server in process
+    /// ([`route_hypercube`]), folded per worker *while* routing on the wire
+    /// ([`HyperCubeRouter::route_folded`]).
+    Grid(&'a BTreeMap<String, usize>),
+    /// Ready-made per-logical-server messages; the wire folds them
+    /// set-wise ([`pq_mpc::net::Shipment::from_messages`]).
+    Messages(Box<dyn Fn() -> Vec<Message> + 'a>),
+}
+
+/// The pool of a cluster backend and the registry its rounds are recorded
+/// into; `None` runs in process.
+type Wire<'a> = Option<(&'a WorkerPool, Option<&'a Arc<MetricsRegistry>>)>;
+
+/// Execute `plan` over a database [`Snapshot`] on the in-process simulator.
+/// The `seed` selects the hash functions of the HyperCube routers; any
+/// value gives a correct answer. Takes the snapshot immutably, so
+/// arbitrarily many executions (of the same or different plans) can run
+/// concurrently against shared data.
 ///
 /// # Panics
 /// Panics when the snapshot no longer matches the plan (relations dropped
 /// or re-shaped since planning); the engine re-plans on any statistics
 /// change, so this indicates misuse of the raw executor API.
 pub fn run_plan(plan: &Plan, snapshot: &Snapshot, seed: u64) -> RunOutcome {
-    let database = snapshot.database();
-    let query = &plan.parsed.query;
-    let start = Instant::now();
-    let (raw, metrics) = match &plan.strategy {
-        Strategy::HyperCube { shares } => {
-            let run = run_hypercube_with_shares(query, database, plan.p, shares, seed);
-            (run.output, run.metrics)
-        }
-        Strategy::SkewAwareStar { .. } => {
-            let run = run_star_skew_aware(query, database, plan.p, seed);
-            (run.output, run.metrics)
-        }
-        Strategy::SkewAwareTriangle { canonical_vars } => {
-            let canonical = canonical_triangle_database(query, canonical_vars, database);
-            let run = run_triangle_skew_aware(&canonical, plan.p, seed);
-            // Map the canonical x1..x3 columns back to the user's variables.
-            let mapping: HashMap<String, String> = canonical_vars
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (format!("x{}", i + 1), v.clone()))
-                .collect();
-            (run.output.with_attributes_renamed(&mapping), run.metrics)
-        }
-        Strategy::MultiRound { plan: node, .. } => {
-            let run = execute_multiround(node, query, database, plan.p, seed);
-            (run.output, run.metrics)
-        }
-    };
-    let mut output = raw.project(&plan.parsed.head, query.name());
-    output.dedup();
-    RunOutcome {
-        output,
-        metrics,
-        wall: start.elapsed(),
-    }
+    execute(plan, snapshot, seed, None).expect("the in-process transport cannot fail")
 }
 
 /// Execute `plan` on the chosen backend: [`run_plan`] on the simulator, or
-/// one round over real worker processes for [`ExecBackend::Cluster`]. The
-/// simulator path is infallible; only the cluster can error (a worker
-/// died, timed out, or broke protocol).
-///
-/// The cluster backend runs *every* plan as the one-round HyperCube
-/// algorithm with the plan's LP-derived integer shares (whose grid always
-/// fits on `p` servers, for every strategy): that is correct for any full
-/// conjunctive query. Skew-aware and multi-round refinements remain
-/// simulator-side specialisations for now — on the wire they fall back to
-/// plain HyperCube shares, still row-for-row the same answers, possibly
-/// with a higher measured load on skewed data.
+/// the same strategy's round over real worker processes for
+/// [`ExecBackend::Cluster`], with the rounds additionally recorded into
+/// `registry` when one is given (see
+/// [`pq_mpc::net::Coordinator::set_registry`]; the simulator path records
+/// nothing here, the engine layers account it from the returned
+/// [`RunOutcome`]). The simulator path is infallible; only the cluster can
+/// error (a worker died, timed out, or broke protocol), and under
+/// [`FallbackPolicy::Simulator`] even that is served — exactly, marked
+/// `degraded` — by the simulator.
 ///
 /// # Errors
 /// A [`ClusterError`] naming the failing worker.
@@ -104,117 +91,137 @@ pub fn run_plan_on(
     snapshot: &Snapshot,
     seed: u64,
     backend: &ExecBackend,
-) -> Result<RunOutcome, ClusterError> {
-    run_plan_on_observed(plan, snapshot, seed, backend, None)
-}
-
-/// [`run_plan_on`] with cluster rounds additionally recorded into
-/// `registry` (round counts, per-round wall-time histogram, per-worker
-/// wire-byte counters — see [`pq_mpc::net::Coordinator::set_registry`]).
-/// The simulator
-/// path records nothing here; the engine layers account it from the
-/// returned [`RunOutcome`].
-///
-/// # Errors
-/// As [`run_plan_on`].
-///
-/// # Panics
-/// As [`run_plan`], when the snapshot no longer matches the plan.
-pub fn run_plan_on_observed(
-    plan: &Plan,
-    snapshot: &Snapshot,
-    seed: u64,
-    backend: &ExecBackend,
     registry: Option<&Arc<MetricsRegistry>>,
 ) -> Result<RunOutcome, ClusterError> {
-    match backend {
-        ExecBackend::Simulator => Ok(run_plan(plan, snapshot, seed)),
-        ExecBackend::Cluster { pool, fallback } => {
-            match run_plan_cluster(plan, snapshot, seed, pool, registry) {
-                Ok(outcome) => Ok(outcome),
-                Err(error) => match fallback {
-                    FallbackPolicy::Error => Err(error),
-                    FallbackPolicy::Simulator => {
-                        // Graceful degradation: the cluster stayed
-                        // unhealthy past its whole retry budget, so serve
-                        // the exact answer from the simulator and mark
-                        // the run degraded (only the measured wire
-                        // accounting is lost).
-                        if let Some(registry) = registry.filter(|r| r.is_enabled()) {
-                            registry
-                                .counter(
-                                    "pq_cluster_degraded_total",
-                                    &[],
-                                    "Runs served by the simulator fallback after the cluster \
-                                     failed past its retry budget",
-                                )
-                                .inc();
-                        }
-                        let mut outcome = run_plan(plan, snapshot, seed);
-                        outcome.metrics.degraded = true;
-                        Ok(outcome)
-                    }
-                },
+    let ExecBackend::Cluster { pool, fallback } = backend else {
+        return Ok(run_plan(plan, snapshot, seed));
+    };
+    match (execute(plan, snapshot, seed, Some((pool, registry))), fallback) {
+        (Err(_), FallbackPolicy::Simulator) => {
+            // Graceful degradation: the cluster stayed unhealthy past its
+            // whole retry budget, so serve the exact answer from the
+            // simulator and mark the run degraded (only the measured wire
+            // accounting is lost).
+            if let Some(registry) = registry.filter(|r| r.is_enabled()) {
+                registry
+                    .counter(
+                        "pq_cluster_degraded_total",
+                        &[],
+                        "Runs served by the simulator fallback after the cluster \
+                         failed past its retry budget",
+                    )
+                    .inc();
             }
+            let mut outcome = run_plan(plan, snapshot, seed);
+            outcome.metrics.degraded = true;
+            Ok(outcome)
         }
+        (result, _) => result,
     }
 }
 
-/// One HyperCube round on the pool's workers: borrow warm (health-checked)
-/// connections, route the bound atoms with the plan's shares straight into
-/// a worker-granular shipment ([`HyperCubeRouter::route_folded`]: every
-/// row crosses a worker's socket once, however many of that worker's
-/// logical servers want it), barrier on every worker's local join, and
-/// merge. Same router and seed as the simulator, and the model account is
-/// counted per logical server, so the per-round `received_bits` and
-/// `messages` come out identical to [`run_plan`]'s. The routing closure
-/// re-runs per retry attempt over the immutable snapshot, folding for that
-/// attempt's live worker count — which is what makes the pool's automatic
-/// retry of a failed round on a reduced topology safe (see
-/// [`pq_mpc::net::pool`]).
-fn run_plan_cluster(
+/// Run `plan` over `wire`, or in process without one. The one `match` on
+/// the strategy picks the query every server joins locally, the database
+/// it reads and the round's [`Router`]; the transport then runs the round.
+/// On the wire the router is asked again per retry attempt, over the
+/// immutable snapshot and for that attempt's live worker count — which is
+/// what makes the pool's automatic retry of a failed round on a reduced
+/// topology safe (see [`pq_mpc::net::pool`]).
+fn execute(
     plan: &Plan,
     snapshot: &Snapshot,
     seed: u64,
-    pool: &WorkerPool,
-    registry: Option<&Arc<MetricsRegistry>>,
+    wire: Wire<'_>,
 ) -> Result<RunOutcome, ClusterError> {
     let database = snapshot.database();
     let query = &plan.parsed.query;
+    let p = plan.p;
     let start = Instant::now();
-    let bound = instantiate(query, database);
-    let router = HyperCubeRouter::new(query, &plan.shares, seed, 0, 0);
-    let program = RoundProgram {
-        name: query.name().to_string(),
-        output_vars: query.variables(),
-        atoms: bound
-            .iter()
-            .map(|relation| AtomSpec {
-                relation: relation.name().to_string(),
-                variables: relation.schema().attributes().to_vec(),
-            })
-            .collect(),
+    let finish = |raw: Relation, metrics| {
+        let mut output = raw.project(&plan.parsed.head, query.name());
+        output.dedup();
+        RunOutcome {
+            output,
+            metrics,
+            wall: start.elapsed(),
+        }
     };
-    let bits_per_value = database.bits_per_value();
-    let (raw, metrics) = pool.execute_folded(
-        plan.p,
-        bits_per_value,
-        database.total_size_bits(),
-        &program,
-        &|workers| Ok(router.route_folded(&bound, plan.p, workers, bits_per_value)),
-        registry,
-    )?;
-    let mut output = raw.project(&plan.parsed.head, query.name());
-    output.dedup();
-    Ok(RunOutcome {
-        output,
-        metrics,
-        wall: start.elapsed(),
-    })
+    // The skew-aware triangle runs the canonical `C_3` over a re-laid-out
+    // database and maps its x1..x3 columns back to the user's variables.
+    let triangle = ConjunctiveQuery::triangle();
+    let canonical;
+    let mut user_vars = HashMap::new();
+    let (local, data, router) = match &plan.strategy {
+        Strategy::HyperCube { shares } => (query, database, Router::Grid(shares)),
+        Strategy::SkewAwareStar { .. } => {
+            let route = move || route_star_skew_aware(query, database, p, seed).0;
+            (query, database, Router::Messages(Box::new(route)))
+        }
+        Strategy::SkewAwareTriangle { canonical_vars } => {
+            canonical = canonical_triangle_database(query, canonical_vars, database);
+            user_vars = (1..)
+                .map(|i| format!("x{i}"))
+                .zip(canonical_vars.iter().cloned())
+                .collect();
+            let route = || route_triangle_skew_aware(&canonical, p, seed).0;
+            (&triangle, &canonical, Router::Messages(Box::new(route)))
+        }
+        Strategy::MultiRound { plan: node, .. } => match wire {
+            // The wire runs one round per run: there the plan's LP shares
+            // (whose grid fits on `p` servers for every strategy) run as
+            // plain HyperCube — the same rows, a different load.
+            Some(_) => (query, database, Router::Grid(&plan.shares)),
+            None => {
+                let run = execute_multiround(node, query, database, p, seed);
+                return Ok(finish(run.output, run.metrics));
+            }
+        },
+    };
+    let (raw, metrics) = match wire {
+        None => {
+            let messages = match &router {
+                Router::Grid(shares) => route_hypercube(local, data, p, shares, seed),
+                Router::Messages(route) => route(),
+            };
+            run_one_round(local, data, p, messages)
+        }
+        Some((pool, registry)) => {
+            let program = RoundProgram {
+                name: local.name().to_string(),
+                output_vars: local.variables(),
+                atoms: local
+                    .atoms()
+                    .iter()
+                    .map(|atom| AtomSpec {
+                        relation: atom.relation().to_string(),
+                        variables: atom.distinct_variables(),
+                    })
+                    .collect(),
+            };
+            let (bits, input_bits) = (data.bits_per_value(), data.total_size_bits());
+            match &router {
+                Router::Grid(shares) => {
+                    let grid = HyperCubeRouter::new(local, shares, seed, 0, 0);
+                    let bound = instantiate(local, data);
+                    let fold = |workers| grid.route_folded(&bound, p, workers, bits);
+                    pool.execute_folded(p, bits, input_bits, &program, &fold, registry)?
+                }
+                Router::Messages(route) => {
+                    pool.execute(p, bits, input_bits, &program, route.as_ref(), registry)?
+                }
+            }
+        }
+    };
+    let raw = if user_vars.is_empty() {
+        raw
+    } else {
+        raw.with_attributes_renamed(&user_vars)
+    };
+    Ok(finish(raw, metrics))
 }
 
 /// Rebuild the database in the canonical triangle layout expected by
-/// [`run_triangle_skew_aware`]: relations `S1(x1,x2), S2(x2,x3), S3(x3,x1)`
+/// [`route_triangle_skew_aware`]: relations `S1(x1,x2), S2(x2,x3), S3(x3,x1)`
 /// with columns in canonical variable order, whatever order the user's
 /// atoms bind them in.
 fn canonical_triangle_database(
@@ -335,7 +342,7 @@ mod tests {
         let backend = ExecBackend::cluster(pq_mpc::net::ClusterConfig::new(
             workers.addresses().to_vec(),
         ));
-        let run = run_plan_on(&plan, &snapshot, 3, &backend).unwrap();
+        let run = run_plan_on(&plan, &snapshot, 3, &backend, None).unwrap();
         assert_eq!(run.output.canonicalized(), sim.output.canonicalized());
         // Same router, same seed: the model account is bit-identical to the
         // simulator's, while the wire account is real and nonzero.
@@ -369,13 +376,13 @@ mod tests {
 
         // Default policy: the failure surfaces.
         let strict = ExecBackend::cluster(config.clone());
-        assert!(run_plan_on(&plan, &snapshot, 3, &strict).is_err());
+        assert!(run_plan_on(&plan, &snapshot, 3, &strict, None).is_err());
 
         // Fallback policy: the run succeeds on the simulator, marked
         // degraded, answers identical to a plain simulator run.
         let graceful =
             ExecBackend::cluster_with_fallback(config, crate::backend::FallbackPolicy::Simulator);
-        let run = run_plan_on(&plan, &snapshot, 3, &graceful).unwrap();
+        let run = run_plan_on(&plan, &snapshot, 3, &graceful, None).unwrap();
         assert!(run.metrics.degraded);
         assert!(!run.metrics.is_measured(), "the fallback has no wire");
         let sim = run_plan(&plan, &snapshot, 3);

@@ -13,12 +13,10 @@
 
 use crate::backend::ExecBackend;
 use crate::engine::{lock_unpoisoned, Engine, EngineError, EngineRun};
-use crate::executor::run_plan_on_observed;
-use crate::obs::EngineObs;
 use crate::parser::{parse_query, ParsedQuery};
 use crate::planner::Plan;
-use crate::session::{stamp_rounds, Session};
-use pq_obs::{Phase, QueryTrace};
+use crate::session::{execute_and_trace, Session};
+use pq_obs::Phase;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -84,57 +82,30 @@ impl PreparedQuery {
     /// (steady-state runs never touch the shared cache, so its counters
     /// only move on re-plans).
     pub fn run(&self) -> Result<EngineRun, EngineError> {
-        let mut trace = QueryTrace::start();
-        trace.backend = Some(self.backend.describe());
-        let result = self.run_inner(&mut trace);
-        match result {
-            Ok(run) => {
-                EngineObs::stamp_run(&mut trace, &run);
-                stamp_rounds(&mut trace, &run);
-                trace.finish();
-                self.engine.obs().record_trace(&trace, true);
-                Ok(run)
-            }
-            Err(error) => {
-                trace.finish();
-                self.engine.obs().record_trace(&trace, false);
-                Err(error)
-            }
-        }
-    }
-
-    fn run_inner(&self, trace: &mut QueryTrace) -> Result<EngineRun, EngineError> {
-        let snapshot = self.engine.snapshot();
-        let lookup_start = Instant::now();
-        let memoized = {
-            let memo = lock_unpoisoned(&self.plan);
-            (memo.fingerprint == snapshot.fingerprint()).then(|| memo.clone())
-        };
-        trace.record(Phase::CacheLookup, lookup_start.elapsed());
-        let (plan, cache_hit) = match memoized {
-            Some(plan) => (plan, true),
-            None => {
-                let (fresh, hit) =
-                    self.engine
-                        .plan_parsed_traced(&snapshot, &self.parsed, self.p, Some(trace))?;
-                *lock_unpoisoned(&self.plan) = fresh.clone();
-                (fresh, hit)
-            }
-        };
-        let registry = self.engine.metrics();
-        let observe_cluster = registry.is_enabled().then_some(&registry);
-        let pool = self.engine.pool();
-        trace.parallelism = Some(pool.threads() as u64);
-        let outcome = trace.time(Phase::Execute, || {
-            pool.install(|| {
-                run_plan_on_observed(&plan, &snapshot, self.seed, &self.backend, observe_cluster)
-            })
-        })?;
-        Ok(EngineRun {
-            plan,
-            cache_hit,
-            outcome,
+        execute_and_trace(&self.engine, &self.backend, self.seed, |trace| {
+            let snapshot = self.engine.snapshot();
+            let lookup_start = Instant::now();
+            let memoized = {
+                let memo = lock_unpoisoned(&self.plan);
+                (memo.fingerprint == snapshot.fingerprint()).then(|| memo.clone())
+            };
+            trace.record(Phase::CacheLookup, lookup_start.elapsed());
+            let (plan, cache_hit) = match memoized {
+                Some(plan) => (plan, true),
+                None => {
+                    let (fresh, hit) = self.engine.plan_parsed_traced(
+                        &snapshot,
+                        &self.parsed,
+                        self.p,
+                        Some(trace),
+                    )?;
+                    *lock_unpoisoned(&self.plan) = fresh.clone();
+                    (fresh, hit)
+                }
+            };
+            Ok((snapshot, plan, cache_hit))
         })
+        .map(|(run, _)| run)
     }
 }
 

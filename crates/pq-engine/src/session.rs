@@ -11,12 +11,14 @@
 
 use crate::backend::ExecBackend;
 use crate::engine::{Engine, EngineError, EngineRun};
-use crate::executor::run_plan_on_observed;
+use crate::executor::run_plan_on;
 use crate::obs::EngineObs;
 use crate::parser::parse_query;
 use crate::planner::Plan;
 use crate::prepared::PreparedQuery;
+use crate::snapshot::Snapshot;
 use pq_obs::{Phase, QueryTrace};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A per-client query session over a shared [`Engine`].
@@ -125,44 +127,13 @@ impl Session {
     /// slow-query log from. The trace is recorded into the engine's
     /// metrics whether the query succeeds or fails.
     pub fn run_traced(&self, text: &str) -> Result<(EngineRun, QueryTrace), EngineError> {
-        let mut trace = QueryTrace::start();
-        trace.backend = Some(self.backend.describe());
-        let result = self.run_inner(text, &mut trace);
-        match result {
-            Ok(run) => {
-                EngineObs::stamp_run(&mut trace, &run);
-                stamp_rounds(&mut trace, &run);
-                trace.finish();
-                self.engine.obs().record_trace(&trace, true);
-                Ok((run, trace))
-            }
-            Err(error) => {
-                trace.finish();
-                self.engine.obs().record_trace(&trace, false);
-                Err(error)
-            }
-        }
-    }
-
-    fn run_inner(&self, text: &str, trace: &mut QueryTrace) -> Result<EngineRun, EngineError> {
-        let parsed = trace.time(Phase::Parse, || parse_query(text))?;
-        let snapshot = self.engine.snapshot();
-        let (plan, cache_hit) =
-            self.engine
-                .plan_parsed_traced(&snapshot, &parsed, self.p, Some(trace))?;
-        let registry = self.engine.metrics();
-        let observe_cluster = registry.is_enabled().then_some(&registry);
-        let pool = self.engine.pool();
-        trace.parallelism = Some(pool.threads() as u64);
-        let outcome = trace.time(Phase::Execute, || {
-            pool.install(|| {
-                run_plan_on_observed(&plan, &snapshot, self.seed, &self.backend, observe_cluster)
-            })
-        })?;
-        Ok(EngineRun {
-            plan,
-            cache_hit,
-            outcome,
+        execute_and_trace(&self.engine, &self.backend, self.seed, |trace| {
+            let parsed = trace.time(Phase::Parse, || parse_query(text))?;
+            let snapshot = self.engine.snapshot();
+            let (plan, cache_hit) =
+                self.engine
+                    .plan_parsed_traced(&snapshot, &parsed, self.p, Some(trace))?;
+            Ok((snapshot, plan, cache_hit))
         })
     }
 
@@ -175,19 +146,49 @@ impl Session {
     }
 }
 
-/// Add one trace span per communication round from the run's metrics —
-/// the cluster measures per-round wall time; the simulator's rounds are
-/// part of the execute span and carry no separate wall clock.
-pub(crate) fn stamp_rounds(trace: &mut QueryTrace, run: &EngineRun) {
-    if !run.outcome.metrics.is_measured() {
-        return;
+/// The tail every run shares, whoever planned it: `plan` yields the
+/// snapshot to run against, the plan and whether it was a cache hit; the
+/// plan then executes on the engine's pool and `backend`, and the trace —
+/// stamped with the outcome and one span per measured round — is recorded
+/// into the engine's metrics whether the query succeeds or fails.
+pub(crate) fn execute_and_trace(
+    engine: &Engine,
+    backend: &ExecBackend,
+    seed: u64,
+    plan: impl FnOnce(&mut QueryTrace) -> Result<(Arc<Snapshot>, Plan, bool), EngineError>,
+) -> Result<(EngineRun, QueryTrace), EngineError> {
+    let mut trace = QueryTrace::start();
+    trace.backend = Some(backend.describe());
+    let result = plan(&mut trace).and_then(|(snapshot, plan, cache_hit)| {
+        let registry = engine.metrics();
+        let observe_cluster = registry.is_enabled().then_some(&registry);
+        let pool = engine.pool();
+        trace.parallelism = Some(pool.threads() as u64);
+        let outcome = trace.time(Phase::Execute, || {
+            pool.install(|| run_plan_on(&plan, &snapshot, seed, backend, observe_cluster))
+        })?;
+        Ok(EngineRun {
+            plan,
+            cache_hit,
+            outcome,
+        })
+    });
+    if let Ok(run) = &result {
+        EngineObs::stamp_run(&mut trace, run);
+        // The cluster measures per-round wall time; the simulator's rounds
+        // are part of the execute span and carry no separate wall clock.
+        if run.outcome.metrics.is_measured() {
+            for (i, round) in run.outcome.metrics.rounds.iter().enumerate() {
+                trace.record(
+                    Phase::Round(i as u32),
+                    Duration::from_micros(round.wall_micros),
+                );
+            }
+        }
     }
-    for (i, round) in run.outcome.metrics.rounds.iter().enumerate() {
-        trace.record(
-            Phase::Round(i as u32),
-            Duration::from_micros(round.wall_micros),
-        );
-    }
+    trace.finish();
+    engine.obs().record_trace(&trace, result.is_ok());
+    result.map(|run| (run, trace))
 }
 
 #[cfg(test)]

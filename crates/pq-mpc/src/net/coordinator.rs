@@ -23,7 +23,6 @@
 //! write only after receiving theirs — so an early worker computes, and at
 //! worst blocks on its answer, while the later ones are still being fed.
 
-use crate::message::Message;
 use crate::metrics::{RoundStats, RunMetrics};
 use crate::net::codec::{read_frame, write_frame, Frame, FrameError};
 use crate::net::retry::RetryPolicy;
@@ -221,7 +220,7 @@ pub enum ClusterError {
         error: FrameError,
     },
     /// A well-formed frame that violates the protocol (wrong frame type,
-    /// mismatched round id, a payload the wire cannot carry).
+    /// mismatched round id).
     Protocol {
         /// Worker slot.
         worker: usize,
@@ -371,7 +370,7 @@ impl Connection {
 }
 
 /// The round driver over real worker processes. Create with
-/// [`Coordinator::connect`], call [`Coordinator::run_round`] once per
+/// [`Coordinator::connect`], call [`Coordinator::run_shipment`] once per
 /// communication round, then collect [`Coordinator::into_metrics`].
 #[derive(Debug)]
 pub struct Coordinator {
@@ -382,7 +381,6 @@ pub struct Coordinator {
     /// the remaining budget as it drains.
     deadline: Option<(Instant, Duration)>,
     p: usize,
-    bits_per_value: u64,
     metrics: RunMetrics,
     registry: Option<Arc<MetricsRegistry>>,
 }
@@ -424,7 +422,6 @@ impl Coordinator {
             connections,
             config.read_timeout,
             p,
-            bits_per_value,
         ))
     }
 
@@ -435,14 +432,12 @@ impl Coordinator {
         connections: Vec<Connection>,
         timeout: Duration,
         p: usize,
-        bits_per_value: u64,
     ) -> Coordinator {
         Coordinator {
             connections,
             timeout,
             deadline: None,
             p,
-            bits_per_value,
             metrics: RunMetrics::default(),
             registry: None,
         }
@@ -500,28 +495,6 @@ impl Coordinator {
     /// [`crate::Cluster::set_input_bits`].
     pub fn set_input_bits(&mut self, bits: u64) {
         self.metrics.input_bits = bits;
-    }
-
-    /// Execute one communication round on the cluster from simulator-style
-    /// messages: [`Shipment::from_messages`] buckets them under each
-    /// logical server's worker, then [`Coordinator::run_shipment`] runs the
-    /// round.
-    ///
-    /// # Errors
-    /// Any [`ClusterError`]; the coordinator is not usable afterwards
-    /// (a failed round leaves workers in an unknown state).
-    ///
-    /// # Panics
-    /// Panics when a message addresses a logical server `>= p`, matching
-    /// the simulator's contract.
-    pub fn run_round(
-        &mut self,
-        messages: Vec<Message>,
-        program: &RoundProgram,
-    ) -> Result<Relation, ClusterError> {
-        let shipment =
-            Shipment::from_messages(messages, self.p, self.num_workers(), self.bits_per_value)?;
-        self.run_shipment(shipment, program)
     }
 
     /// Execute one communication round on the cluster: feed the workers
@@ -700,6 +673,7 @@ pub fn shutdown_workers(config: &ClusterConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Message;
     use crate::net::worker::LocalWorkers;
     use pq_relation::{natural_join, Relation, Schema};
 
@@ -749,7 +723,8 @@ mod tests {
         for to in 0..4 {
             messages.push(Message::tuples(to, s.clone()));
         }
-        let output = coordinator.run_round(messages, &join_program()).unwrap();
+        let shipment = Shipment::from_messages(messages, 4, 2, 16);
+        let output = coordinator.run_shipment(shipment, &join_program()).unwrap();
         let mut rows: Vec<Vec<u64>> = output.iter().map(|t| t.to_vec()).collect();
         rows.sort();
         let expected = natural_join(&r, &s);
@@ -775,15 +750,20 @@ mod tests {
     }
 
     #[test]
-    fn raw_payloads_are_rejected_as_protocol_errors() {
+    fn raw_payloads_load_the_model_account_and_stay_off_the_wire() {
         let workers = LocalWorkers::spawn(1).unwrap();
         let config = ClusterConfig::new(workers.addresses().to_vec());
-        let mut coordinator = Coordinator::connect(&config, 2, 8).unwrap();
-        let err = coordinator
-            .run_round(vec![Message::raw(0, "stats", 64)], &join_program())
-            .unwrap_err();
-        assert!(matches!(err, ClusterError::Protocol { .. }), "{err}");
-        drop(coordinator);
+        let program = join_program();
+        let mut wire = Vec::new();
+        for messages in [vec![], vec![Message::raw(0, "stats", 64)]] {
+            let mut coordinator = Coordinator::connect(&config, 2, 8).unwrap();
+            let shipment = Shipment::from_messages(messages, 2, 1, 8);
+            assert!(coordinator.run_shipment(shipment, &program).unwrap().is_empty());
+            wire.push(coordinator.into_metrics().rounds.remove(0));
+        }
+        assert_eq!(wire[1].received_bits, vec![64, 0]);
+        assert_eq!(wire[1].messages, 1);
+        assert_eq!(wire[1].wire_bytes, wire[0].wire_bytes);
         workers.shutdown();
     }
 

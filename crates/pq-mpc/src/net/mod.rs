@@ -42,8 +42,10 @@
 //! of the tuple's destination grid points, in at most one fragment per
 //! (worker, relation) — so a worker's fragment of a relation is the *set*
 //! union of its logical servers' fragments, not the bag union.
-//! [`Shipment::from_messages`] folds ready-made per-server messages the
-//! same way, minus the deduplication (one fragment frame per message).
+//! [`Shipment::from_messages`] folds ready-made per-server messages (the
+//! skew-aware strategies' rounds) to the same invariant: one fragment per
+//! (worker, relation), duplicate rows removed, raw statistics payloads
+//! charged to the model account and kept off the wire.
 //!
 //! That is sound and complete for full conjunctive queries: every
 //! fragment is a subset of a genuine input relation, so the merged join
@@ -79,7 +81,4 @@ pub use coordinator::{
 pub use pool::{PoolStats, WorkerPool};
 pub use retry::{Breaker, BreakerState, Clock, RetryPolicy, SystemClock, TestClock};
 pub use shipment::Shipment;
-pub use worker::{
-    serve_worker, serve_worker_observed, serve_worker_pooled, serve_worker_with, LocalWorkers,
-    WorkerLimits, WorkerObs,
-};
+pub use worker::{serve_worker, LocalWorkers, WorkerLimits, WorkerObs};

@@ -198,11 +198,10 @@ impl WorkerPool {
     }
 
     /// Execute one communication round of a run on the cluster from
-    /// simulator-style messages: a thin adapter over
-    /// [`WorkerPool::execute_folded`] that buckets whatever `messages`
-    /// returns under each attempt's worker count
-    /// ([`Shipment::from_messages`]). `messages` is called once per
-    /// attempt and must be pure over immutable inputs.
+    /// simulator-style messages: [`WorkerPool::execute_folded`] over
+    /// whatever `messages` returns, folded set-wise for each attempt's
+    /// worker count ([`Shipment::from_messages`]). `messages` is called
+    /// once per attempt and must be pure over immutable inputs.
     ///
     /// # Errors
     /// As [`WorkerPool::execute_folded`].
@@ -232,8 +231,7 @@ impl WorkerPool {
     /// with *that attempt's* live worker count and returns the round's
     /// [`Shipment`] folded for it — a retry on a reduced topology
     /// re-folds for the smaller count. It must be pure over immutable
-    /// inputs, which is what makes the retry safe (see the module docs);
-    /// an `Err` from it fails the attempt like a failed round.
+    /// inputs, which is what makes the retry safe (see the module docs).
     ///
     /// On success the returned [`RunMetrics`] describe exactly the one
     /// successful attempt (plus `input_bits`), as the model accounting
@@ -250,7 +248,7 @@ impl WorkerPool {
         bits_per_value: u64,
         input_bits: u64,
         program: &RoundProgram,
-        route: &dyn Fn(usize) -> Result<Shipment, ClusterError>,
+        route: &dyn Fn(usize) -> Shipment,
         registry: Option<&Arc<MetricsRegistry>>,
     ) -> Result<(Relation, RunMetrics), ClusterError> {
         let inner = &self.inner;
@@ -291,7 +289,7 @@ impl WorkerPool {
         bits_per_value: u64,
         input_bits: u64,
         program: &RoundProgram,
-        route: &dyn Fn(usize) -> Result<Shipment, ClusterError>,
+        route: &dyn Fn(usize) -> Shipment,
         salt: u64,
     ) -> Result<(Relation, RunMetrics), ClusterError> {
         let inner = &self.inner;
@@ -327,16 +325,14 @@ impl WorkerPool {
                 connections,
                 inner.config.read_timeout,
                 p,
-                bits_per_value,
             );
             coordinator.set_input_bits(input_bits);
             coordinator.set_deadline(Some((deadline, budget)));
             if let Some(registry) = self.registry_for_rounds() {
                 coordinator.set_registry(registry);
             }
-            let round = route(coordinator.num_workers())
-                .and_then(|shipment| coordinator.run_shipment(shipment, program));
-            match round {
+            let shipment = route(coordinator.num_workers());
+            match coordinator.run_shipment(shipment, program) {
                 Ok(output) => {
                     let (connections, metrics) = coordinator.take_connections();
                     let now = inner.clock.now();

@@ -8,7 +8,6 @@
 //! will actually receive them (what the sockets carry).
 
 use crate::message::{Message, Payload};
-use crate::net::coordinator::ClusterError;
 use pq_relation::Relation;
 
 /// The one input of a cluster round: the model's cost account plus the
@@ -16,8 +15,11 @@ use pq_relation::Relation;
 ///
 /// Build one with [`Shipment::from_messages`] from simulator-style
 /// per-logical-server messages, or directly from a router that folds
-/// logical servers onto workers while it routes (so a row bound for
-/// several logical servers of one worker is shipped to it once).
+/// logical servers onto workers while it routes. Whoever builds it, the
+/// same invariant holds: the model account is what
+/// [`crate::Cluster::communicate`] records for the same messages, and a
+/// worker gets at most one fragment per relation name, in which folding
+/// several logical servers onto the worker never repeats a row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Shipment {
     /// Model bits received per logical server this round (length `p`),
@@ -42,13 +44,13 @@ impl Shipment {
         }
     }
 
-    /// Bucket per-logical-server messages under `to % workers`, moving
-    /// each relation (no copy) and charging its bits to logical server
-    /// `to`.
-    ///
-    /// # Errors
-    /// [`ClusterError::Protocol`] for a [`Payload::Raw`] message: the wire
-    /// carries only tuples.
+    /// Fold per-logical-server messages onto `workers` workers, set-wise:
+    /// every tuple payload is merged into its worker's (`to % workers`)
+    /// one fragment of that relation and duplicate rows are removed, so a
+    /// row bound for several logical servers of one worker crosses its
+    /// socket once. Every payload's bits are charged to logical server
+    /// `to`; a [`Payload::Raw`] (statistics the model prices but no worker
+    /// reads) is charged and not shipped.
     ///
     /// # Panics
     /// Panics when a message addresses a logical server `>= p`, matching
@@ -58,7 +60,7 @@ impl Shipment {
         p: usize,
         workers: usize,
         bits_per_value: u64,
-    ) -> Result<Shipment, ClusterError> {
+    ) -> Shipment {
         let mut shipment = Shipment::new(p, workers);
         shipment.messages = messages.len();
         for msg in messages {
@@ -68,20 +70,18 @@ impl Shipment {
                 msg.to
             );
             shipment.received_bits[msg.to] += msg.payload.size_bits(bits_per_value);
-            let worker = msg.to % workers;
-            match msg.payload {
-                Payload::Tuples(relation) => shipment.fragments[worker].push(relation),
-                Payload::Raw { label, .. } => {
-                    return Err(ClusterError::Protocol {
-                        worker,
-                        message: format!(
-                            "the wire backend ships only tuple payloads, got raw payload {label:?}"
-                        ),
-                    })
+            if let Payload::Tuples(relation) = msg.payload {
+                let held = &mut shipment.fragments[msg.to % workers];
+                match held.iter_mut().find(|f| f.name() == relation.name()) {
+                    Some(fragment) => fragment.append(&relation),
+                    None => held.push(relation),
                 }
             }
         }
-        Ok(shipment)
+        for fragment in shipment.fragments.iter_mut().flatten() {
+            fragment.dedup();
+        }
+        shipment
     }
 }
 
@@ -99,21 +99,30 @@ mod tests {
         let messages = vec![
             Message::tuples(0, rel(vec![vec![1, 2]])),
             Message::tuples(3, rel(vec![vec![3, 4], vec![5, 6]])),
-            Message::tuples(2, rel(vec![vec![7, 8]])),
+            Message::tuples(2, rel(vec![vec![7, 8], vec![1, 2]])),
         ];
-        let shipment = Shipment::from_messages(messages, 4, 2, 10).unwrap();
-        assert_eq!(shipment.received_bits, vec![20, 0, 20, 40]);
+        let shipment = Shipment::from_messages(messages, 4, 2, 10);
+        assert_eq!(shipment.received_bits, vec![20, 0, 40, 40]);
         assert_eq!(shipment.messages, 3);
-        // Servers 0 and 2 fold onto worker 0, server 3 onto worker 1.
-        assert_eq!(shipment.fragments[0].len(), 2);
-        assert_eq!(shipment.fragments[1].len(), 1);
-        assert_eq!(shipment.fragments[1][0].len(), 2);
+        // Servers 0 and 2 fold onto worker 0 — one fragment of R, the row
+        // both wanted shipped once — and server 3 onto worker 1.
+        assert_eq!(shipment.fragments[0], vec![rel(vec![vec![1, 2], vec![7, 8]])]);
+        assert_eq!(shipment.fragments[1], vec![rel(vec![vec![3, 4], vec![5, 6]])]);
     }
 
     #[test]
-    fn raw_payloads_name_the_worker_they_were_bound_for() {
-        let err = Shipment::from_messages(vec![Message::raw(3, "stats", 64)], 4, 2, 8).unwrap_err();
-        assert!(matches!(err, ClusterError::Protocol { worker: 1, .. }), "{err}");
+    fn raw_payloads_are_charged_to_the_model_and_not_shipped() {
+        let messages = vec![
+            Message::raw(3, "stats", 64),
+            Message::tuples(3, rel(vec![vec![1, 2]])),
+        ];
+        let shipment = Shipment::from_messages(messages.clone(), 4, 2, 8);
+        let mut cluster = crate::Cluster::new(4, 8);
+        let simulated = cluster.communicate(messages);
+        assert_eq!(shipment.received_bits, simulated.received_bits);
+        assert_eq!(shipment.received_bits[3], 64 + 16);
+        assert_eq!(shipment.messages, simulated.messages);
+        assert_eq!(shipment.fragments, vec![vec![], vec![rel(vec![vec![1, 2]])]]);
     }
 
     #[test]

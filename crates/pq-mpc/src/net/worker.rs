@@ -14,10 +14,9 @@
 //! their rows end up in one stored fragment per relation, so the one join
 //! a worker runs per round is large — it reads the stored fragments in
 //! place, and each connection runs its local join under the worker's
-//! persistent [`pq_exec::TaskPool`]
-//! ([`serve_worker_pooled`]; the other entry points use the process-wide
-//! pool), which lets the morsel-parallel kernels in [`pq_relation`] spread
-//! that single join across cores without spawning a thread per round. A
+//! persistent [`pq_exec::TaskPool`], which lets the morsel-parallel
+//! kernels in [`pq_relation`] spread that single join across cores without
+//! spawning a thread per round. A
 //! `Ping` frame is answered with an immediate `Pong` without touching
 //! fragment state — the cheap liveness check of the coordinator-side
 //! [`crate::net::WorkerPool`].
@@ -45,8 +44,7 @@ use std::sync::Arc;
 /// A worker loop's observability bundle: frame/byte/round counters
 /// resolved once from a [`MetricsRegistry`], plus the structured logger
 /// that replaces the loop's ad-hoc stderr prints. Build one per worker
-/// process with [`WorkerObs::new`] and serve through
-/// [`serve_worker_observed`].
+/// process with [`WorkerObs::new`] and serve through [`serve_worker`].
 #[derive(Debug, Clone)]
 pub struct WorkerObs {
     frames: Counter,
@@ -82,8 +80,8 @@ impl WorkerObs {
         }
     }
 
-    /// The fallback bundle used by the plain [`serve_worker`] entry point:
-    /// counters into a throwaway registry, warnings and errors to stderr.
+    /// The bundle [`LocalWorkers`] serve with: counters into a throwaway
+    /// registry, warnings and errors to stderr.
     fn fallback() -> Self {
         WorkerObs::new(
             &MetricsRegistry::new(),
@@ -305,34 +303,13 @@ fn local_answer(
 /// accept loop. I/O errors on a single connection never kill the loop;
 /// accept errors do (the listener itself is broken).
 ///
-/// Counters go to a throwaway registry and warnings to stderr; a daemon
-/// that wants the numbers uses [`serve_worker_observed`].
-pub fn serve_worker(listener: &TcpListener) -> std::io::Result<()> {
-    serve_worker_with(listener, &WorkerObs::fallback(), WorkerLimits::default())
-}
-
-/// [`serve_worker`] with the worker's frames/bytes/rounds counted into the
-/// registry behind `obs` and connection events logged structurally: what
-/// `pqd --worker` runs.
-pub fn serve_worker_observed(listener: &TcpListener, obs: &WorkerObs) -> std::io::Result<()> {
-    serve_worker_with(listener, obs, WorkerLimits::default())
-}
-
-/// [`serve_worker_observed`] with explicit per-connection resource bounds.
-pub fn serve_worker_with(
-    listener: &TcpListener,
-    obs: &WorkerObs,
-    limits: WorkerLimits,
-) -> std::io::Result<()> {
-    serve_worker_pooled(listener, obs, limits, &pq_exec::global())
-}
-
-/// [`serve_worker_with`] running every round's local join on `pool`: the
-/// entry point for a daemon that sizes (`--threads`) and meters its own
-/// executor pool. Each connection still gets its own service thread —
-/// that thread parks on socket reads; the pool parallelises the join
-/// *inside* a round.
-pub fn serve_worker_pooled(
+/// Frames, bytes and rounds are counted and connection events logged
+/// through `obs`, every connection is bounded by `limits`, and every
+/// round's local join runs on `pool` (a daemon sizes and meters its own;
+/// [`pq_exec::global`] is the process-wide one). Each connection still
+/// gets its own service thread — that thread parks on socket reads; the
+/// pool parallelises the join *inside* a round.
+pub fn serve_worker(
     listener: &TcpListener,
     obs: &WorkerObs,
     limits: WorkerLimits,
@@ -412,7 +389,7 @@ impl LocalWorkers {
             let listener = TcpListener::bind("127.0.0.1:0")?;
             addresses.push(listener.local_addr()?.to_string());
             handles.push(std::thread::spawn(move || {
-                let _ = serve_worker_with(&listener, &WorkerObs::fallback(), limits);
+                let _ = serve_worker(&listener, &WorkerObs::fallback(), limits, &pq_exec::global());
             }));
         }
         Ok(LocalWorkers { addresses, handles })

@@ -13,8 +13,8 @@
 use pq_core::hypercube::HyperCubeRouter;
 use pq_mpc::net::{
     read_frame, serve_worker, shutdown_workers, AtomSpec, BreakerState, Clock, ClusterConfig,
-    ClusterError, Coordinator, Frame, LocalWorkers, RetryPolicy, RoundProgram, TestClock,
-    WorkerPool, MAGIC,
+    ClusterError, Coordinator, Frame, LocalWorkers, RetryPolicy, RoundProgram, Shipment,
+    TestClock, WorkerLimits, WorkerObs, WorkerPool, MAGIC,
 };
 use pq_mpc::Message;
 use pq_query::{Atom, ConjunctiveQuery};
@@ -109,6 +109,22 @@ fn round_messages() -> Vec<Message> {
     messages
 }
 
+/// [`round_messages`] folded for the single worker the bare-coordinator
+/// tests connect to.
+fn round_shipment() -> Shipment {
+    Shipment::from_messages(round_messages(), 2, 1, 8)
+}
+
+/// The real worker loop on `listener`, until it is shut down.
+fn serve_healthy(listener: &TcpListener) {
+    let obs = WorkerObs::new(
+        &pq_obs::MetricsRegistry::new(),
+        pq_obs::Logger::new("cluster-faults", pq_obs::LogLevel::Warn),
+    );
+    serve_worker(listener, &obs, WorkerLimits::default(), &pq_exec::global())
+        .expect("worker serves");
+}
+
 fn round_program() -> RoundProgram {
     RoundProgram {
         name: "Q".into(),
@@ -137,7 +153,7 @@ fn run_against(fault: Fault, timeout: Duration, deadline: Duration) -> ClusterEr
         // typed error too, and the test asserts on whatever surfaced.
         Err(e) => e,
         Ok(mut coordinator) => {
-            let result = coordinator.run_round(round_messages(), &round_program());
+            let result = coordinator.run_shipment(round_shipment(), &round_program());
             let error = result.expect_err("a faulty worker must fail the round");
             drop(coordinator); // hang up so the Silent peer's read loop ends
             error
@@ -349,7 +365,7 @@ fn losing_a_worker_mid_round_refolds_the_shuffle_for_the_survivors() {
             &round_program(),
             &|workers| {
                 folded_for.lock().expect("no panics").push(workers);
-                Ok(router.route_folded(&bound, p, workers, bits_per_value))
+                router.route_folded(&bound, p, workers, bits_per_value)
             },
             None,
         )
@@ -409,7 +425,7 @@ fn a_flapping_cluster_opens_the_breaker_then_recovers_through_half_open() {
         .map(|address| {
             let listener = TcpListener::bind(address.as_str()).expect("rebind");
             std::thread::spawn(move || {
-                serve_worker(&listener).expect("worker serves");
+                serve_healthy(&listener);
             })
         })
         .collect();
@@ -460,7 +476,7 @@ proptest! {
                 let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
                 addresses.push(listener.local_addr().expect("addr").to_string());
                 healthy_handles.push(std::thread::spawn(move || {
-                    serve_worker(&listener).expect("worker serves");
+                    serve_healthy(&listener);
                 }));
             }
         }
@@ -519,7 +535,7 @@ fn a_fresh_coordinator_recovers_after_a_fault() {
     let config = ClusterConfig::new(workers.addresses().to_vec());
     let mut coordinator = Coordinator::connect(&config, 2, 8).expect("connect");
     let output = coordinator
-        .run_round(round_messages(), &round_program())
+        .run_shipment(round_shipment(), &round_program())
         .expect("healthy round");
     let mut rows: Vec<Vec<u64>> = output.iter().map(|t| t.to_vec()).collect();
     rows.sort();

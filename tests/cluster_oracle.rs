@@ -6,8 +6,10 @@
 //!
 //! Beyond row-for-row equality the suite checks the two cost accounts:
 //! the cluster's *model* account (`received_bits`, `messages`) must be
-//! bit-identical to the simulator's for one-round HyperCube plans (same
-//! router, same seed, same shares) on *any* worker count, while the
+//! bit-identical to the simulator's for every one-round strategy —
+//! HyperCube, skew-aware star, skew-aware triangle: the cluster runs the
+//! algorithm the planner chose, same router, same seed — on *any* worker
+//! count (a multi-round plan runs as one-round HyperCube there), while the
 //! *measured* wire bytes track the worker-granular shipping — every input
 //! tuple reaches at least one worker (so the wire carries at least the
 //! input), and no tuple reaches a worker twice (so it carries at most the
@@ -15,6 +17,8 @@
 //! at 64 bits a value, plus bounded framing overhead).
 
 use pq_bench::matching_database_for_query;
+use pq_core::hypercube::run_hypercube_with_shares;
+use pq_core::skew::star::run_star_skew_aware;
 use pq_engine::{Engine, ExecBackend, Strategy};
 use pq_mpc::net::{ClusterConfig, LocalWorkers};
 use pq_query::{evaluate_sequential, instantiate, ConjunctiveQuery};
@@ -23,8 +27,8 @@ use proptest::prelude::*;
 
 /// The query shapes under test: the triangle and star that the paper's
 /// one-round algorithms target, a longer chain whose simulator plan may go
-/// multi-round (exercising the cluster's one-round fallback), and the
-/// disconnected Cartesian pair.
+/// multi-round (exercising the cluster's one-round HyperCube fallback), and
+/// the disconnected Cartesian pair.
 fn query_suite() -> Vec<ConjunctiveQuery> {
     vec![
         ConjunctiveQuery::triangle(),
@@ -35,9 +39,8 @@ fn query_suite() -> Vec<ConjunctiveQuery> {
 }
 
 /// A matching database for the query; with `skew`, every relation gets a
-/// heavy hitter (value 0) in its first column so the simulator routes to
-/// the skew-aware strategies while the cluster falls back to plain
-/// HyperCube — the outputs must agree regardless.
+/// heavy hitter (value 0) in its first column so the planner picks the
+/// skew-aware strategies, which both backends then run.
 fn database_for(query: &ConjunctiveQuery, m: usize, seed: u64, skew: bool) -> Database {
     let mut db = matching_database_for_query(query, m, seed);
     let domain = db.domain_size();
@@ -137,10 +140,10 @@ fn assert_cluster_matches_simulator(
         values_shipped
     );
 
-    // Model-account parity: when the simulator itself ran one-round
-    // HyperCube, both backends routed the same messages with the same
-    // seed, so the per-logical-server bit counts must be identical.
-    if matches!(sim.plan.strategy, Strategy::HyperCube { .. }) {
+    // Model-account parity: for every one-round strategy both backends
+    // routed the same messages with the same seed, so the per-logical-
+    // server bit counts (statistics broadcasts included) must be identical.
+    if !matches!(sim.plan.strategy, Strategy::MultiRound { .. }) {
         let simulated = &sim.outcome.metrics.rounds[0];
         assert_eq!(
             round.received_bits, simulated.received_bits,
@@ -182,14 +185,56 @@ proptest! {
 }
 
 #[test]
-fn skew_aware_simulator_plans_fall_back_to_hypercube_on_the_cluster() {
+fn skew_aware_triangle_plans_run_as_planned_on_the_cluster() {
     // The planner picks the skew-aware triangle for this database; the
-    // cluster backend runs the plan's shares as plain one-round HyperCube
-    // and must still agree with both oracles.
+    // helper holds the cluster to the simulator's rows *and* model account
+    // on every worker count.
     let query = ConjunctiveQuery::triangle();
     let db = database_for(&query, 300, 41, true);
-    let strategy = assert_cluster_matches_simulator(&query, &db, 16, 3);
-    assert_eq!(strategy, "skew-aware triangle");
+    for workers in [1, 2, 3, 5, 11] {
+        let strategy = assert_cluster_matches_simulator(&query, &db, 16, workers);
+        assert_eq!(strategy, "skew-aware triangle");
+    }
+}
+
+#[test]
+fn the_skewed_star_keeps_its_eq_20_load_on_the_cluster() {
+    // Example 4.1's shape: a quarter of each relation shares one join value.
+    // Plain HyperCube with the plan's LP shares — what the cluster ran
+    // before it honoured the strategy — piles that value onto one server;
+    // the skew-aware star spreads its residual product over a block, and
+    // the cluster must now report exactly the simulator star's load.
+    let query = ConjunctiveQuery::simple_join();
+    let (m, heavy, p) = (800u64, 200u64, 16);
+    let mut db = matching_database_for_query(&query, (m - heavy) as usize, 23);
+    let domain = db.domain_size();
+    for (j, atom) in query.atoms().iter().enumerate() {
+        let rel = db.relation_mut(atom.relation()).expect("relation exists");
+        for i in 0..heavy {
+            rel.push(Tuple::new(vec![0, domain - 1 - (j as u64 * heavy + i)]));
+        }
+    }
+    for workers in [1, 2, 5, 11] {
+        let strategy = assert_cluster_matches_simulator(&query, &db, p, workers);
+        assert_eq!(strategy, "skew-aware star");
+    }
+    let cluster = LocalWorkers::spawn(3).expect("spawn local workers");
+    let config = ClusterConfig::new(cluster.addresses().to_vec());
+    let session = Engine::new(db.clone(), p)
+        .with_backend(ExecBackend::cluster(config))
+        .session();
+    let run = session.run(&query.to_string()).expect("cluster run");
+    assert_eq!(run.plan.strategy.name(), "skew-aware star");
+    assert!(run.outcome.metrics.is_measured());
+
+    let seed = session.seed();
+    let star = run_star_skew_aware(&query, &db, p, seed).metrics.max_load();
+    let hypercube = run_hypercube_with_shares(&query, &db, p, &run.plan.shares, seed)
+        .metrics
+        .max_load();
+    assert_eq!(run.outcome.metrics.max_load(), star);
+    assert!(star < hypercube, "star {star} must beat HyperCube {hypercube}");
+    cluster.shutdown();
 }
 
 #[test]
