@@ -143,23 +143,18 @@ fn shuffle_binary_join(
         }
     } else {
         let hasher = family.hasher(round, p);
-        for (tagged, original) in [(&left_tagged, left), (&right_tagged, right)] {
+        for tagged in [&left_tagged, &right_tagged] {
             let positions: Vec<usize> = common
                 .iter()
-                .map(|a| original.schema().position(a).expect("common attribute"))
+                .map(|a| tagged.schema().position(a).expect("common attribute"))
                 .collect();
-            let per_part = original.len() / p + 1;
-            let mut parts: Vec<Relation> = (0..p)
-                .map(|_| Relation::with_capacity(tagged.schema().clone(), per_part))
-                .collect();
-            for t in original.iter() {
-                // Hash the concatenation of the join-key values.
-                let mut key = 0u64;
-                for &pos in &positions {
-                    key = key.wrapping_mul(0x100000001B3).wrapping_add(t[pos]);
-                }
-                parts[hasher.bucket(key)].push_row(t);
-            }
+            // Hash the concatenation of the join-key values.
+            let parts = tagged.partition(p, |_, t| {
+                let key = positions
+                    .iter()
+                    .fold(0u64, |key, &pos| key.wrapping_mul(0x100000001B3).wrapping_add(t[pos]));
+                hasher.bucket(key)
+            });
             for (s, part) in parts.into_iter().enumerate() {
                 if !part.is_empty() {
                     messages.push(Message::tuples(s, part));

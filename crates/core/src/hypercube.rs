@@ -12,6 +12,15 @@
 //! On skew-free data with the share exponents of [`crate::shares`] the
 //! maximum load is `O(L_upper)` with high probability (Theorem 3.4), which
 //! matches the lower bound of Theorem 3.5 (Section 3.3).
+//!
+//! **The replication is accounted, not copied.** All servers of one
+//! subcube receive byte-identical fragments, so the router partitions each
+//! relation once, by the grid cell of its *bound* dimensions
+//! ([`Relation::scatter`]), and addresses one message per server of the
+//! cell's subcube to the same shared copy-on-write buffer. The model's
+//! cost — every one of those servers is charged the fragment's bits
+//! ([`Cluster::communicate`]) — is unchanged; it is the simulator's memory
+//! traffic that no longer scales with the replication factor.
 
 use crate::shares::{self, ShareRounding};
 use pq_mpc::net::Shipment;
@@ -156,49 +165,27 @@ impl HyperCubeRouter {
     }
 
     /// Route one bound relation (schema attributes = query variables):
-    /// copies every row view into pre-sized per-destination fragments and
-    /// returns one message per non-empty fragment. The per-row work is
-    /// allocation-free — rows land in the flat fragment buffers by
-    /// `extend_from_slice`.
-    ///
-    /// Like the join kernels, a large relation routes morsel-parallel when
-    /// the calling thread has a `pq-exec` pool installed: each morsel fills
-    /// its own per-destination fragment set and the sets are merged in
-    /// morsel order, so every fragment keeps its rows in input order at any
-    /// pool size.
+    /// one message per (non-empty cell of the bound dimensions, server of
+    /// that cell's subcube), in ascending server order. Each row is copied
+    /// once, into its cell's fragment ([`Relation::partition`]: hashing
+    /// morsel-parallel on the installed `pq-exec` pool, rows in input order
+    /// at any pool size); the messages to the servers of one subcube share
+    /// that fragment's buffer, so the replication Eq. 9 prescribes is
+    /// charged to every receiver but not performed as a memory copy.
     pub fn route_relation(&self, relation: &Relation) -> Vec<Message> {
         let (bound, free_offsets) = self.route_plan(relation.schema().attributes());
-        let grid = self.grid_size();
-        let n = relation.len();
-        // Expected fragment size under balanced hashing: every row goes to
-        // |free_offsets| of the `grid` destinations.
-        let route_morsel = |lo: usize, hi: usize| -> Vec<Relation> {
-            let per_dest = (hi - lo) * free_offsets.len() / grid.max(1) + 1;
-            let mut fragments: Vec<Relation> = (0..grid)
-                .map(|_| Relation::with_capacity(relation.schema().clone(), per_dest))
-                .collect();
-            for r in lo..hi {
-                let row = relation.row(r);
-                let base = self.base_index(&bound, row);
-                for &off in &free_offsets {
-                    fragments[base + off].push_row(row);
-                }
-            }
-            fragments
-        };
-        let mut parts = map_morsels(n, route_morsel).into_iter();
-        let mut fragments = parts.next().unwrap_or_default();
-        for part in parts {
-            for (dest, fragment) in fragments.iter_mut().zip(&part) {
-                dest.append(fragment);
-            }
-        }
-        fragments
-            .into_iter()
+        let cells = relation.partition(self.grid_size(), |_, row| self.base_index(&bound, row));
+        let mut messages: Vec<Message> = cells
+            .iter()
             .enumerate()
-            .filter(|(_, fragment)| !fragment.is_empty())
-            .map(|(idx, fragment)| Message::tuples(self.server_offset + idx, fragment))
-            .collect()
+            .filter(|(_, cell)| !cell.is_empty())
+            .flat_map(|(base, cell)| {
+                let subcube = free_offsets.iter().map(move |&off| self.server_offset + base + off);
+                subcube.map(|server| Message::tuples(server, cell.clone()))
+            })
+            .collect();
+        messages.sort_by_key(|message| message.to);
+        messages
     }
 
     /// Route a set of bound relations (one per atom, attributes named by
@@ -216,14 +203,15 @@ impl HyperCubeRouter {
     /// the [`Shipment`] holds at most one fragment per (worker, relation),
     /// with each row **once per worker** that hosts any of its destination
     /// grid points — not once per grid point, as [`Self::route_bound`]
-    /// would ship it. The model account is still kept per logical server,
+    /// accounts it. The model account is still kept per logical server,
     /// by counting: `received_bits` and `messages` are exactly what
     /// [`Cluster::communicate`] records for `route_bound`'s messages, so
     /// the load the paper bounds is unchanged while the wire carries the
     /// `workers`-fold replication instead of the `p`-fold one.
     ///
-    /// Morsel-parallel like [`Self::route_relation`], with the same
-    /// input-order guarantee for every fragment at any pool size.
+    /// The same scatter kernel as [`Self::route_relation`], with the
+    /// workers hosting a cell's subcube as that cell's destinations, and
+    /// the same input-order guarantee for every fragment at any pool size.
     ///
     /// # Panics
     /// Panics when `workers == 0`, or when a row is bound for a logical
@@ -248,9 +236,8 @@ impl HyperCubeRouter {
         let p = shipment.received_bits.len();
         let workers = shipment.fragments.len();
         let (bound, free_offsets) = self.route_plan(relation.schema().attributes());
-        let grid = self.grid_size();
         // `(base + off) % workers` depends on `base` only through its
-        // residue, so the deduplicated worker list of a row is a lookup.
+        // residue, so the deduplicated worker list of a cell is a lookup.
         let hosts: Vec<Vec<usize>> = (0..workers)
             .map(|residue| {
                 let mut hit = vec![false; workers];
@@ -260,39 +247,16 @@ impl HyperCubeRouter {
                 (0..workers).filter(|&w| hit[w]).collect()
             })
             .collect();
-        let copies: usize = hosts.iter().map(Vec::len).sum();
-        // Per morsel: rows per base grid index (the model account's raw
-        // material) and one fragment per worker.
-        let route_morsel = |lo: usize, hi: usize| -> (Vec<u64>, Vec<Relation>) {
-            let per_worker = (hi - lo) * copies / (workers * workers) + 1;
-            let mut fragments: Vec<Relation> = (0..workers)
-                .map(|_| Relation::with_capacity(relation.schema().clone(), per_worker))
-                .collect();
-            let mut base_rows = vec![0u64; grid];
-            for r in lo..hi {
-                let row = relation.row(r);
-                let base = self.base_index(&bound, row);
-                base_rows[base] += 1;
-                for &worker in &hosts[(self.server_offset + base) % workers] {
-                    fragments[worker].push_row(row);
-                }
-            }
-            (base_rows, fragments)
-        };
-        let mut parts = map_morsels(relation.len(), route_morsel).into_iter();
-        let (mut base_rows, mut fragments) = parts.next().unwrap_or_default();
-        for (part_rows, part) in parts {
-            for (total, rows) in base_rows.iter_mut().zip(part_rows) {
-                *total += rows;
-            }
-            for (dest, fragment) in fragments.iter_mut().zip(&part) {
-                dest.append(fragment);
-            }
-        }
+        let folded = relation.scatter(
+            self.grid_size(),
+            |_, row| self.base_index(&bound, row),
+            workers,
+            |base| &hosts[(self.server_offset + base) % workers],
+        );
         // Bound and free dimensions are disjoint, so every (base, offset)
         // pair is a distinct logical server: one model message each.
         let bits_per_row = relation.arity() as u64 * bits_per_value;
-        for (base, &rows) in base_rows.iter().enumerate() {
+        for (base, &rows) in folded.cell_rows.iter().enumerate() {
             if rows == 0 {
                 continue;
             }
@@ -302,32 +266,15 @@ impl HyperCubeRouter {
                     server < p,
                     "message addressed to server {server} but the run has only {p} servers"
                 );
-                shipment.received_bits[server] += rows * bits_per_row;
+                shipment.received_bits[server] += rows as u64 * bits_per_row;
                 shipment.messages += 1;
             }
         }
-        for (worker, fragment) in fragments.into_iter().enumerate() {
+        for (worker, fragment) in folded.parts.into_iter().enumerate() {
             if !fragment.is_empty() {
                 shipment.fragments[worker].push(fragment);
             }
         }
-    }
-}
-
-/// Run `route_morsel` over the row range `0..n` and return its results in
-/// morsel order: one call for the whole range when the relation is small
-/// or the calling thread has no multi-threaded `pq-exec` pool installed,
-/// else one call per [`pq_relation::MORSEL_ROWS`] rows on that pool.
-fn map_morsels<T: Send>(n: usize, route_morsel: impl Fn(usize, usize) -> T + Sync) -> Vec<T> {
-    match pq_exec::current().filter(|p| p.threads() > 1) {
-        Some(pool) if n >= 2 * pq_relation::MORSEL_ROWS => {
-            let ranges: Vec<(usize, usize)> = (0..n)
-                .step_by(pq_relation::MORSEL_ROWS)
-                .map(|lo| (lo, (lo + pq_relation::MORSEL_ROWS).min(n)))
-                .collect();
-            pool.map_indexed(&ranges, |_, &(lo, hi)| route_morsel(lo, hi))
-        }
-        _ => vec![route_morsel(0, n)],
     }
 }
 
@@ -655,6 +602,50 @@ mod tests {
         let inline = pq_exec::TaskPool::new(1).install(fold);
         let pooled = pq_exec::TaskPool::new(4).install(fold);
         assert_eq!(inline, pooled);
+    }
+
+    #[test]
+    fn route_bound_is_identical_at_any_pool_size() {
+        let q = ConjunctiveQuery::triangle();
+        let db = matching_db(&q, 3 * pq_relation::MORSEL_ROWS + 17, 9);
+        let bound = instantiate(&q, &db);
+        let shares: BTreeMap<String, usize> =
+            [("x1", 3usize), ("x2", 2), ("x3", 4)].iter().map(|(v, s)| (v.to_string(), *s)).collect();
+        let router = HyperCubeRouter::new(&q, &shares, 3, 0, 1);
+        let route = || router.route_bound(&bound);
+        let inline = pq_exec::TaskPool::new(1).install(route);
+        let pooled = pq_exec::TaskPool::new(4).install(route);
+        assert_eq!(inline, pooled);
+    }
+
+    #[test]
+    fn a_subcube_shares_one_fragment_until_a_server_receives_more() {
+        // S1(x1, x2) on a 2x2x3 grid: each of its 4 cells fans out over the
+        // 3 servers of the x3 dimension.
+        let q = ConjunctiveQuery::triangle();
+        let db = matching_db(&q, 200, 5);
+        let bound = instantiate(&q, &db);
+        let shares: BTreeMap<String, usize> =
+            [("x1", 2usize), ("x2", 2), ("x3", 3)].iter().map(|(v, s)| (v.to_string(), *s)).collect();
+        let router = HyperCubeRouter::new(&q, &shares, 7, 0, 0);
+        let mut cluster = Cluster::new(12, db.bits_per_value());
+        let stats = cluster.communicate(router.route_relation(&bound[0]));
+        // Charged three times over, stored once per cell.
+        assert_eq!(stats.total_bits(), 3 * bound[0].size_bits(db.bits_per_value()));
+        let subcube = [0usize, 1, 2];
+        let delivered = cluster.server(0).fragment("S1").expect("cell (0,0) is hit").clone();
+        for &s in &subcube {
+            let fragment = cluster.server(s).fragment("S1").expect("same subcube");
+            assert_eq!(fragment.values().as_ptr(), delivered.values().as_ptr());
+        }
+        // A second fragment of the same name at server 1 is appended to
+        // server 1's own copy; its siblings still hold what was delivered.
+        let extra = Relation::from_rows(bound[0].schema().clone(), vec![vec![1, 2]]);
+        cluster.server_mut(1).receive(pq_mpc::Payload::Tuples(extra));
+        assert_eq!(cluster.server(1).fragment("S1").unwrap().len(), delivered.len() + 1);
+        for s in [0, 2] {
+            assert_eq!(cluster.server(s).fragment("S1").unwrap(), &delivered);
+        }
     }
 
     #[test]

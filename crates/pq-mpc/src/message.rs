@@ -65,7 +65,8 @@ impl Message {
     }
 }
 
-/// Broadcast a relation to every one of `p` servers (one message each).
+/// Broadcast a relation to every one of `p` servers (one message each, all
+/// sharing the relation's row buffer).
 pub fn broadcast_relation(relation: &Relation, p: usize) -> Vec<Message> {
     (0..p).map(|s| Message::tuples(s, relation.clone())).collect()
 }

@@ -7,23 +7,16 @@
 //! distinction is immaterial — the HyperCube routing decisions depend only
 //! on each tuple — so algorithms here construct round-one messages straight
 //! from the full relations. These helpers exist for the partitioned-input
-//! mode and for experiments that want an explicit initial placement.
+//! mode and for experiments that want an explicit initial placement. Both
+//! are classifiers over the one scatter kernel ([`Relation::partition`]).
 
-use crate::server::ServerId;
 use pq_relation::{BucketHasher, HashFamily, Relation};
 
 /// Split a relation into `p` fragments round-robin (uniform partitioning,
 /// the model's initial data placement).
 pub fn partition_round_robin(relation: &Relation, p: usize) -> Vec<Relation> {
     assert!(p > 0, "cannot partition over zero servers");
-    let per_part = relation.len() / p + 1;
-    let mut parts: Vec<Relation> = (0..p)
-        .map(|_| Relation::with_capacity(relation.schema().clone(), per_part))
-        .collect();
-    for (i, row) in relation.iter().enumerate() {
-        parts[i % p].push_row(row);
-    }
-    parts
+    relation.partition(p, |i, _| i % p)
 }
 
 /// Split a relation into `p` fragments by hashing one attribute — a standard
@@ -44,18 +37,7 @@ pub fn partition_by_hash<F: HashFamily>(
         .position(attribute)
         .unwrap_or_else(|| panic!("attribute `{attribute}` not in `{}`", relation.name()));
     let hasher = family.hasher(hash_index, p);
-    // Pre-size every fragment for the balanced case; row copies below are
-    // plain `extend_from_slice`s of borrowed row views — no per-row tuple is
-    // allocated or cloned.
-    let per_part = relation.len() / p + 1;
-    let mut parts: Vec<Relation> = (0..p)
-        .map(|_| Relation::with_capacity(relation.schema().clone(), per_part))
-        .collect();
-    for row in relation.iter() {
-        let dest: ServerId = hasher.bucket(row[pos]);
-        parts[dest].push_row(row);
-    }
-    parts
+    relation.partition(p, |_, row| hasher.bucket(row[pos]))
 }
 
 #[cfg(test)]

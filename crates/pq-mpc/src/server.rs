@@ -37,11 +37,13 @@ impl Server {
     }
 
     /// Deliver a payload to this server (merging relation fragments of the
-    /// same name).
+    /// same name). A first fragment is kept as delivered — the servers of one
+    /// HyperCube subcube all hold the same shared buffer — and a second one
+    /// of the same name is appended to this server's own copy of it.
     pub fn receive(&mut self, payload: Payload) {
         match payload {
             Payload::Tuples(rel) => match self.fragments.get_mut(rel.name()) {
-                // Merging fragments is one flat-buffer copy.
+                // Copy-on-write: the siblings sharing `existing` keep theirs.
                 Some(existing) => existing.append(&rel),
                 None => {
                     self.fragments.insert(rel.name().to_string(), rel);
@@ -61,11 +63,6 @@ impl Server {
     /// All received fragments, keyed by relation name.
     pub fn fragments(&self) -> &BTreeMap<String, Relation> {
         &self.fragments
-    }
-
-    /// Fragments as a flat list (convenient for joining).
-    pub fn fragment_list(&self) -> Vec<Relation> {
-        self.fragments.values().cloned().collect()
     }
 
     /// Number of bits recorded under a raw label.
@@ -116,7 +113,7 @@ mod tests {
         assert_eq!(s.fragment("S").unwrap().len(), 1);
         assert!(s.fragment("T").is_none());
         assert_eq!(s.stored_tuples(), 3);
-        assert_eq!(s.fragment_list().len(), 2);
+        assert_eq!(s.fragments().len(), 2);
     }
 
     #[test]

@@ -34,8 +34,8 @@ pub fn bind_atom(atom: &Atom, stored: &Relation) -> Relation {
     let distinct = atom.distinct_variables();
     let schema = Schema::new(atom.relation(), distinct.clone());
     if distinct.len() == atom.arity() {
-        // No repeated variables: binding is a pure column rename, one flat
-        // buffer copy.
+        // No repeated variables: binding is a pure column rename over the
+        // stored relation's own (shared, copy-on-write) row buffer.
         return stored.with_schema(schema);
     }
     // Position of the first occurrence of each distinct variable, and the
@@ -59,13 +59,15 @@ pub fn bind_atom(atom: &Atom, stored: &Relation) -> Relation {
             (first != i).then_some((i, first))
         })
         .collect();
-    let mut out = Relation::empty(schema);
+    let mut values = Vec::new();
+    let mut rows = 0usize;
     for row in stored.iter() {
         if equality_checks.iter().all(|&(i, first)| row[i] == row[first]) {
-            out.push_row_projected(row, &first_positions);
+            values.extend(first_positions.iter().map(|&p| row[p]));
+            rows += 1;
         }
     }
-    out
+    Relation::from_values(schema, rows, values)
 }
 
 /// Bind every atom of the query to its relation in the database, in atom

@@ -177,15 +177,14 @@ pub fn parse_relation_text(
     }
     let schema = Schema::new(name, columns);
     let arity = schema.arity();
-    let mut relation = Relation::empty(schema);
-    let mut row: Vec<Value> = Vec::with_capacity(arity);
+    let mut values: Vec<Value> = Vec::new();
+    let mut rows = 0usize;
     for (line_no, line) in lines {
-        row.clear();
         let mut fields = 0usize;
         for field in line.split(delimiter) {
             fields += 1;
             if fields <= arity {
-                row.push(dictionary.encode(field.trim()));
+                values.push(dictionary.encode(field.trim()));
             }
         }
         if fields != arity {
@@ -194,8 +193,9 @@ pub fn parse_relation_text(
                 format!("expected {arity} fields, found {fields}"),
             ));
         }
-        relation.push_row(&row);
+        rows += 1;
     }
+    let mut relation = Relation::from_values(schema, rows, values);
     relation.dedup();
     Ok(relation)
 }

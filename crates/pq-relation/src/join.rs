@@ -70,20 +70,21 @@ pub fn natural_join(left: &Relation, right: &Relation) -> Relation {
             .map(|&p| right.schema().attributes()[p].clone()),
     );
     let out_schema = Schema::new(format!("{}⋈{}", left.name(), right.name()), out_attrs);
-    let mut out = Relation::empty(out_schema);
     if left.is_empty() || right.is_empty() {
-        return out;
+        return Relation::empty(out_schema);
     }
 
     if common.is_empty() {
         // Cartesian product, exactly pre-sized.
-        out.reserve_rows(left.len() * right.len());
+        let rows = left.len() * right.len();
+        let mut values = Vec::with_capacity(rows * out_schema.arity());
         for lrow in left.iter() {
             for rrow in right.iter() {
-                push_joined(&mut out, lrow, rrow, &right_extra);
+                values.extend_from_slice(lrow);
+                values.extend(right_extra.iter().map(|&p| rrow[p]));
             }
         }
-        return out;
+        return Relation::from_values(out_schema, rows, values);
     }
 
     // Build a hash index on the smaller side keyed by the join attributes,
@@ -112,35 +113,38 @@ pub fn natural_join(left: &Relation, right: &Relation) -> Relation {
         }
     };
 
-    let n = spec.probe.len();
-    let pool = pq_exec::current().filter(|p| p.threads() > 1);
-    match pool {
-        // Morsel-parallel path: split the probe side into fixed-size row
-        // ranges over the shared read-only build index. Each morsel emits
-        // into its own pre-sized buffer; in-order concatenation makes the
-        // output identical to the sequential path.
+    // Split the probe side into morsels over the shared read-only build
+    // index. Each morsel emits into its own pre-sized buffer; in-order
+    // concatenation makes the output identical to the sequential path.
+    let parts = map_morsels(spec.probe.len(), |lo, hi| {
+        let mut values = Vec::new();
+        let rows = spec.probe_range(lo, hi, &mut values);
+        (values, rows)
+    });
+    let rows = parts.iter().map(|&(_, rows)| rows).sum();
+    let mut buffers = parts.into_iter().map(|(values, _)| values);
+    let values = match buffers.len() {
+        1 => buffers.next().expect("one morsel"),
+        _ => buffers.collect::<Vec<_>>().concat(),
+    };
+    Relation::from_values(out_schema, rows, values)
+}
+
+/// Run `work` over the row range `0..n` and return its results in morsel
+/// order: one call for the whole range when the range is small or the
+/// calling thread has no multi-threaded `pq-exec` pool installed, else one
+/// call per [`MORSEL_ROWS`] rows on that pool.
+pub(crate) fn map_morsels<T: Send>(n: usize, work: impl Fn(usize, usize) -> T + Sync) -> Vec<T> {
+    match pq_exec::current().filter(|pool| pool.threads() > 1) {
         Some(pool) if n >= 2 * MORSEL_ROWS => {
             let ranges: Vec<(usize, usize)> = (0..n)
                 .step_by(MORSEL_ROWS)
                 .map(|lo| (lo, (lo + MORSEL_ROWS).min(n)))
                 .collect();
-            let parts = pool.map_indexed(&ranges, |_, &(lo, hi)| {
-                let mut values = Vec::new();
-                let rows = spec.probe_range(lo, hi, &mut values);
-                (values, rows)
-            });
-            let total: usize = parts.iter().map(|(values, _)| values.len()).sum();
-            out.values.reserve(total);
-            for (values, rows) in parts {
-                out.values.extend_from_slice(&values);
-                out.rows += rows;
-            }
+            pool.map_indexed(&ranges, |_, &(lo, hi)| work(lo, hi))
         }
-        _ => {
-            out.rows = spec.probe_range(0, n, &mut out.values);
-        }
+        _ => vec![work(0, n)],
     }
-    out
 }
 
 /// Probe-side rows per parallel task. Coarse enough that per-morsel
@@ -214,15 +218,6 @@ fn keys_match(
         .iter()
         .zip(right_positions.iter())
         .all(|(&lp, &rp)| lrow[lp] == rrow[rp])
-}
-
-/// Emit one output row — the left row followed by the extra right columns —
-/// straight into the flat buffer.
-#[inline]
-fn push_joined(out: &mut Relation, lrow: &[Value], rrow: &[Value], right_extra: &[usize]) {
-    out.values.extend_from_slice(lrow);
-    out.values.extend(right_extra.iter().map(|&p| rrow[p]));
-    out.rows += 1;
 }
 
 /// Natural join of a list of relations, using a greedy ordering that always

@@ -8,9 +8,11 @@
 //!   elements); since the flat-storage refactor [`Tuple`] is a boundary
 //!   type only,
 //! * [`schema`] / [`relation`] — named relations storing rows row-major in
-//!   one flat `Vec<Value>` (arity as stride, iteration yields borrowed
-//!   `&[Value]` row views), with projections, selections and degree
-//!   computations `d_J(R)`,
+//!   one flat, shared copy-on-write `Vec<Value>` (arity as stride, iteration
+//!   yields borrowed `&[Value]` row views, clones are O(1)), with
+//!   projections, selections and degree computations `d_J(R)`,
+//! * [`scatter`] — the one two-pass scatter kernel behind every shuffle
+//!   and partitioning of a relation's rows,
 //! * [`database`] — instances mapping relation names to relations, with the
 //!   bit-size accounting (`M_j = a_j · m_j · log n`) the MPC model charges,
 //! * [`csv`](mod@csv) — loading relations from delimited text files through
@@ -37,6 +39,7 @@ pub mod hash;
 pub mod join;
 pub mod relation;
 mod rowindex;
+pub mod scatter;
 pub mod schema;
 pub mod statistics;
 pub mod tuple;
@@ -53,6 +56,7 @@ pub use hash::{
 };
 pub use join::{natural_join, natural_join_all, project, MORSEL_ROWS};
 pub use relation::{Relation, Rows};
+pub use scatter::Scatter;
 pub use schema::Schema;
 pub use statistics::{
     database_fingerprint, DatabaseStatistics, DegreeStatistics, HeavyHitter, RelationStatistics,

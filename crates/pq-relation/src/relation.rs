@@ -9,12 +9,25 @@
 //!
 //! Rows are stored **row-major in a single flat `Vec<Value>`** with the
 //! arity as stride: row `i` occupies `values[i * arity .. (i + 1) * arity]`.
-//! There is no per-row allocation anywhere — pushing a row is an
-//! `extend_from_slice`, merging two relations is one `memcpy`, and scanning
-//! is a linear walk over one contiguous buffer. The owned [`Tuple`] type
-//! survives only at API boundaries that genuinely need owned rows (serde
-//! payloads, `pqd` output, degree-map keys); everything on the execution hot
-//! path works with borrowed `&[Value]` row views.
+//! There is no per-row allocation anywhere, and scanning is a linear walk
+//! over one contiguous buffer. The owned [`Tuple`] type survives only at API
+//! boundaries that genuinely need owned rows (serde payloads, `pqd` output,
+//! degree-map keys); everything on the execution hot path works with
+//! borrowed `&[Value]` row views.
+//!
+//! The buffer is **shared and copy-on-write** (`Arc<Vec<Value>>`): every
+//! operation that keeps the rows as they are — [`Clone`],
+//! [`Relation::with_schema`], [`Relation::renamed`],
+//! [`Relation::with_attributes_renamed`], an identity
+//! [`Relation::project`] — is O(1) and hands out another handle on the same
+//! buffer. That is how a HyperCube fragment reaches every server of its
+//! destination subcube without being copied once per server. A mutation
+//! ([`Relation::push_row`], [`Relation::append`], …) writes in place while
+//! the handle is the buffer's only one and copies the buffer first when it
+//! is not, so no handle ever observes another's writes. Checking for
+//! uniqueness costs an atomic operation per call: loops that emit many rows
+//! fill a plain `Vec<Value>` and freeze it once with
+//! [`Relation::from_values`].
 
 use crate::hash::{hash_values, PrehashedBuild};
 use crate::rowindex::RowKeyIndex;
@@ -22,6 +35,7 @@ use crate::schema::Schema;
 use crate::tuple::{Tuple, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A relation instance: a schema plus a flat row-major buffer of rows.
 ///
@@ -34,40 +48,60 @@ use std::collections::HashMap;
 ///
 /// [`Relation::iter`] (and `&Relation as IntoIterator`) yields **borrowed
 /// row views** `&[Value]` of length [`Relation::arity`], valid for as long
-/// as the relation is not mutated; no row is copied or allocated during
+/// as *this handle* is not mutated; no row is copied or allocated during
 /// iteration. [`Relation::row`] returns the same view by index. Callers that
 /// need an owned row (to store it beyond the borrow, or to use it as an
 /// owned map key) convert explicitly via [`Relation::tuple_at`] or
 /// [`Relation::to_tuples`] — those are the only places a [`Tuple`] is
 /// materialised.
+///
+/// `clone()` is O(1): the clone shares the row buffer, and whichever of the
+/// two is mutated first takes its own copy (see the module docs). A clone is
+/// therefore a stable snapshot — mutating the original, or any other clone,
+/// never changes the rows it yields — and equality compares rows, not
+/// buffer identity.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Relation {
     schema: Schema,
-    /// Row-major values; `values.len() == rows * schema.arity()`.
-    pub(crate) values: Vec<Value>,
+    /// Row-major values, shared between clones and copied on the first
+    /// write to a shared buffer; `values.len() == rows * schema.arity()`.
+    values: Arc<Vec<Value>>,
     /// Number of rows. Kept explicitly so nullary relations (arity 0) can
     /// still hold tuples — the empty tuple has no values to store.
-    pub(crate) rows: usize,
+    rows: usize,
 }
 
 impl Relation {
     /// Create an empty relation with the given schema.
     pub fn empty(schema: Schema) -> Self {
-        Relation {
-            schema,
-            values: Vec::new(),
-            rows: 0,
-        }
+        Relation::from_values(schema, 0, Vec::new())
     }
 
-    /// Create an empty relation with pre-allocated space for `rows` rows
-    /// (the shuffle/partition paths size their fragments up front).
+    /// Create an empty relation with pre-allocated space for `rows` rows.
     pub fn with_capacity(schema: Schema, rows: usize) -> Self {
         let capacity = rows * schema.arity();
+        Relation::from_values(schema, 0, Vec::with_capacity(capacity))
+    }
+
+    /// Freeze a filled row-major buffer into a relation of `rows` rows —
+    /// the constructor of every loop that emits rows (see the module docs:
+    /// the loop pushes onto a plain `Vec`, the shape is checked once here).
+    /// The row count is explicit because a nullary relation's buffer is
+    /// empty however many rows it holds.
+    ///
+    /// # Panics
+    /// Panics when `values.len() != rows * schema.arity()`.
+    pub fn from_values(schema: Schema, rows: usize, values: Vec<Value>) -> Self {
+        assert_eq!(
+            rows.checked_mul(schema.arity()),
+            Some(values.len()),
+            "{rows} row(s) of relation `{schema}` do not make a buffer of {} value(s)",
+            values.len()
+        );
         Relation {
             schema,
-            values: Vec::with_capacity(capacity),
-            rows: 0,
+            values: Arc::new(values),
+            rows,
         }
     }
 
@@ -77,11 +111,7 @@ impl Relation {
     /// # Panics
     /// Panics when a tuple's arity does not match the schema.
     pub fn new(schema: Schema, tuples: Vec<Tuple>) -> Self {
-        let mut rel = Relation::with_capacity(schema, tuples.len());
-        for t in &tuples {
-            rel.push_row(t.values());
-        }
-        rel
+        Relation::collect_rows(schema, tuples.iter().map(Tuple::values))
     }
 
     /// Create a relation from raw value rows.
@@ -89,11 +119,19 @@ impl Relation {
     /// # Panics
     /// Panics when a row's length does not match the schema arity.
     pub fn from_rows(schema: Schema, rows: Vec<Vec<Value>>) -> Self {
-        let mut rel = Relation::with_capacity(schema, rows.len());
-        for r in &rows {
-            rel.push_row(r);
+        Relation::collect_rows(schema, rows.iter().map(Vec::as_slice))
+    }
+
+    /// Flatten row views of the schema's arity into a fresh buffer.
+    fn collect_rows<'a>(schema: Schema, rows: impl ExactSizeIterator<Item = &'a [Value]>) -> Self {
+        let arity = schema.arity();
+        let count = rows.len();
+        let mut values = Vec::with_capacity(count * arity);
+        for row in rows {
+            assert_eq!(row.len(), arity, "row arity mismatch for relation `{}`", schema.name());
+            values.extend_from_slice(row);
         }
-        rel
+        Relation::from_values(schema, count, values)
     }
 
     /// The relation's schema.
@@ -139,11 +177,20 @@ impl Relation {
     /// Iterate over borrowed row views (see the type-level borrowing
     /// contract).
     pub fn iter(&self) -> Rows<'_> {
+        self.iter_range(0, self.rows)
+    }
+
+    /// [`Relation::iter`] over rows `lo..hi` only (a morsel's scan).
+    ///
+    /// # Panics
+    /// Panics unless `lo <= hi <= len()`.
+    pub(crate) fn iter_range(&self, lo: usize, hi: usize) -> Rows<'_> {
+        assert!(lo <= hi && hi <= self.rows, "rows {lo}..{hi} out of bounds (len {})", self.rows);
         Rows {
             values: &self.values,
             arity: self.schema.arity(),
-            front: 0,
-            back: self.rows,
+            front: lo,
+            back: hi,
         }
     }
 
@@ -158,7 +205,8 @@ impl Relation {
         self.iter().map(|r| Tuple::new(r.to_vec())).collect()
     }
 
-    /// Append a row view (the hot-path insertion: one `extend_from_slice`).
+    /// Append a row view: one `extend_from_slice`, after the copy-on-write
+    /// uniqueness check every mutation pays (see the module docs).
     ///
     /// # Panics
     /// Panics when the row length does not match the schema arity.
@@ -169,7 +217,7 @@ impl Relation {
             "row arity mismatch for relation `{}`",
             self.schema.name()
         );
-        self.values.extend_from_slice(row);
+        Arc::make_mut(&mut self.values).extend_from_slice(row);
         self.rows += 1;
     }
 
@@ -186,7 +234,7 @@ impl Relation {
             "projected row arity mismatch for relation `{}`",
             self.schema.name()
         );
-        self.values.extend(positions.iter().map(|&p| row[p]));
+        Arc::make_mut(&mut self.values).extend(positions.iter().map(|&p| row[p]));
         self.rows += 1;
     }
 
@@ -199,14 +247,22 @@ impl Relation {
     }
 
     /// Extend with many owned tuples.
+    ///
+    /// # Panics
+    /// Panics when a tuple's arity does not match the schema.
     pub fn extend(&mut self, tuples: impl IntoIterator<Item = Tuple>) {
+        let arity = self.schema.arity();
+        let values = Arc::make_mut(&mut self.values);
         for t in tuples {
-            self.push(t);
+            assert_eq!(t.arity(), arity, "row arity mismatch for relation `{}`", self.schema.name());
+            values.extend_from_slice(t.values());
+            self.rows += 1;
         }
     }
 
     /// Append every row of `other` (one buffer copy; the fragment-merge path
-    /// of the simulated servers).
+    /// of the simulated servers — a server that holds a fragment shared with
+    /// the rest of its subcube takes its own copy here).
     ///
     /// # Panics
     /// Panics when the arities differ.
@@ -220,13 +276,8 @@ impl Relation {
             self.name(),
             self.arity()
         );
-        self.values.extend_from_slice(&other.values);
+        Arc::make_mut(&mut self.values).extend_from_slice(&other.values);
         self.rows += other.rows;
-    }
-
-    /// Reserve space for `additional` more rows.
-    pub fn reserve_rows(&mut self, additional: usize) {
-        self.values.reserve(additional * self.schema.arity());
     }
 
     /// Size of the relation in bits: `arity * len * bits_per_value`
@@ -283,7 +334,7 @@ impl Relation {
                 kept += 1;
             }
         }
-        self.values = out;
+        self.values = Arc::new(out);
         self.rows = kept as usize;
     }
 
@@ -302,7 +353,7 @@ impl Relation {
         for &i in &order {
             sorted.extend_from_slice(&self.values[i * arity..(i + 1) * arity]);
         }
-        self.values = sorted;
+        self.values = Arc::new(sorted);
     }
 
     /// Return a sorted, deduplicated copy (canonical form for equality
@@ -314,13 +365,13 @@ impl Relation {
         r
     }
 
-    /// Rename the relation in place (schema attributes unchanged). Cheaper
-    /// than [`Relation::renamed`] when the tuples need not be copied.
+    /// Rename the relation in place (schema attributes unchanged).
     pub fn rename(&mut self, name: impl Into<String>) {
         self.schema = self.schema.renamed(name);
     }
 
-    /// Rename the relation (schema attributes unchanged).
+    /// The same rows under another relation name (schema attributes
+    /// unchanged; the buffer is shared, not copied).
     pub fn renamed(&self, name: impl Into<String>) -> Relation {
         Relation {
             schema: self.schema.renamed(name),
@@ -329,8 +380,8 @@ impl Relation {
         }
     }
 
-    /// Return a copy of this relation under a different schema of the same
-    /// arity (one buffer copy; used to bind stored relations to query atoms
+    /// The same rows under a different schema of the same arity (the buffer
+    /// is shared, not copied; used to bind stored relations to query atoms
     /// without touching any row).
     ///
     /// # Panics
@@ -350,9 +401,9 @@ impl Relation {
         }
     }
 
-    /// Return a relation with the same tuples but attributes renamed
-    /// according to `mapping` (old name -> new name). Attributes not in the
-    /// mapping keep their name.
+    /// Return a relation with the same tuples (sharing the buffer) but
+    /// attributes renamed according to `mapping` (old name -> new name).
+    /// Attributes not in the mapping keep their name.
     pub fn with_attributes_renamed(&self, mapping: &HashMap<String, String>) -> Relation {
         let attrs: Vec<String> = self
             .schema
@@ -370,7 +421,7 @@ impl Relation {
     /// Project onto the given attributes (set semantics is *not* enforced;
     /// call [`Relation::dedup`] afterwards if needed). When the requested
     /// attributes are exactly this relation's columns in order, the buffer
-    /// is copied wholesale instead of row by row.
+    /// is shared instead of copied row by row.
     ///
     /// # Panics
     /// Panics when an attribute is missing from the schema.
@@ -393,11 +444,11 @@ impl Relation {
                 rows: self.rows,
             };
         }
-        let mut out = Relation::with_capacity(schema, self.rows);
+        let mut values = Vec::with_capacity(self.rows * positions.len());
         for row in self.iter() {
-            out.push_row_projected(row, &positions);
+            values.extend(positions.iter().map(|&p| row[p]));
         }
-        out
+        Relation::from_values(schema, self.rows, values)
     }
 
     /// Select tuples where `attribute == value`.
@@ -414,13 +465,13 @@ impl Relation {
 
     /// Select tuples satisfying an arbitrary predicate over the row view.
     pub fn filter(&self, predicate: impl Fn(&[Value]) -> bool) -> Relation {
-        let mut out = Relation::empty(self.schema.clone());
-        for row in self.iter() {
-            if predicate(row) {
-                out.push_row(row);
-            }
+        let mut values = Vec::new();
+        let mut rows = 0usize;
+        for row in self.iter().filter(|row| predicate(row)) {
+            values.extend_from_slice(row);
+            rows += 1;
         }
-        out
+        Relation::from_values(self.schema.clone(), rows, values)
     }
 
     /// Frequency map over a subset of attributes: for every distinct
@@ -509,13 +560,9 @@ impl Relation {
             .map(|a| other.schema().position(a).expect("common attribute"))
             .collect();
         let index = RowKeyIndex::build(other, &other_positions);
-        let mut out = Relation::empty(self.schema.clone());
-        for row in self.iter() {
-            if index.contains(other, &other_positions, row, &self_positions) == keep_matching {
-                out.push_row(row);
-            }
-        }
-        out
+        self.filter(|row| {
+            index.contains(other, &other_positions, row, &self_positions) == keep_matching
+        })
     }
 }
 
@@ -773,6 +820,51 @@ mod tests {
     #[should_panic(expected = "does not fit")]
     fn with_schema_arity_mismatch_panics() {
         sample().with_schema(Schema::from_strs("R", &["u"]));
+    }
+
+    #[test]
+    fn from_values_freezes_a_filled_buffer() {
+        let r = Relation::from_values(Schema::from_strs("R", &["x", "y"]), 2, vec![1, 2, 3, 4]);
+        assert_eq!(r.row(1), &[3, 4]);
+        // A nullary relation's rows leave nothing in the buffer.
+        let truthy = Relation::from_values(Schema::from_strs("N", &[]), 3, Vec::new());
+        assert_eq!(truthy.len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not make a buffer of 3 value(s)")]
+    fn from_values_rejects_a_ragged_buffer() {
+        Relation::from_values(Schema::from_strs("R", &["x", "y"]), 2, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn copies_share_rows_until_one_of_them_is_mutated() {
+        let original = sample();
+        let mut clone = original.clone();
+        let mut bound = original.with_schema(Schema::from_strs("R", &["u", "v"]));
+        let mut renamed = original.renamed("S");
+        let identity = original.project(&["x".to_string(), "y".to_string()], "P");
+        // O(1): every copy reads the original's buffer.
+        for copy in [&clone, &bound, &renamed, &identity] {
+            assert_eq!(copy.values().as_ptr(), original.values().as_ptr());
+        }
+        // Each kind of write lands in the writer's own copy only.
+        clone.push_row(&[7, 70]);
+        bound.append(&clone);
+        renamed.dedup();
+        let mut sorted = identity.clone();
+        sorted.sort();
+        assert_eq!(original, sample());
+        assert_eq!(identity.values(), sample().values());
+        assert_eq!((clone.len(), bound.len(), renamed.len()), (5, 9, 3));
+        assert_eq!(sorted.row(0), &[1, 10]);
+        // And the other way round: writing the original leaves copies alone.
+        let mut original = original;
+        let snapshot = original.clone();
+        original.extend([Tuple::from([8, 80])]);
+        original.push_row_projected(&[0, 9, 90], &[1, 2]);
+        assert_eq!(original.len(), 6);
+        assert_eq!(snapshot, sample());
     }
 
     #[test]

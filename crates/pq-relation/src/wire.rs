@@ -108,10 +108,7 @@ impl Relation {
                 values: values.len(),
             });
         }
-        let mut relation = Relation::empty(schema);
-        relation.values = values;
-        relation.rows = rows;
-        Ok(relation)
+        Ok(Relation::from_values(schema, rows, values))
     }
 }
 

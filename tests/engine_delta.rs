@@ -193,6 +193,34 @@ fn apply_shares_untouched_relations_and_their_statistics_by_pointer() {
     );
 }
 
+/// A query's bound atoms are O(1) views of the stored relations' row
+/// buffers (`instantiate` shares, it does not copy), so the copy-on-write
+/// must hold at that granularity too: a delta landing while a bound copy is
+/// alive leaves that copy's rows exactly as they were.
+#[test]
+fn a_bound_copy_outlives_an_apply_unchanged() {
+    let engine = chain_engine();
+    let parsed = parse_query("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
+    let snapshot = engine.snapshot();
+    let bound = pq_query::instantiate(&parsed.query, snapshot.database());
+    let stored = snapshot.database().expect_relation("R");
+    assert_eq!(bound[0].values().as_ptr(), stored.values().as_ptr(), "bound by sharing");
+    let rows_before = bound[0].values().to_vec();
+    drop(snapshot);
+
+    let after = engine.apply(Delta::insert("R", vec![vec![900, 901]])).unwrap();
+    assert_eq!(after.database().expect_relation("R").len(), 51);
+    assert_eq!(bound[0].len(), 50);
+    assert_eq!(bound[0].values(), rows_before.as_slice());
+    assert_eq!(bound[0].schema().attributes(), &["x".to_string(), "y".to_string()]);
+    // The escape hatch mutates the stored relation in place (`relation_mut`):
+    // S's bound copy must make that write copy the buffer first.
+    let after = engine.update(|db| db.relation_mut("S").unwrap().push_row(&[902, 903]));
+    assert_eq!(after.database().expect_relation("S").len(), 51);
+    assert_eq!(bound[1].len(), 50);
+    assert!(bound[1].iter().all(|row| row[0] < 900));
+}
+
 /// Readers holding a pre-delta snapshot keep answering from the old data;
 /// sessions that start after the delta see the new rows. Reader threads
 /// racing a writer must only ever observe row counts of some installed

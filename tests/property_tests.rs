@@ -8,7 +8,9 @@
 //! * integer shares never exceed the server budget;
 //! * multi-round plans compute the query, whatever the fan-in;
 //! * worker-granular routing (`route_folded`) ships the per-worker set
-//!   union of `route_bound`'s messages under the simulator's model account.
+//!   union of `route_bound`'s messages under the simulator's model account;
+//! * `route_bound` (one shared fragment per destination subcube) delivers
+//!   what a naive row-by-row `destinations()` router delivers.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -175,6 +177,92 @@ proptest! {
         let stats = cluster.communicate(messages);
         prop_assert_eq!(&shipment.received_bits, &stats.received_bits);
         prop_assert_eq!(shipment.messages, stats.messages);
+    }
+
+    // The scatter-kernel router against the definition of Eq. 9 applied one
+    // row at a time: the same servers get the same rows in input order and
+    // the simulator charges the same account, at pool sizes 1 and 4, with
+    // share-1 dimensions, shifted server blocks, unary atoms, empty and
+    // morsel-sized relations; folding that round onto any worker count
+    // charges it identically.
+    #[test]
+    fn route_bound_delivers_what_row_by_row_destinations_deliver(
+        query in arbitrary_connected_query(),
+        unary_on in proptest::collection::vec(0usize..6, 0..3),
+        sizes in proptest::collection::vec(0usize..4, 9..10),
+        share_seed in proptest::collection::vec(1usize..5, 6..7),
+        server_offset in 1usize..6,
+        bits_per_value in 1u64..40,
+        seed in 0u64..1000,
+    ) {
+        let variables = query.variables();
+        let mut atoms: Vec<Atom> = query.atoms().to_vec();
+        for (i, v) in unary_on.iter().enumerate() {
+            atoms.push(Atom::new(format!("U{i}"), vec![variables[v % variables.len()].clone()]));
+        }
+        let query = ConjunctiveQuery::new("rand", atoms);
+        // Per atom: empty, a handful of rows, or enough for several morsels.
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next_value = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % 64
+        };
+        let mut db = Database::new(64);
+        for (atom, size) in query.atoms().iter().zip(&sizes) {
+            let m = [0, 7, 60, 2 * pq_relation::MORSEL_ROWS + 31][*size];
+            let cols: Vec<String> = (0..atom.arity()).map(|i| format!("c{i}")).collect();
+            // Uniform draws repeat rows: multiplicities must survive too.
+            let rows = (0..m).map(|_| (0..atom.arity()).map(|_| next_value()).collect());
+            db.insert(Relation::from_rows(Schema::new(atom.relation(), cols), rows.collect()));
+        }
+        let bound = pq_query::instantiate(&query, &db);
+        let shares: BTreeMap<String, usize> = variables.iter().cloned().zip(share_seed).collect();
+        let router = hypercube::HyperCubeRouter::new(&query, &shares, seed, 0, server_offset);
+        let p = server_offset + router.grid_size();
+
+        let mut naive: BTreeMap<(usize, String), Vec<Vec<u64>>> = BTreeMap::new();
+        for relation in &bound {
+            for row in relation.iter() {
+                for server in router.destinations(relation.schema().attributes(), row) {
+                    let key = (server, relation.name().to_string());
+                    naive.entry(key).or_default().push(row.to_vec());
+                }
+            }
+        }
+        let reference: Vec<pq_mpc::Message> = naive
+            .iter()
+            .map(|((server, name), rows)| {
+                let schema = bound.iter().find(|r| r.name() == name).unwrap().schema().clone();
+                pq_mpc::Message::tuples(*server, Relation::from_rows(schema, rows.clone()))
+            })
+            .collect();
+        let mut simulator = pq_mpc::Cluster::new(p, bits_per_value);
+        let expected = simulator.communicate(reference).clone();
+
+        for threads in [1, 4] {
+            let messages = pq_exec::TaskPool::new(threads).install(|| router.route_bound(&bound));
+            let mut routed: BTreeMap<(usize, String), Vec<Vec<u64>>> = BTreeMap::new();
+            for message in &messages {
+                let pq_mpc::Payload::Tuples(fragment) = &message.payload else {
+                    unreachable!("routers ship tuples")
+                };
+                let rows = fragment.iter().map(<[u64]>::to_vec).collect();
+                let twice = routed.insert((message.to, fragment.name().to_string()), rows);
+                prop_assert!(twice.is_none(), "one fragment per (server, relation)");
+            }
+            prop_assert!(routed == naive, "pool size {threads}");
+            let mut cluster = pq_mpc::Cluster::new(p, bits_per_value);
+            let stats = cluster.communicate(messages);
+            prop_assert_eq!(&stats.received_bits, &expected.received_bits);
+            prop_assert_eq!(stats.messages, expected.messages);
+        }
+        for workers in [1, 2, 3, p] {
+            let shipment = router.route_folded(&bound, p, workers, bits_per_value);
+            prop_assert_eq!(&shipment.received_bits, &expected.received_bits);
+            prop_assert_eq!(shipment.messages, expected.messages);
+        }
     }
 
     #[test]
