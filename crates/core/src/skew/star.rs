@@ -15,13 +15,18 @@
 //! Everything happens in a *single* communication round; the measured load
 //! matches the heavy-hitter bound of Eq. 20 up to constants, which
 //! Theorem 4.4 shows is unavoidable.
+//!
+//! Statistics are given, as §4.2 assumes: [`route_star_skew_aware`] reads
+//! the `z`-degrees from a [`DatabaseStatistics`] catalogue and scans no
+//! data for them; [`run_star_skew_aware`], which has only the database,
+//! analyses it once.
 
 use crate::hypercube::{run_one_round, HyperCubeRouter};
 use crate::shares;
 use crate::skew::heavy::{heavy_hitters_of_variable, VariableHeavyHitters};
 use pq_mpc::{Message, RunMetrics};
 use pq_query::{instantiate, residual::residual_query, ConjunctiveQuery};
-use pq_relation::{Database, Relation, Value};
+use pq_relation::{Database, DatabaseStatistics, Relation, Value};
 use std::collections::BTreeMap;
 
 /// Result of a skew-aware run.
@@ -62,14 +67,16 @@ pub fn star_center(query: &ConjunctiveQuery) -> String {
     candidates[0].clone()
 }
 
-/// Run the skew-aware star-query algorithm on `p` servers.
+/// Run the skew-aware star-query algorithm on `p` servers, analysing the
+/// database once for the degree statistics the algorithm assumes known.
 pub fn run_star_skew_aware(
     query: &ConjunctiveQuery,
     database: &Database,
     p: usize,
     seed: u64,
 ) -> SkewAwareRun {
-    let (messages, heavy_hitters) = route_star_skew_aware(query, database, p, seed);
+    let statistics = DatabaseStatistics::compute(database);
+    let (messages, heavy_hitters) = route_star_skew_aware(query, database, &statistics, p, seed);
     let (output, metrics) = run_one_round(query, database, p, messages);
     SkewAwareRun {
         output,
@@ -81,16 +88,17 @@ pub fn run_star_skew_aware(
 /// Where the skew-aware star algorithm sends each tuple: the single
 /// round's messages (statistics broadcast, light hash partition, one
 /// residual HyperCube block per heavy hitter) and the heavy hitters of the
-/// centre variable.
+/// centre variable, read from the catalogue `statistics` of `database`.
 pub fn route_star_skew_aware(
     query: &ConjunctiveQuery,
     database: &Database,
+    statistics: &DatabaseStatistics,
     p: usize,
     seed: u64,
 ) -> (Vec<Message>, Vec<Value>) {
     let z = star_center(query);
     let bound = instantiate(query, database);
-    let hitters = heavy_hitters_of_variable(query, database, &z, p as f64);
+    let hitters = heavy_hitters_of_variable(query, database, statistics, &z, p as f64);
     let mut messages: Vec<Message> = Vec::new();
 
     // Broadcast the heavy-hitter statistics (O(p) values) to every server.

@@ -21,21 +21,28 @@
 //!
 //! All three parts are routed within a single communication round; local
 //! joins at each server produce the triangles, which are deduplicated.
+//!
+//! Statistics are given, as §4.2 assumes: [`route_triangle_skew_aware`]
+//! reads both heavy-hitter levels from a [`DatabaseStatistics`] catalogue
+//! and scans no data for them; [`run_triangle_skew_aware`], which has only
+//! the database, analyses it once.
 
 use crate::hypercube::{run_one_round, HyperCubeRouter};
 use crate::shares;
-use crate::skew::heavy::heavy_hitters_of_variable;
+use crate::skew::heavy::{all_heavy_hitters, VariableHeavyHitters};
 use crate::skew::star::SkewAwareRun;
 use pq_mpc::{broadcast_relation, Message};
 use pq_query::{instantiate, ConjunctiveQuery};
-use pq_relation::{Database, Relation, Value};
+use pq_relation::{Database, DatabaseStatistics, Relation, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Run the skew-aware triangle algorithm on `p` servers. The database must
 /// contain binary relations `S1`, `S2`, `S3` matching
-/// [`ConjunctiveQuery::triangle`].
+/// [`ConjunctiveQuery::triangle`]; it is analysed once for the degree
+/// statistics the algorithm assumes known.
 pub fn run_triangle_skew_aware(database: &Database, p: usize, seed: u64) -> SkewAwareRun {
-    let (messages, heavy_hitters) = route_triangle_skew_aware(database, p, seed);
+    let statistics = DatabaseStatistics::compute(database);
+    let (messages, heavy_hitters) = route_triangle_skew_aware(database, &statistics, p, seed);
     let (output, metrics) = run_one_round(&ConjunctiveQuery::triangle(), database, p, messages);
     SkewAwareRun {
         output,
@@ -46,9 +53,11 @@ pub fn run_triangle_skew_aware(database: &Database, p: usize, seed: u64) -> Skew
 
 /// Where the skew-aware triangle algorithm sends each tuple of the
 /// canonical `S1`, `S2`, `S3`: the single round's messages (statistics
-/// broadcast plus the three parts above) and every `m/p^{1/3}`-heavy value.
+/// broadcast plus the three parts above) and every `m/p^{1/3}`-heavy value,
+/// read from the catalogue `statistics` of `database`.
 pub fn route_triangle_skew_aware(
     database: &Database,
+    statistics: &DatabaseStatistics,
     p: usize,
     seed: u64,
 ) -> (Vec<Message>, Vec<Value>) {
@@ -57,23 +66,17 @@ pub fn route_triangle_skew_aware(
     let variables = query.variables(); // x1, x2, x3
 
     // Heavy-hitter sets at the two thresholds of §4.2.2.
-    let cube_divisor = (p as f64).powf(1.0 / 3.0);
-    let mut heavy_p: BTreeMap<String, BTreeSet<Value>> = BTreeMap::new();
-    let mut heavy_cube: BTreeMap<String, BTreeSet<Value>> = BTreeMap::new();
-    let mut cube_freqs: BTreeMap<String, BTreeMap<String, BTreeMap<Value, usize>>> = BTreeMap::new();
-    for v in &variables {
-        let hp = heavy_hitters_of_variable(&query, database, v, p as f64);
-        let hc = heavy_hitters_of_variable(&query, database, v, cube_divisor);
-        heavy_p.insert(v.clone(), hp.values.clone());
-        heavy_cube.insert(v.clone(), hc.values.clone());
-        cube_freqs.insert(v.clone(), hc.frequencies.clone());
-    }
+    let heavy_p = all_heavy_hitters(&query, database, statistics, p as f64);
+    let heavy_cube = all_heavy_hitters(&query, database, statistics, (p as f64).powf(1.0 / 3.0));
 
     let mut messages: Vec<Message> = Vec::new();
 
     // Broadcast the heavy-hitter statistics.
-    let stats_values: u64 = heavy_p.values().map(|s| s.len() as u64).sum::<u64>()
-        + heavy_cube.values().map(|s| s.len() as u64).sum::<u64>();
+    let stats_values: u64 = heavy_p
+        .values()
+        .chain(heavy_cube.values())
+        .map(|hitters| hitters.values.len() as u64)
+        .sum();
     if stats_values > 0 {
         let bits = stats_values * 2 * database.bits_per_value();
         for s in 0..p {
@@ -88,8 +91,8 @@ pub fn route_triangle_skew_aware(
             .map(|a| (a.clone(), rel.schema().position(a).expect("attr")))
             .collect()
     };
-    let is_heavy = |map: &BTreeMap<String, BTreeSet<Value>>, var: &str, value: Value| -> bool {
-        map.get(var).map(|s| s.contains(&value)).unwrap_or(false)
+    let is_heavy = |map: &BTreeMap<String, VariableHeavyHitters>, var: &str, value: Value| {
+        map.get(var).is_some_and(|hitters| hitters.is_heavy(value))
     };
 
     // ---- Part A: all endpoints light at the p^{1/3} level. ----
@@ -170,23 +173,13 @@ pub fn route_triangle_skew_aware(
     for (spec_idx, &(hv, rel_r_idx, rel_t_idx, rel_s_idx, var_y, var_z)) in
         case2_specs.iter().enumerate()
     {
-        let hitters: Vec<Value> = heavy_cube
-            .get(hv)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
+        let hitters: Vec<Value> = heavy_cube[hv].values.iter().copied().collect();
         if hitters.is_empty() {
             continue;
         }
         // Per-hitter products M_R(h)·M_T(h) for the allocation.
-        let freq_of = |rel_idx: usize, h: Value| -> f64 {
-            let rel_name = bound[rel_idx].name();
-            cube_freqs
-                .get(hv)
-                .and_then(|per_rel| per_rel.get(rel_name))
-                .and_then(|m| m.get(&h))
-                .copied()
-                .unwrap_or(0) as f64
-        };
+        let freq_of =
+            |rel_idx: usize, h: Value| heavy_cube[hv].frequency(bound[rel_idx].name(), h) as f64;
         let products: Vec<f64> = hitters
             .iter()
             .map(|&h| (freq_of(rel_r_idx, h) * freq_of(rel_t_idx, h)).max(1.0))
@@ -261,10 +254,9 @@ pub fn route_triangle_skew_aware(
         }
     }
 
-    let mut all_heavy: Vec<Value> = heavy_cube.values().flat_map(|s| s.iter().copied()).collect();
-    all_heavy.sort_unstable();
-    all_heavy.dedup();
-    (messages, all_heavy)
+    let all_heavy: BTreeSet<Value> =
+        heavy_cube.values().flat_map(|hitters| hitters.values.iter().copied()).collect();
+    (messages, all_heavy.into_iter().collect())
 }
 
 #[cfg(test)]

@@ -297,6 +297,24 @@ mod tests {
     }
 
     #[test]
+    fn row_lines_round_trip_through_the_insert_parser() {
+        // What `pqd` writes after `ROW ` is what `INSERT` takes back.
+        let tokens = ["plain", "a,b", r"c\d", r"\,", "", r",\", "é,ü"];
+        let mut dictionary = pq_relation::ValueDictionary::new();
+        let row: Vec<pq_relation::Value> = tokens.iter().map(|t| dictionary.encode(t)).collect();
+        let mut line = Vec::new();
+        pq_engine::reply::write_rows(
+            &mut line,
+            &mut std::iter::once(row.as_slice()),
+            &dictionary,
+            usize::MAX,
+        );
+        let text = String::from_utf8(line).unwrap();
+        let values = text.strip_prefix("ROW ").and_then(|t| t.strip_suffix('\n')).unwrap();
+        assert_eq!(split_values(values), tokens);
+    }
+
+    #[test]
     fn splits_rows_on_unescaped_semicolons_keeping_escapes() {
         assert_eq!(split_rows("a,b;c,d"), vec!["a,b", "c,d"]);
         assert_eq!(split_rows("a,b"), vec!["a,b"]);

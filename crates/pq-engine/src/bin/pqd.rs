@@ -13,7 +13,9 @@
 //! ```text
 //! → RUN Q(x, y, z) :- E1(x, y), E2(y, z), E3(z, x)
 //! ← ROW a,b,c                    (one line per answer tuple; inside a
-//!                                 value, `\` is `\\` and `,` is `\,`)
+//!                                 value, `\` is `\\` and `,` is `\,`;
+//!                                 formatted by [`pq_engine::reply`] and
+//!                                 sent in chunks of about 64 KiB)
 //! ← OK 200 rows strategy=one-round HyperCube cache=MISS
 //! → INSERT E1 a,b                (same value escaping as ROW; new tokens
 //!                                 extend the shared dictionary)
@@ -41,7 +43,13 @@
 //! idle clients can do (the first slice of the async front-end roadmap
 //! item): `--read-timeout` closes connections that stay silent too long,
 //! and `--max-connections` refuses connections over the cap with a clean
-//! `ERR busy` instead of letting threads pile up.
+//! `ERR busy` instead of letting threads pile up. A request line longer
+//! than 1 MiB is answered `ERR line too long` and the connection closed,
+//! so no client can make the server buffer without bound.
+//!
+//! Every connection runs with `TCP_NODELAY` and each response block is
+//! flushed exactly once, at its end: a reply's short last segment never
+//! waits on the client's delayed ACK.
 //!
 //! Two distributed modes turn one `pqd` into a cluster:
 //!
@@ -57,26 +65,37 @@
 //! asks its workers (if any) to exit and then exits itself — the teardown
 //! path scripts and CI use instead of `kill`.
 
+use pq_engine::reply::write_rows;
 use pq_engine::{open_durable, DurabilityOptions, Engine, Session};
 use pq_mpc::RunMetrics;
-use pq_obs::{json_text, prometheus_text, Counter, Gauge, LogLevel, Logger, MetricsRegistry};
+use pq_obs::{
+    json_text, prometheus_text, Counter, Gauge, Histogram, LogLevel, Logger, MetricsRegistry,
+};
 use pq_relation::{load_database_files, ValueDictionary};
 use pq_wal::SyncPolicy;
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[path = "cli_common.rs"]
 mod cli_common;
 use cli_common::{insert_rows, parse_number, value_of, CommonArgs};
 
-/// Set by the C signal handler on SIGTERM/SIGINT; polled by the accept
-/// loops, which then take the same graceful path as `SHUTDOWN` (checkpoint
-/// the WAL, stop the workers, exit 0) instead of dying mid-write.
+/// Set by the C signal handler on SIGTERM/SIGINT; watched by
+/// [`wake_listener_on_shutdown`], which unblocks the accept loop so it
+/// takes the same graceful path as `SHUTDOWN` (checkpoint the WAL, stop the
+/// workers, exit 0) instead of dying mid-write.
 static SHUTDOWN_REQUESTED: AtomicBool = AtomicBool::new(false);
+
+/// Bytes of `ROW` lines formatted (under the dictionary read lock) per
+/// socket write of a RUN reply.
+const REPLY_CHUNK_BYTES: usize = 64 << 10;
+
+/// Longest request line accepted, newline excluded.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 extern "C" fn note_shutdown_signal(_signum: i32) {
     // Only async-signal-safe work here: one atomic store, no allocation,
@@ -289,6 +308,9 @@ struct Daemon {
     slow_queries: Counter,
     connections_total: Counter,
     connections_active: Gauge,
+    reply_micros: Histogram,
+    reply_bytes: Counter,
+    reply_rows: Counter,
 }
 
 impl Daemon {
@@ -311,6 +333,17 @@ impl Daemon {
                 &[],
                 "Client connections currently being served",
             ),
+            reply_micros: registry.histogram(
+                "pqd_reply_micros",
+                &[],
+                "Formatting and sending one RUN reply, answer ready to final flush",
+            ),
+            reply_bytes: registry.counter(
+                "pqd_reply_bytes_total",
+                &[],
+                "Bytes of RUN replies sent, status lines included",
+            ),
+            reply_rows: registry.counter("pqd_reply_rows_total", &[], "ROW lines sent"),
         }
     }
 }
@@ -338,6 +371,23 @@ fn handle_insert(
     )
 }
 
+/// Read input off `reader` up to and including the next newline (or the
+/// end of input), keeping none of it.
+fn discard_line(reader: &mut impl BufRead) {
+    loop {
+        let rest = match reader.fill_buf() {
+            Ok(rest) if !rest.is_empty() => rest,
+            _ => return,
+        };
+        let end = rest.iter().position(|&b| b == b'\n');
+        let taken = end.map_or(rest.len(), |at| at + 1);
+        reader.consume(taken);
+        if end.is_some() {
+            return;
+        }
+    }
+}
+
 /// Serve one connection: its own session, its own budget/seed, shared
 /// engine. Any I/O error simply ends the connection.
 fn serve(stream: TcpStream, mut session: Session, dictionary: SharedDictionary, daemon: Arc<Daemon>) {
@@ -345,7 +395,7 @@ fn serve(stream: TcpStream, mut session: Session, dictionary: SharedDictionary, 
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "?".to_string());
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
@@ -363,9 +413,23 @@ fn serve(stream: TcpStream, mut session: Session, dictionary: SharedDictionary, 
         session.backend().describe()
     );
     let _ = writer.flush();
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        // At most one byte past the cap is ever buffered, whatever the
+        // client sends.
+        let mut capped = reader.by_ref().take(MAX_LINE_BYTES as u64 + 1);
+        match capped.read_until(b'\n', &mut line) {
+            Ok(0) => break,
+            Ok(_) if line.len() > MAX_LINE_BYTES && !line.ends_with(b"\n") => {
+                let _ = writeln!(writer, "ERR line too long (over {MAX_LINE_BYTES} bytes), closing");
+                let _ = writer.flush();
+                // Closing over unread input would reset the connection and
+                // could take the ERR line with it.
+                discard_line(&mut reader);
+                break;
+            }
+            Ok(_) => {}
             // The per-connection read timeout surfaces as WouldBlock (unix)
             // or TimedOut; tell the client why it is being dropped.
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
@@ -374,6 +438,9 @@ fn serve(stream: TcpStream, mut session: Session, dictionary: SharedDictionary, 
                 break;
             }
             Err(_) => break,
+        }
+        let Ok(line) = std::str::from_utf8(&line) else {
+            break;
         };
         let line = line.trim();
         if line.is_empty() {
@@ -381,38 +448,34 @@ fn serve(stream: TcpStream, mut session: Session, dictionary: SharedDictionary, 
         }
         let (command, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
         let rest = rest.trim();
+        // Set by RUN: when its reply began, and the bytes and rows in it —
+        // recorded once the block's flush has handed them to the socket.
+        let mut replied: Option<(Instant, u64, u64)> = None;
         let result = match command.to_ascii_uppercase().as_str() {
             "RUN" => match session.run_traced(rest) {
                 Ok((run, trace)) => {
-                    // Decode everything first, then write: socket writes can
-                    // block on a slow client's backpressure, and holding the
-                    // dictionary read lock across them would wedge every
-                    // INSERT (and with it all other decoding) server-wide.
-                    let rows: Vec<String> = {
-                        let dictionary =
-                            dictionary.read().unwrap_or_else(PoisonError::into_inner);
-                        run.outcome
-                            .output
-                            .iter()
-                            .map(|tuple| {
-                                // Backslash-escape the delimiter so
-                                // string-valued cells containing commas stay
-                                // unambiguous: `\` → `\\`, `,` → `\,`.
-                                let row: Vec<String> = tuple
-                                    .iter()
-                                    .map(|&v| {
-                                        dictionary
-                                            .decode_or_number(v)
-                                            .replace('\\', "\\\\")
-                                            .replace(',', "\\,")
-                                    })
-                                    .collect();
-                                row.join(",")
-                            })
-                            .collect()
-                    };
-                    for row in rows {
-                        let _ = writeln!(writer, "ROW {row}");
+                    let began = Instant::now();
+                    // Format one bounded chunk under the dictionary read
+                    // lock, release it, write, repeat: socket writes can
+                    // block on a slow client's backpressure, and holding
+                    // the lock across them would wedge every INSERT (and
+                    // with it all other decoding) server-wide. Ids are
+                    // append-only, so every chunk decodes the same tokens.
+                    let mut rows = run.outcome.output.iter();
+                    let mut chunk = Vec::with_capacity(REPLY_CHUNK_BYTES + 256);
+                    let (mut sent, mut bytes) = (Ok(()), 0u64);
+                    while sent.is_ok() {
+                        chunk.clear();
+                        {
+                            let dictionary =
+                                dictionary.read().unwrap_or_else(PoisonError::into_inner);
+                            write_rows(&mut chunk, &mut rows, &dictionary, REPLY_CHUNK_BYTES);
+                        }
+                        if chunk.is_empty() {
+                            break;
+                        }
+                        bytes += chunk.len() as u64;
+                        sent = writer.write_all(&chunk);
                     }
                     // Cluster runs append the measured wire traffic; the
                     // leading fields stay byte-identical for existing
@@ -431,13 +494,15 @@ fn serve(stream: TcpStream, mut session: Session, dictionary: SharedDictionary, 
                     } else {
                         String::new()
                     };
-                    let result = writeln!(
-                        writer,
-                        "OK {} rows strategy={} cache={}{wire}{degraded}",
+                    let status = format!(
+                        "OK {} rows strategy={} cache={}{wire}{degraded}\n",
                         run.outcome.output.len(),
                         run.plan.strategy.name(),
                         if run.cache_hit { "HIT" } else { "MISS" }
                     );
+                    let rows = run.outcome.output.len() as u64;
+                    replied = Some((began, bytes + status.len() as u64, rows));
+                    let result = sent.and_then(|()| writer.write_all(status.as_bytes()));
                     if daemon.slow_query_ms > 0
                         && trace.total() >= Duration::from_millis(daemon.slow_query_ms)
                     {
@@ -592,12 +657,41 @@ fn serve(stream: TcpStream, mut session: Session, dictionary: SharedDictionary, 
         if result.is_err() || writer.flush().is_err() {
             break;
         }
+        if let Some((began, bytes, rows)) = replied {
+            daemon.reply_micros.observe_micros(began.elapsed());
+            daemon.reply_bytes.add(bytes);
+            daemon.reply_rows.add(rows);
+        }
     }
     daemon
         .logger
         .info("connection closed")
         .kv("peer", &peer)
         .emit();
+}
+
+/// Let the accept loop block in `accept(2)` — no polling, so `READY` is
+/// sent the moment a client connects — and still notice a signal: this
+/// thread watches [`SHUTDOWN_REQUESTED`] and, once it is set, connects to
+/// the listener itself, which returns the blocked `accept`.
+fn wake_listener_on_shutdown(listener: &TcpListener) -> std::thread::JoinHandle<()> {
+    let address = listener.local_addr().map(|mut address| {
+        // Bound to every interface: reach it over loopback.
+        match address.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => address.set_ip(Ipv4Addr::LOCALHOST.into()),
+            IpAddr::V6(ip) if ip.is_unspecified() => address.set_ip(Ipv6Addr::LOCALHOST.into()),
+            _ => {}
+        }
+        address
+    });
+    std::thread::spawn(move || {
+        while !SHUTDOWN_REQUESTED.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        if let Ok(address) = address {
+            let _ = TcpStream::connect(address);
+        }
+    })
 }
 
 /// RAII share of the connection budget: incremented on accept, given back
@@ -752,53 +846,51 @@ fn main() {
     }
     let active = Arc::new(AtomicUsize::new(0));
     let read_timeout = (options.read_timeout > 0).then(|| Duration::from_secs(options.read_timeout));
-    // A nonblocking accept loop instead of `listener.incoming()`: the
-    // listener is polled every 50 ms so a SIGTERM/SIGINT noticed by the
-    // handler turns into the graceful SHUTDOWN path below instead of the
-    // process dying mid-write. Accepted streams are switched back to
-    // blocking before they reach their serving thread.
     install_signal_handlers();
-    if let Err(e) = listener.set_nonblocking(true) {
-        logger.error("cannot poll listener").kv("error", e).emit();
-        std::process::exit(1);
-    }
-    while !SHUTDOWN_REQUESTED.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let permit =
-                    ConnectionPermit(Arc::clone(&active), daemon.connections_active.clone());
-                permit.1.add(1);
-                if permit.0.fetch_add(1, Ordering::SeqCst) >= options.max_connections {
-                    // Over the cap: one clean protocol line, then hang up
-                    // (dropping the permit releases the slot we took).
-                    let mut writer = BufWriter::new(stream);
-                    let _ = writeln!(writer, "ERR busy ({} connections)", options.max_connections);
-                    let _ = writer.flush();
-                    continue;
-                }
-                daemon.connections_total.inc();
-                if let Some(timeout) = read_timeout {
-                    // A connection that stays silent past the timeout gets
-                    // its blocking read cancelled and is closed.
-                    let _ = stream.set_read_timeout(Some(timeout));
-                }
-                // One thread + one session per connection; the engine handle
-                // (snapshot + plan cache) is shared by all of them.
-                let session = engine.session();
-                let dictionary = Arc::clone(&dictionary);
-                let daemon = Arc::clone(&daemon);
-                std::thread::spawn(move || {
-                    let _permit = permit;
-                    serve(stream, session, dictionary, daemon);
-                });
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            Err(e) => logger.warn("accept failed").kv("error", e).emit(),
+    let waker = wake_listener_on_shutdown(&listener);
+    for stream in listener.incoming() {
+        if SHUTDOWN_REQUESTED.load(Ordering::SeqCst) {
+            break;
         }
+        let stream = match stream {
+            Ok(stream) => stream,
+            Err(e) => {
+                logger.warn("accept failed").kv("error", e).emit();
+                continue;
+            }
+        };
+        // Responses are flushed once, whole: Nagle's algorithm would only
+        // hold their last segment back for the client's delayed ACK.
+        let _ = stream.set_nodelay(true);
+        let permit = ConnectionPermit(Arc::clone(&active), daemon.connections_active.clone());
+        permit.1.add(1);
+        if permit.0.fetch_add(1, Ordering::SeqCst) >= options.max_connections {
+            // Over the cap: one clean protocol line, then hang up
+            // (dropping the permit releases the slot we took).
+            let mut writer = BufWriter::new(stream);
+            let _ = writeln!(writer, "ERR busy ({} connections)", options.max_connections);
+            let _ = writer.flush();
+            continue;
+        }
+        daemon.connections_total.inc();
+        if let Some(timeout) = read_timeout {
+            // A connection that stays silent past the timeout gets
+            // its blocking read cancelled and is closed.
+            let _ = stream.set_read_timeout(Some(timeout));
+        }
+        // One thread + one session per connection; the engine handle
+        // (snapshot + plan cache) is shared by all of them.
+        let session = engine.session();
+        let dictionary = Arc::clone(&dictionary);
+        let daemon = Arc::clone(&daemon);
+        std::thread::spawn(move || {
+            let _permit = permit;
+            serve(stream, session, dictionary, daemon);
+        });
     }
+    // The waker only returns once the flag is set, which is also the only
+    // way out of the loop above.
+    let _ = waker.join();
     // The graceful signal path: same teardown as the SHUTDOWN command.
     // In-flight connection threads keep their engine clones and finish
     // their current request; new connections are no longer accepted.

@@ -58,7 +58,8 @@ pub struct DurableOpen {
     /// True when the state came from a checkpoint file (false: fresh
     /// directory initialised from the caller's base data).
     pub from_checkpoint: bool,
-    /// Log records replayed past the checkpoint (all kinds).
+    /// Redo records (deltas, dictionary extensions) replayed past the
+    /// checkpoint.
     pub recovered_records: u64,
     /// Rows re-inserted by replayed deltas.
     pub recovered_rows: u64,

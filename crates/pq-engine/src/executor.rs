@@ -13,6 +13,11 @@
 //! there to one-round HyperCube with the plan's LP shares. Answers are
 //! returned with columns in the user's head order, whatever variable order
 //! the underlying algorithm produced.
+//!
+//! Statistics are given, as §4.2 assumes: the skew-aware routers read
+//! their heavy hitters from the snapshot's catalogue
+//! ([`Snapshot::statistics`], maintained incrementally by the delta path),
+//! so no strategy scans the data for statistics at run time.
 
 use crate::backend::{ExecBackend, FallbackPolicy};
 use crate::planner::{Plan, Strategy};
@@ -25,7 +30,7 @@ use pq_mpc::net::{AtomSpec, ClusterError, RoundProgram, WorkerPool};
 use pq_mpc::{Message, RunMetrics};
 use pq_obs::MetricsRegistry;
 use pq_query::{bind_atom, instantiate, ConjunctiveQuery};
-use pq_relation::{Database, Relation};
+use pq_relation::{Database, DatabaseStatistics, Relation};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -133,7 +138,7 @@ fn execute(
     seed: u64,
     wire: Wire<'_>,
 ) -> Result<RunOutcome, ClusterError> {
-    let database = snapshot.database();
+    let (database, statistics) = (snapshot.database(), snapshot.statistics());
     let query = &plan.parsed.query;
     let p = plan.p;
     let start = Instant::now();
@@ -149,21 +154,22 @@ fn execute(
     // The skew-aware triangle runs the canonical `C_3` over a re-laid-out
     // database and maps its x1..x3 columns back to the user's variables.
     let triangle = ConjunctiveQuery::triangle();
-    let canonical;
+    let (canonical, canonical_statistics);
     let mut user_vars = HashMap::new();
     let (local, data, router) = match &plan.strategy {
         Strategy::HyperCube { shares } => (query, database, Router::Grid(shares)),
         Strategy::SkewAwareStar { .. } => {
-            let route = move || route_star_skew_aware(query, database, p, seed).0;
+            let route = move || route_star_skew_aware(query, database, statistics, p, seed).0;
             (query, database, Router::Messages(Box::new(route)))
         }
         Strategy::SkewAwareTriangle { canonical_vars } => {
-            canonical = canonical_triangle_database(query, canonical_vars, database);
+            (canonical, canonical_statistics) =
+                canonical_triangle(query, canonical_vars, database, statistics);
             user_vars = (1..)
                 .map(|i| format!("x{i}"))
                 .zip(canonical_vars.iter().cloned())
                 .collect();
-            let route = || route_triangle_skew_aware(&canonical, p, seed).0;
+            let route = || route_triangle_skew_aware(&canonical, &canonical_statistics, p, seed).0;
             (&triangle, &canonical, Router::Messages(Box::new(route)))
         }
         Strategy::MultiRound { plan: node, .. } => match wire {
@@ -223,25 +229,42 @@ fn execute(
 /// Rebuild the database in the canonical triangle layout expected by
 /// [`route_triangle_skew_aware`]: relations `S1(x1,x2), S2(x2,x3), S3(x3,x1)`
 /// with columns in canonical variable order, whatever order the user's
-/// atoms bind them in.
-fn canonical_triangle_database(
+/// atoms bind them in — together with its statistics catalogue, which maps
+/// every canonical column back to the stored attribute's degree statistics
+/// instead of analysing the copy.
+fn canonical_triangle(
     query: &ConjunctiveQuery,
     canonical_vars: &[String; 3],
     database: &Database,
-) -> Database {
+    statistics: &DatabaseStatistics,
+) -> (Database, DatabaseStatistics) {
     let [v1, v2, v3] = canonical_vars;
     let edges = [(v1, v2), (v2, v3), (v3, v1)];
     let mut out = Database::new(database.domain_size());
+    let mut analysed = BTreeMap::new();
     for (i, (a, b)) in edges.iter().enumerate() {
         let atom = query
             .atoms()
             .iter()
             .find(|at| at.contains(a) && at.contains(b))
             .expect("planner verified the triangle shape");
-        let bound = bind_atom(atom, database.expect_relation(atom.relation()));
-        out.insert(bound.project(&[(*a).clone(), (*b).clone()], &format!("S{}", i + 1)));
+        let stored = database.expect_relation(atom.relation());
+        let name = format!("S{}", i + 1);
+        out.insert(bind_atom(atom, stored).project(&[(*a).clone(), (*b).clone()], &name));
+        let columns = stored.schema().attributes().iter().zip(atom.variables());
+        let view = statistics
+            .relation(atom.relation())
+            .expect("the plan was made against this snapshot")
+            .renamed(&name, columns);
+        analysed.insert(name, Arc::new(view));
     }
-    out
+    let statistics = DatabaseStatistics::from_relations(database.domain_size(), analysed);
+    debug_assert_eq!(
+        statistics,
+        DatabaseStatistics::compute(&out),
+        "the mapped catalogue must equal an analysis of the canonical copy"
+    );
+    (out, statistics)
 }
 
 #[cfg(test)]

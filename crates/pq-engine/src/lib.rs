@@ -42,6 +42,9 @@
 //!   parse-once/plan-once handle that survives copy-on-write
 //!   [`Engine::update`] snapshot swaps by re-planning lazily.
 //!
+//! [`reply`] holds the one definition of the `ROW` line format `pqd`
+//! answers in.
+//!
 //! Two binaries expose the stack: `pqsh`, the interactive shell / one-shot
 //! CLI, and `pqd`, a line-protocol TCP server that opens one [`Session`]
 //! per connection — many clients, one engine, one plan cache.
@@ -59,6 +62,7 @@ mod obs;
 pub mod parser;
 pub mod planner;
 pub mod prepared;
+pub mod reply;
 pub mod session;
 pub mod snapshot;
 

@@ -33,9 +33,9 @@ use pq_core::multiround::plan::PlanNode;
 use pq_core::shares::{self, ShareExponents, ShareRounding};
 use pq_core::skew::heavy::heavy_hitters_of_variable;
 use pq_lp::{ConstraintOp, LinearProgram, Objective};
-use pq_query::{agm_bound, Atom, ConjunctiveQuery, Hypergraph};
-use pq_relation::{Database, DatabaseStatistics, DegreeStatistics, Value};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use pq_query::{agm_bound, ConjunctiveQuery, Hypergraph};
+use pq_relation::{Database, DatabaseStatistics};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 /// Preference factor for the one-round strategy: a multi-round plan is
@@ -467,16 +467,11 @@ fn plan_with_statistics(
     })
 }
 
-/// Heavy-hitter report of one join variable, read from the precomputed
-/// degree maps. Semantics match
-/// [`pq_core::skew::heavy::heavy_hitters_of_variable`] with divisor `p`: a
-/// value is heavy when its frequency in some relation binding the variable
-/// strictly exceeds that relation's `m_j / p`, and the reported maximum
-/// frequency ranges over every heavy value in every relation binding the
-/// variable (a value heavy in one relation may be light in another). An
-/// atom repeating the variable (`R(x, x)`) filters the relation before
-/// counting — per-column statistics cannot express that, so such variables
-/// fall back to the scanning implementation.
+/// Heavy-hitter report of one join variable: a summary of
+/// [`heavy_hitters_of_variable`] at the paper's divisor `p`, so `explain`
+/// counts exactly the values the skew-aware executors will split on. The
+/// reported maximum ranges over every heavy value in every relation
+/// binding the variable (a value heavy in one may be light in another).
 fn heavy_report(
     query: &ConjunctiveQuery,
     database: &Database,
@@ -484,78 +479,11 @@ fn heavy_report(
     variable: &str,
     p: usize,
 ) -> Option<HeavyReport> {
-    fn degrees_of<'a>(
-        database: &Database,
-        statistics: &'a DatabaseStatistics,
-        atom: &Atom,
-        variable: &str,
-    ) -> &'a DegreeStatistics {
-        let pos = atom
-            .variables()
-            .iter()
-            .position(|w| w == variable)
-            .expect("atom contains the variable");
-        let attribute = &database
-            .expect_relation(atom.relation())
-            .schema()
-            .attributes()[pos];
-        &statistics
-            .relation(atom.relation())
-            .expect("validated by the planner")
-            .degrees[attribute]
-    }
-
-    let atoms: Vec<&Atom> = query
-        .atoms()
-        .iter()
-        .filter(|a| a.contains(variable))
-        .collect();
-    if atoms.iter().any(|a| a.distinct_variables().len() != a.arity()) {
-        let hitters = heavy_hitters_of_variable(query, database, variable, p as f64);
-        if hitters.values.is_empty() {
-            return None;
-        }
-        let max_frequency = hitters
-            .frequencies
-            .values()
-            .flat_map(|m| m.values())
-            .copied()
-            .max()
-            .unwrap_or(0);
-        return Some(HeavyReport {
-            variable: variable.to_string(),
-            num_values: hitters.values.len(),
-            max_frequency,
-        });
-    }
-    let mut values: BTreeSet<Value> = BTreeSet::new();
-    for atom in &atoms {
-        let cardinality = statistics
-            .relation(atom.relation())
-            .expect("validated by the planner")
-            .cardinality;
-        let threshold = cardinality as f64 / p as f64;
-        let degrees = degrees_of(database, statistics, atom, variable);
-        for (&value, &count) in &degrees.frequencies {
-            if count as f64 > threshold {
-                values.insert(value);
-            }
-        }
-    }
-    if values.is_empty() {
-        return None;
-    }
-    let mut max_frequency = 0usize;
-    for atom in &atoms {
-        let degrees = degrees_of(database, statistics, atom, variable);
-        for &value in &values {
-            max_frequency = max_frequency.max(degrees.frequency(value));
-        }
-    }
-    Some(HeavyReport {
+    let hitters = heavy_hitters_of_variable(query, database, statistics, variable, p as f64);
+    (!hitters.values.is_empty()).then(|| HeavyReport {
         variable: variable.to_string(),
-        num_values: values.len(),
-        max_frequency,
+        num_values: hitters.values.len(),
+        max_frequency: hitters.max_frequency(),
     })
 }
 

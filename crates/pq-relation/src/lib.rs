@@ -59,7 +59,7 @@ pub use relation::{Relation, Rows};
 pub use scatter::Scatter;
 pub use schema::Schema;
 pub use statistics::{
-    database_fingerprint, DatabaseStatistics, DegreeStatistics, HeavyHitter, RelationStatistics,
+    database_fingerprint, DatabaseStatistics, DegreeStatistics, RelationStatistics,
 };
 pub use tuple::{Tuple, Value};
 pub use wire::{values_from_le_bytes, values_to_le_bytes, WireError};

@@ -24,19 +24,10 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A heavy hitter: a value of some attribute whose frequency exceeds the
-/// threshold `m / p`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HeavyHitter {
-    /// The attribute (query variable) in which the value is heavy.
-    pub attribute: String,
-    /// The heavy value.
-    pub value: Value,
-    /// Its frequency in the relation (`m_j(h)`).
-    pub frequency: usize,
-}
-
-/// Per-attribute degree statistics of a single relation.
+/// Degree statistics of one column: the histogram of its values. Which
+/// relation and attribute it describes is the key it is filed under in
+/// [`RelationStatistics::degrees`], so a renamed view of a relation can
+/// share it (see [`RelationStatistics::renamed`]).
 ///
 /// The maximum frequency is cached alongside the map so that fingerprints
 /// (and the skew checks reading them) stay O(1) per attribute even as
@@ -44,11 +35,7 @@ pub struct HeavyHitter {
 /// as read-only and mutate only through [`DegreeStatistics::apply_insert`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DegreeStatistics {
-    /// Relation name.
-    pub relation: String,
-    /// Attribute the statistics are over.
-    pub attribute: String,
-    /// Frequency of every distinct value of that attribute.
+    /// Frequency of every distinct value of the column.
     pub frequencies: BTreeMap<Value, usize>,
     /// Cached maximum of `frequencies` (inserts can only raise it).
     max_frequency: usize,
@@ -64,14 +51,21 @@ impl DegreeStatistics {
             .schema()
             .position(attribute)
             .unwrap_or_else(|| panic!("attribute `{attribute}` not in `{}`", relation.name()));
-        let mut frequencies: BTreeMap<Value, usize> = BTreeMap::new();
-        for row in relation.iter() {
-            *frequencies.entry(row[pos]).or_insert(0) += 1;
+        // Sort the column and count its runs: the map is then bulk-built
+        // from sorted pairs, several times cheaper than one tree insert per
+        // tuple.
+        let mut column: Vec<Value> = relation.iter().map(|row| row[pos]).collect();
+        column.sort_unstable();
+        let mut runs: Vec<(Value, usize)> = Vec::new();
+        for value in column {
+            match runs.last_mut() {
+                Some((last, count)) if *last == value => *count += 1,
+                _ => runs.push((value, 1)),
+            }
         }
-        let max_frequency = frequencies.values().copied().max().unwrap_or(0);
+        let max_frequency = runs.iter().map(|&(_, count)| count).max().unwrap_or(0);
+        let frequencies: BTreeMap<Value, usize> = runs.into_iter().collect();
         DegreeStatistics {
-            relation: relation.name().to_string(),
-            attribute: attribute.to_string(),
             frequencies,
             max_frequency,
         }
@@ -105,17 +99,16 @@ impl DegreeStatistics {
         self.frequencies.values().sum()
     }
 
-    /// The values whose frequency is strictly above `threshold`.
-    pub fn heavy_hitters(&self, threshold: usize) -> Vec<HeavyHitter> {
-        self.frequencies
-            .iter()
-            .filter(|(_, &f)| f > threshold)
-            .map(|(&value, &frequency)| HeavyHitter {
-                attribute: self.attribute.clone(),
-                value,
-                frequency,
-            })
-            .collect()
+    /// The values whose frequency is strictly above `threshold` (the
+    /// paper's `m_j / p`, or any other cut), with their frequencies, in
+    /// value order. O(1) when nothing is that frequent.
+    pub fn heavy_hitters(&self, threshold: f64) -> impl Iterator<Item = (Value, usize)> + '_ {
+        let frequent = (self.max_frequency as f64 > threshold).then(|| self.frequencies.iter());
+        frequent
+            .into_iter()
+            .flatten()
+            .filter(move |(_, &f)| f as f64 > threshold)
+            .map(|(&value, &frequency)| (value, frequency))
     }
 }
 
@@ -129,8 +122,9 @@ pub struct RelationStatistics {
     pub cardinality: usize,
     /// Bit size `M_j`.
     pub size_bits: u64,
-    /// Degree statistics keyed by attribute name.
-    pub degrees: BTreeMap<String, DegreeStatistics>,
+    /// Degree statistics keyed by attribute name, each behind an [`Arc`]
+    /// so views of the relation share them.
+    pub degrees: BTreeMap<String, Arc<DegreeStatistics>>,
 }
 
 impl RelationStatistics {
@@ -140,7 +134,7 @@ impl RelationStatistics {
             .schema()
             .attributes()
             .iter()
-            .map(|a| (a.clone(), DegreeStatistics::compute(relation, a)))
+            .map(|a| (a.clone(), Arc::new(DegreeStatistics::compute(relation, a))))
             .collect();
         RelationStatistics {
             relation: relation.name().to_string(),
@@ -183,12 +177,10 @@ impl RelationStatistics {
             );
             self.cardinality += 1;
             for (attribute, &value) in attributes.iter().zip(row) {
-                self.degrees
-                    .get_mut(attribute)
-                    .unwrap_or_else(|| {
-                        panic!("attribute `{attribute}` not in the catalogue of `{}`", schema.name())
-                    })
-                    .apply_insert(value);
+                let degrees = self.degrees.get_mut(attribute).unwrap_or_else(|| {
+                    panic!("attribute `{attribute}` not in the catalogue of `{}`", schema.name())
+                });
+                Arc::make_mut(degrees).apply_insert(value);
             }
         }
         // M_j = a_j · m_j · log n, so the new bit size follows from the new
@@ -196,19 +188,29 @@ impl RelationStatistics {
         self.size_bits = attributes.len() as u64 * self.cardinality as u64 * bits_per_value;
     }
 
-    /// Heavy hitters of this relation under the paper's threshold
-    /// `m_j / p` (values with frequency strictly greater than the
-    /// threshold). At most `p` values per attribute can exceed it.
-    pub fn heavy_hitters(&self, p: usize) -> Vec<HeavyHitter> {
-        let threshold = self
-            .cardinality
-            .checked_div(p)
-            .unwrap_or(self.cardinality);
-        let mut out = Vec::new();
-        for stats in self.degrees.values() {
-            out.extend(stats.heavy_hitters(threshold));
+    /// The statistics of this relation seen under another name with its
+    /// columns renamed (and possibly reordered) — what analysing
+    /// `π_{new…}(ρ(relation))` would compute, without touching a tuple: the
+    /// per-column histograms are shared, not copied. `columns` pairs each
+    /// stored attribute with its new name.
+    ///
+    /// # Panics
+    /// Panics when a stored attribute is not in the degree catalogue.
+    pub fn renamed<'a>(
+        &self,
+        relation: &str,
+        columns: impl IntoIterator<Item = (&'a String, &'a String)>,
+    ) -> RelationStatistics {
+        let degrees = columns
+            .into_iter()
+            .map(|(stored, new)| (new.clone(), Arc::clone(&self.degrees[stored])))
+            .collect();
+        RelationStatistics {
+            relation: relation.to_string(),
+            cardinality: self.cardinality,
+            size_bits: self.size_bits,
+            degrees,
         }
-        out
     }
 
     /// Maximum frequency of any value of `attribute`.
@@ -263,6 +265,19 @@ pub struct DatabaseStatistics {
 }
 
 impl DatabaseStatistics {
+    /// A catalogue over already analysed relations (keyed by name) of a
+    /// database with this domain size — no data is scanned.
+    pub fn from_relations(
+        domain_size: u64,
+        relations: BTreeMap<String, Arc<RelationStatistics>>,
+    ) -> Self {
+        DatabaseStatistics {
+            fingerprint: combined_fingerprint(domain_size, &relations),
+            relations,
+            domain_size,
+        }
+    }
+
     /// Scan every relation of `database` once and build the catalogue.
     pub fn compute(database: &Database) -> Self {
         let bpv = database.bits_per_value();
@@ -275,12 +290,7 @@ impl DatabaseStatistics {
                 )
             })
             .collect();
-        let domain_size = database.domain_size();
-        DatabaseStatistics {
-            fingerprint: combined_fingerprint(domain_size, &relations),
-            relations,
-            domain_size,
-        }
+        DatabaseStatistics::from_relations(database.domain_size(), relations)
     }
 
     /// Build the catalogue for `database`, **reusing** the statistics of
@@ -313,12 +323,7 @@ impl DatabaseStatistics {
                 (name.to_string(), stats)
             })
             .collect();
-        let domain_size = database.domain_size();
-        DatabaseStatistics {
-            fingerprint: combined_fingerprint(domain_size, &relations),
-            relations,
-            domain_size,
-        }
+        DatabaseStatistics::from_relations(database.domain_size(), relations)
     }
 
     /// Fold an insert-only delta for one relation into the catalogue in
@@ -490,13 +495,9 @@ mod tests {
     fn heavy_hitter_detection() {
         let r = skewed_relation();
         let d = DegreeStatistics::compute(&r, "x");
-        let hh = d.heavy_hitters(2);
-        assert_eq!(hh.len(), 1);
-        assert_eq!(hh[0].value, 7);
-        assert_eq!(hh[0].frequency, 5);
-        assert_eq!(hh[0].attribute, "x");
+        assert_eq!(d.heavy_hitters(2.0).collect::<Vec<_>>(), vec![(7, 5)]);
         // Threshold at the max: nothing qualifies (strict inequality).
-        assert!(d.heavy_hitters(5).is_empty());
+        assert_eq!(d.heavy_hitters(5.0).count(), 0);
     }
 
     #[test]
@@ -505,16 +506,34 @@ mod tests {
         let stats = RelationStatistics::compute(&r, 8);
         assert_eq!(stats.cardinality, 10);
         assert_eq!(stats.size_bits, 10 * 2 * 8);
-        // p = 4: threshold 10/4 = 2, so value 7 (freq 5) in x is heavy;
+        // p = 4: threshold 10/4 = 2.5, so value 7 (freq 5) in x is heavy;
         // y values all have frequency 1.
-        let hh = stats.heavy_hitters(4);
-        assert_eq!(hh.len(), 1);
-        assert_eq!(hh[0].value, 7);
+        let heavy = |attribute: &str, p: f64| -> Vec<(Value, usize)> {
+            stats.degrees[attribute]
+                .heavy_hitters(stats.cardinality as f64 / p)
+                .collect()
+        };
+        assert_eq!(heavy("x", 4.0), vec![(7, 5)]);
+        assert!(heavy("y", 4.0).is_empty());
         // p = 1: threshold 10, nothing heavy.
-        assert!(stats.heavy_hitters(1).is_empty());
+        assert!(heavy("x", 1.0).is_empty());
         assert_eq!(stats.max_degree("x"), 5);
         assert_eq!(stats.max_degree("y"), 1);
         assert_eq!(stats.max_degree("nonexistent"), 0);
+    }
+
+    #[test]
+    fn renamed_statistics_equal_analysing_the_renamed_projection() {
+        let r = skewed_relation();
+        let stats = RelationStatistics::compute(&r, 8);
+        let (x, y, a, b) = ("x".to_string(), "y".to_string(), "a".to_string(), "b".to_string());
+        // Columns swapped and renamed: S(b, a) = π_{y→b, x→a}(R).
+        let view = stats.renamed("S", [(&y, &b), (&x, &a)]);
+        let copy = r
+            .with_attributes_renamed(&[(x.clone(), a.clone()), (y.clone(), b.clone())].into())
+            .project(&[b, a], "S");
+        assert_eq!(view, RelationStatistics::compute(&copy, 8));
+        assert!(Arc::ptr_eq(&view.degrees["a"], &stats.degrees["x"]), "shared, not copied");
     }
 
     #[test]
@@ -651,7 +670,10 @@ mod tests {
             (0..20).map(|i| vec![i, i + 100]).collect(),
         );
         let stats = RelationStatistics::compute(&r, 8);
-        assert!(stats.heavy_hitters(4).is_empty());
-        assert!(stats.heavy_hitters(20).is_empty());
+        for p in [4.0, 20.0] {
+            for degrees in stats.degrees.values() {
+                assert_eq!(degrees.heavy_hitters(20.0 / p).count(), 0);
+            }
+        }
     }
 }

@@ -44,7 +44,9 @@ pub struct Recovery {
     pub dict_extensions: Vec<(u64, Vec<String>)>,
     /// Highest LSN seen anywhere (log or checkpoint); 0 for a fresh dir.
     pub last_lsn: Lsn,
-    /// Log records scanned past the checkpoint (all kinds).
+    /// Redo records (deltas and dictionary extensions) past the checkpoint.
+    /// The markers a checkpoint itself logs carry nothing to replay and are
+    /// not counted: after a clean shutdown this is 0.
     pub records_replayed: u64,
     /// Valid log bytes scanned (whole log, not just past the checkpoint).
     pub bytes_scanned: u64,
@@ -71,12 +73,10 @@ pub fn recover(dir: &Path) -> io::Result<Recovery> {
     let scan = scan_dir(dir)?;
     let mut deltas = Vec::new();
     let mut dict_extensions = Vec::new();
-    let mut records_replayed = 0;
     for (lsn, record) in scan.records() {
         if *lsn <= checkpoint_lsn {
             continue;
         }
-        records_replayed += 1;
         match record {
             WalRecord::DeltaApplied { inserts } => {
                 deltas.push(RecoveredDelta { lsn: *lsn, inserts: inserts.clone() });
@@ -92,11 +92,11 @@ pub fn recover(dir: &Path) -> io::Result<Recovery> {
         }
     }
     Ok(Recovery {
+        records_replayed: (deltas.len() + dict_extensions.len()) as u64,
         checkpoint,
         deltas,
         dict_extensions,
         last_lsn: scan.last_lsn.max(checkpoint_lsn),
-        records_replayed,
         bytes_scanned: scan.bytes,
         torn_tail: scan.torn,
         checkpoints_discarded,

@@ -13,6 +13,7 @@ use pq_core::shares::{integer_shares, ShareRounding};
 use pq_core::skew::heavy::{all_heavy_hitters, heavy_hitters_of_variable};
 use pq_core::skew::oblivious::{oblivious_share_exponents, oblivious_worst_case_load};
 use pq_query::evaluate_sequential;
+use pq_relation::DatabaseStatistics;
 use std::collections::BTreeMap;
 
 #[test]
@@ -110,12 +111,13 @@ fn heavy_hitter_detection_is_consistent_with_statistics() {
     let heavy = 500;
     let db = skewed_star_database(3, m, heavy, 31);
     let p = 16;
-    let hh = heavy_hitters_of_variable(&query, &db, "z", p as f64);
+    let statistics = DatabaseStatistics::compute(&db);
+    let hh = heavy_hitters_of_variable(&query, &db, &statistics, "z", p as f64);
     assert!(hh.is_heavy(0));
     for j in 1..=3 {
         assert_eq!(hh.frequency(&format!("S{j}"), 0), heavy);
     }
-    let all = all_heavy_hitters(&query, &db, p);
+    let all = all_heavy_hitters(&query, &db, &statistics, p as f64);
     assert!(all["z"].is_heavy(0));
     for j in 1..=3 {
         assert!(all[&format!("x{j}")].values.is_empty());
