@@ -149,12 +149,11 @@ fn bench_engine_backend(c: &mut Criterion) {
 
 /// The redial tax the connection pool deletes: one minimal single-atom
 /// round driven through a persistent [`pq_mpc::net::WorkerPool`] (dial +
-/// Hello paid once, before the measurement) versus a fresh
-/// [`pq_mpc::net::Coordinator::connect`] per iteration (dial + Hello +
-/// TCP handshake every time — what every cluster query paid before the
-/// pool existed).
+/// Hello paid once, before the measurement) versus the same pool
+/// disconnected before every iteration (dial + Hello + TCP handshake every
+/// time — what every cluster query paid before the pool existed).
 fn bench_cluster_reconnect(c: &mut Criterion) {
-    use pq_mpc::net::{AtomSpec, Coordinator, RoundProgram, Shipment, WorkerPool};
+    use pq_mpc::net::{AtomSpec, RoundProgram, WorkerPool};
     use pq_mpc::Message;
     use pq_relation::{Relation, Schema};
 
@@ -184,7 +183,7 @@ fn bench_cluster_reconnect(c: &mut Criterion) {
     let workers = LocalWorkers::spawn(2).expect("spawn local workers");
     let config = ClusterConfig::new(workers.addresses().to_vec());
 
-    let pool = WorkerPool::new(config.clone());
+    let pool = WorkerPool::new(config);
     pool.execute(2, 16, 0, &program, &messages, None).expect("warm-up round");
     group.bench_function("pooled_round", |b| {
         b.iter(|| {
@@ -197,9 +196,11 @@ fn bench_cluster_reconnect(c: &mut Criterion) {
 
     group.bench_function("fresh_dial_round", |b| {
         b.iter(|| {
-            let mut coordinator = Coordinator::connect(&config, 2, 16).expect("connect");
-            let shipment = Shipment::from_messages(messages(), 2, 2, 16);
-            coordinator.run_shipment(shipment, &program).expect("runs").len()
+            pool.disconnect();
+            pool.execute(2, 16, 0, &program, &messages, None)
+                .expect("runs")
+                .0
+                .len()
         })
     });
     drop(pool);

@@ -15,9 +15,10 @@
 //!   bushy plans of Section 5 are compared.
 
 use crate::hypercube::run_one_round;
-use pq_mpc::{broadcast_relation, map_servers_parallel, Cluster, Message, RunMetrics};
-use pq_query::{evaluate_bound, instantiate, ConjunctiveQuery};
-use pq_relation::{natural_join, BucketHasher, Database, HashFamily, MultiplyShiftHash, Relation};
+use crate::round::{in_process, InProcess, Round, Routing, Transport};
+use pq_mpc::{broadcast_relation, Message, RunMetrics};
+use pq_query::{evaluate_bound, instantiate, Atom, ConjunctiveQuery};
+use pq_relation::{BucketHasher, Database, HashFamily, MultiplyShiftHash, Relation};
 
 /// Result of a baseline run: the answer plus communication metrics.
 #[derive(Debug, Clone)]
@@ -77,14 +78,12 @@ pub fn sequential_plan_join(
     p: usize,
     seed: u64,
 ) -> BaselineRun {
-    let bound = instantiate(query, database);
-    let mut cluster = Cluster::new(p, database.bits_per_value());
-    cluster.set_input_bits(database.total_size_bits());
+    let mut transport = InProcess::new(p, database);
     let family = MultiplyShiftHash::new(seed);
 
     // Left-deep order: start with the first atom, greedily pick a connected
     // next relation.
-    let mut remaining: Vec<Relation> = bound;
+    let mut remaining: Vec<Relation> = instantiate(query, database);
     let mut acc = remaining.remove(0);
     let mut round = 0usize;
     while !remaining.is_empty() {
@@ -93,40 +92,37 @@ pub fn sequential_plan_join(
             .position(|r| !acc.schema().common_attributes(r.schema()).is_empty())
             .unwrap_or(0);
         let right = remaining.remove(next_idx);
-        acc = shuffle_binary_join(&mut cluster, &acc, &right, &family, round, query);
+        acc = shuffle_binary_join(&mut transport, &acc, &right, &family, round);
         round += 1;
     }
 
-    let head = query.variables();
-    let mut output = acc.project(&head, query.name());
+    let mut output = acc.project(&query.variables(), query.name());
     output.dedup();
     BaselineRun {
         output,
-        metrics: cluster.into_metrics(),
+        metrics: transport.metrics().clone(),
     }
 }
 
-/// One shuffle binary join on the cluster: hash-partition both sides on the
-/// shared attributes (or broadcast the smaller side when disjoint), join
-/// locally, and return the union of the per-server results.
+/// One shuffle binary join: hash-partition both sides on the shared
+/// attributes (or broadcast the smaller side when disjoint), then one round
+/// whose single block joins the two tagged inputs locally and returns the
+/// union of the per-server results.
 fn shuffle_binary_join(
-    cluster: &mut Cluster,
+    transport: &mut InProcess,
     left: &Relation,
     right: &Relation,
     family: &MultiplyShiftHash,
     round: usize,
-    query: &ConjunctiveQuery,
 ) -> Relation {
-    let p = cluster.p();
+    let p = transport.p();
     let common = left.schema().common_attributes(right.schema());
     let mut messages = Vec::new();
 
     // Unique-per-round relation names so fragments from different rounds
     // don't merge on the servers.
-    let lname = format!("__L{round}_{}", left.name());
-    let rname = format!("__R{round}_{}", right.name());
-    let left_tagged = left.renamed(&lname);
-    let right_tagged = right.renamed(&rname);
+    let left_tagged = left.renamed(format!("__L{round}_{}", left.name()));
+    let right_tagged = right.renamed(format!("__R{round}_{}", right.name()));
 
     if common.is_empty() {
         // Broadcast the smaller side, partition the bigger one.
@@ -162,26 +158,14 @@ fn shuffle_binary_join(
             }
         }
     }
-    cluster.communicate(messages);
 
-    let _ = query; // the per-round joins are binary; the head projection happens at the end
-    let outputs = map_servers_parallel(cluster.servers(), |_, server| {
-        match (server.fragment(&lname), server.fragment(&rname)) {
-            (Some(l), Some(r)) => natural_join(&l.renamed(left.name()), &r.renamed(right.name())),
-            _ => Relation::empty(natural_join(
-                &Relation::empty(left.schema().clone()),
-                &Relation::empty(right.schema().clone()),
-            )
-            .schema()
-            .clone()),
-        }
-    });
-    let mut acc = Relation::empty(outputs[0].schema().clone());
-    for o in &outputs {
-        acc.append(o);
-    }
-    acc.dedup();
-    acc
+    let atom = |tagged: &Relation| Atom::new(tagged.name(), tagged.schema().attributes().to_vec());
+    let join = ConjunctiveQuery::new(
+        format!("{}⋈{}", left.name(), right.name()),
+        vec![atom(&left_tagged), atom(&right_tagged)],
+    );
+    let round = Round::single(&join, p, Routing::Messages(messages));
+    in_process(transport.round(round)).remove(0)
 }
 
 /// A direct two-relation shuffle hash join (the algorithm of Example 4.1),
@@ -199,16 +183,14 @@ pub fn shuffle_hash_join(
         "shuffle_hash_join expects a binary join query"
     );
     let bound = instantiate(query, database);
-    let mut cluster = Cluster::new(p, database.bits_per_value());
-    cluster.set_input_bits(database.total_size_bits());
+    let mut transport = InProcess::new(p, database);
     let family = MultiplyShiftHash::new(seed);
-    let joined =
-        shuffle_binary_join(&mut cluster, &bound[0], &bound[1], &family, 0, query);
+    let joined = shuffle_binary_join(&mut transport, &bound[0], &bound[1], &family, 0);
     let mut output = joined.project(&query.variables(), query.name());
     output.dedup();
     BaselineRun {
         output,
-        metrics: cluster.into_metrics(),
+        metrics: transport.metrics().clone(),
     }
 }
 

@@ -19,12 +19,14 @@
 //! ([`Relation::scatter`]), and addresses one message per server of the
 //! cell's subcube to the same shared copy-on-write buffer. The model's
 //! cost — every one of those servers is charged the fragment's bits
-//! ([`Cluster::communicate`]) — is unchanged; it is the simulator's memory
-//! traffic that no longer scales with the replication factor.
+//! ([`pq_mpc::Cluster::communicate`]) — is unchanged; it is the
+//! simulator's memory traffic that no longer scales with the replication
+//! factor.
 
+use crate::round::{in_process, run_single, InProcess, Routing};
 use crate::shares::{self, ShareRounding};
 use pq_mpc::net::Shipment;
-use pq_mpc::{map_servers_parallel, Cluster, Message, RunMetrics, Server};
+use pq_mpc::{Message, RunMetrics, Server};
 use pq_query::{evaluate_bound, instantiate, ConjunctiveQuery};
 use pq_relation::{BucketHasher, Database, HashFamily, MultiplyShiftHash, Relation, Schema, Value};
 use std::collections::BTreeMap;
@@ -33,9 +35,9 @@ use std::collections::BTreeMap;
 /// per-variable hash functions, and the block of physical servers the grid
 /// is mapped onto.
 ///
-/// The router is deliberately independent of the [`Cluster`], so skew-aware
-/// and multi-round algorithms can combine several routers (e.g. one per
-/// heavy hitter, each on its own server block) inside a *single*
+/// The router is deliberately independent of the [`pq_mpc::Cluster`], so
+/// skew-aware and multi-round algorithms can combine several routers (e.g.
+/// one per heavy hitter, each on its own server block) inside a *single*
 /// communication round.
 pub struct HyperCubeRouter {
     variables: Vec<String>,
@@ -205,9 +207,9 @@ impl HyperCubeRouter {
     /// grid points — not once per grid point, as [`Self::route_bound`]
     /// accounts it. The model account is still kept per logical server,
     /// by counting: `received_bits` and `messages` are exactly what
-    /// [`Cluster::communicate`] records for `route_bound`'s messages, so
-    /// the load the paper bounds is unchanged while the wire carries the
-    /// `workers`-fold replication instead of the `p`-fold one.
+    /// [`pq_mpc::Cluster::communicate`] records for `route_bound`'s
+    /// messages, so the load the paper bounds is unchanged while the wire
+    /// carries the `workers`-fold replication instead of the `p`-fold one.
     ///
     /// The same scatter kernel as [`Self::route_relation`], with the
     /// workers hosting a cell's subcube as that cell's destinations, and
@@ -225,13 +227,24 @@ impl HyperCubeRouter {
     ) -> Shipment {
         assert!(workers > 0, "a cluster needs at least one worker");
         let mut shipment = Shipment::new(p, workers);
-        for relation in bound {
-            self.fold_relation(relation, bits_per_value, &mut shipment);
-        }
+        self.fold_into(bound, bits_per_value, &mut shipment);
         shipment
     }
 
-    /// [`Self::route_folded`] for one relation, added onto `shipment`.
+    /// [`Self::route_folded`], added onto `shipment` — how the grids of
+    /// several operators share one round.
+    pub(crate) fn fold_into(
+        &self,
+        bound: &[Relation],
+        bits_per_value: u64,
+        shipment: &mut Shipment,
+    ) {
+        for relation in bound {
+            self.fold_relation(relation, bits_per_value, shipment);
+        }
+    }
+
+    /// [`Self::fold_into`] for one relation.
     fn fold_relation(&self, relation: &Relation, bits_per_value: u64, shipment: &mut Shipment) {
         let p = shipment.received_bits.len();
         let workers = shipment.fragments.len();
@@ -303,27 +316,6 @@ pub fn local_join(query: &ConjunctiveQuery, server: &Server) -> Relation {
     }
 }
 
-/// Where the HyperCube algorithm sends each tuple: the round's messages for
-/// the given integer shares on a grid anchored at server 0.
-///
-/// # Panics
-/// Panics when the share grid has more points than `p`.
-pub fn route_hypercube(
-    query: &ConjunctiveQuery,
-    database: &Database,
-    p: usize,
-    shares: &BTreeMap<String, usize>,
-    seed: u64,
-) -> Vec<Message> {
-    let router = HyperCubeRouter::new(query, shares, seed, 0, 0);
-    assert!(
-        router.grid_size() <= p,
-        "share grid of size {} does not fit on {p} servers",
-        router.grid_size()
-    );
-    router.route_bound(&instantiate(query, database))
-}
-
 /// Run one communication round in process — what every one-round
 /// algorithm shares once it has decided where each tuple goes: deliver
 /// `messages` to `p` simulated servers (the model's cost account), join
@@ -334,19 +326,14 @@ pub fn run_one_round(
     p: usize,
     messages: Vec<Message>,
 ) -> (Relation, RunMetrics) {
-    let mut cluster = Cluster::new(p, database.bits_per_value());
-    cluster.set_input_bits(database.total_size_bits());
-    cluster.communicate(messages);
-    let outputs = map_servers_parallel(cluster.servers(), |_, server| local_join(query, server));
-    let mut output = Relation::empty(Schema::new(query.name(), query.variables()));
-    for o in &outputs {
-        output.append(o);
-    }
-    output.dedup();
-    (output, cluster.into_metrics())
+    let transport = InProcess::new(p, database);
+    in_process(run_single(transport, query, Routing::Messages(messages)))
 }
 
 /// Run the HyperCube algorithm with explicitly provided integer shares.
+///
+/// # Panics
+/// Panics when the share grid has more points than `p`.
 pub fn run_hypercube_with_shares(
     query: &ConjunctiveQuery,
     database: &Database,
@@ -354,8 +341,14 @@ pub fn run_hypercube_with_shares(
     shares: &BTreeMap<String, usize>,
     seed: u64,
 ) -> HyperCubeRun {
-    let messages = route_hypercube(query, database, p, shares, seed);
-    let (output, metrics) = run_one_round(query, database, p, messages);
+    let router = HyperCubeRouter::new(query, shares, seed, 0, 0);
+    assert!(
+        router.grid_size() <= p,
+        "share grid of size {} does not fit on {p} servers",
+        router.grid_size()
+    );
+    let routing = Routing::grid(router, instantiate(query, database));
+    let (output, metrics) = in_process(run_single(InProcess::new(p, database), query, routing));
     HyperCubeRun {
         output,
         metrics,
@@ -379,6 +372,7 @@ pub fn run_hypercube(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pq_mpc::Cluster;
     use pq_query::evaluate_sequential;
     use pq_relation::DataGenerator;
 

@@ -14,6 +14,10 @@
 //! * [`hypercube`] — the one-round HyperCube (HC) algorithm of Section 3.1,
 //!   which routes every tuple to a subcube of a `k`-dimensional grid of
 //!   servers and evaluates the query locally.
+//! * [`round`] — one communication round (a routing plus a local query
+//!   per block of servers) and the two transports that run it: the
+//!   in-process simulator and real worker processes. Every join algorithm
+//!   below runs its rounds through it.
 //! * [`baselines`] — the comparison algorithms: single-server evaluation,
 //!   broadcast joins and the standard shuffle hash join / left-deep
 //!   sequential plans.
@@ -23,7 +27,7 @@
 //!   that use heavy-hitter statistics.
 //! * [`multiround`] — Section 5: the `Γ^r_ε` classes, multi-round query
 //!   plans (bushy plans for chains, radius plans for tree-like queries),
-//!   their executor on the simulator, and connected components.
+//!   their executor (on either transport), and connected components.
 //! * [`bounds`] — every lower/upper bound formula in the paper:
 //!   `L(u, M, p)` and `L_lower` (Theorem 3.5/3.15), space exponents,
 //!   replication-rate bounds (Cor. 3.19), skewed lower bounds (Thm 4.4 and
@@ -64,6 +68,7 @@ pub mod baselines;
 pub mod bounds;
 pub mod hypercube;
 pub mod multiround;
+pub mod round;
 pub mod shares;
 pub mod skew;
 

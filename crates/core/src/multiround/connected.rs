@@ -17,6 +17,12 @@
 //! Each iteration is executed as genuine MPC rounds (hash-partitioned
 //! shuffles of the edge and label relations), so the simulator's metrics
 //! report both the round count and the per-round load (`O(M/p)` w.h.p.).
+//!
+//! This is the one algorithm that drives the simulator's [`Cluster`]
+//! directly instead of running its rounds through [`crate::round`]: its
+//! local programs take per-vertex minima over labels rather than join, and
+//! a transport's blocks run joins only — so no transport path, and no
+//! worker, runs it.
 
 use pq_mpc::{map_servers_parallel, Cluster, Message, RunMetrics};
 use pq_relation::{BucketHasher, HashFamily, MultiplyShiftHash, Relation, Schema, Value};
@@ -113,34 +119,16 @@ fn propagate_round(
 ) {
     let p = cluster.p();
     let h = family.hasher(iteration, p);
-    let edge_schema = Schema::from_strs("E", &["u", "v"]);
-    let lab_schema = Schema::from_strs("LabU", &["u", "lab"]);
+    let ename = format!("E_{iteration}");
+    let lname = format!("LabU_{iteration}");
 
     // Round A: partition edges and labels by u.
-    let mut edge_parts: Vec<Relation> = (0..p).map(|_| Relation::empty(edge_schema.clone())).collect();
-    for &(u, v) in sym_edges {
-        edge_parts[h.bucket(u)].push_row(&[u, v]);
-    }
-    let mut lab_parts: Vec<Relation> = (0..p).map(|_| Relation::empty(lab_schema.clone())).collect();
-    for (&v, &l) in labels.iter() {
-        lab_parts[h.bucket(v)].push_row(&[v, l]);
-    }
-    let mut messages = Vec::new();
-    for (s, part) in edge_parts.into_iter().enumerate() {
-        if !part.is_empty() {
-            messages.push(Message::tuples(s, part.renamed(format!("E_{iteration}"))));
-        }
-    }
-    for (s, part) in lab_parts.into_iter().enumerate() {
-        if !part.is_empty() {
-            messages.push(Message::tuples(s, part.renamed(format!("LabU_{iteration}"))));
-        }
-    }
+    let mut messages = shuffle(&ename, ["u", "v"], sym_edges.iter().copied(), 0, &h, p);
+    let labelled = labels.iter().map(|(&v, &l)| (v, l));
+    messages.extend(shuffle(&lname, ["u", "lab"], labelled, 0, &h, p));
     cluster.communicate(messages);
 
     // Local: candidates (v, lab(u)) for each edge (u, v).
-    let ename = format!("E_{iteration}");
-    let lname = format!("LabU_{iteration}");
     let candidate_lists = map_servers_parallel(cluster.servers(), |_, server| {
         let mut out: Vec<(Value, Value)> = Vec::new();
         let (Some(e), Some(lab)) = (server.fragment(&ename), server.fragment(&lname)) else {
@@ -159,34 +147,15 @@ fn propagate_round(
     });
 
     // Round B: partition candidates and labels by the target vertex v.
-    let cand_schema = Schema::from_strs("Cand", &["v", "lab"]);
-    let labv_schema = Schema::from_strs("LabV", &["v", "lab"]);
-    let mut cand_parts: Vec<Relation> = (0..p).map(|_| Relation::empty(cand_schema.clone())).collect();
-    for list in candidate_lists {
-        for (v, l) in list {
-            cand_parts[h.bucket(v)].push_row(&[v, l]);
-        }
-    }
-    let mut labv_parts: Vec<Relation> = (0..p).map(|_| Relation::empty(labv_schema.clone())).collect();
-    for (&v, &l) in labels.iter() {
-        labv_parts[h.bucket(v)].push_row(&[v, l]);
-    }
-    let mut messages = Vec::new();
-    for (s, part) in cand_parts.into_iter().enumerate() {
-        if !part.is_empty() {
-            messages.push(Message::tuples(s, part.renamed(format!("Cand_{iteration}"))));
-        }
-    }
-    for (s, part) in labv_parts.into_iter().enumerate() {
-        if !part.is_empty() {
-            messages.push(Message::tuples(s, part.renamed(format!("LabV_{iteration}"))));
-        }
-    }
+    let cname = format!("Cand_{iteration}");
+    let vname = format!("LabV_{iteration}");
+    let candidates = candidate_lists.into_iter().flatten();
+    let mut messages = shuffle(&cname, ["v", "lab"], candidates, 0, &h, p);
+    let labelled = labels.iter().map(|(&v, &l)| (v, l));
+    messages.extend(shuffle(&vname, ["v", "lab"], labelled, 0, &h, p));
     cluster.communicate(messages);
 
     // Local: new label(v) = min(lab(v), min candidates).
-    let cname = format!("Cand_{iteration}");
-    let vname = format!("LabV_{iteration}");
     let updates = map_servers_parallel(cluster.servers(), |_, server| {
         let mut mins: BTreeMap<Value, Value> = BTreeMap::new();
         if let Some(lab) = server.fragment(&vname) {
@@ -221,30 +190,13 @@ fn jump_round(
 ) {
     let p = cluster.p();
     let h = family.hasher(1000 + iteration, p);
-    let by_label_schema = Schema::from_strs("ByLab", &["v", "lab"]);
-    let by_vertex_schema = Schema::from_strs("ByVer", &["v", "lab"]);
-
-    let mut by_label: Vec<Relation> = (0..p).map(|_| Relation::empty(by_label_schema.clone())).collect();
-    let mut by_vertex: Vec<Relation> = (0..p).map(|_| Relation::empty(by_vertex_schema.clone())).collect();
-    for (&v, &l) in labels.iter() {
-        by_label[h.bucket(l)].push_row(&[v, l]);
-        by_vertex[h.bucket(v)].push_row(&[v, l]);
-    }
-    let mut messages = Vec::new();
-    for (s, part) in by_label.into_iter().enumerate() {
-        if !part.is_empty() {
-            messages.push(Message::tuples(s, part.renamed(format!("ByLab_{iteration}"))));
-        }
-    }
-    for (s, part) in by_vertex.into_iter().enumerate() {
-        if !part.is_empty() {
-            messages.push(Message::tuples(s, part.renamed(format!("ByVer_{iteration}"))));
-        }
-    }
-    cluster.communicate(messages);
-
     let lname = format!("ByLab_{iteration}");
     let vname = format!("ByVer_{iteration}");
+    let labelled = || labels.iter().map(|(&v, &l)| (v, l));
+    let mut messages = shuffle(&lname, ["v", "lab"], labelled(), 1, &h, p);
+    messages.extend(shuffle(&vname, ["v", "lab"], labelled(), 0, &h, p));
+    cluster.communicate(messages);
+
     let updates = map_servers_parallel(cluster.servers(), |_, server| {
         let mut out: Vec<(Value, Value)> = Vec::new();
         let (Some(by_lab), Some(by_ver)) = (server.fragment(&lname), server.fragment(&vname)) else {
@@ -268,6 +220,29 @@ fn jump_round(
             *entry = (*entry).min(l2);
         }
     }
+}
+
+/// One hash shuffle of `(x, y)` pairs: the pairs, in input order, as
+/// relation `name`, split over the `p` servers by the hash of column `by`
+/// ([`Relation::partition`]), one message per non-empty part.
+fn shuffle(
+    name: &str,
+    columns: [&str; 2],
+    pairs: impl Iterator<Item = (Value, Value)>,
+    by: usize,
+    h: &impl BucketHasher,
+    p: usize,
+) -> Vec<Message> {
+    let values: Vec<Value> = pairs.flat_map(|(x, y)| [x, y]).collect();
+    let rows = values.len() / 2;
+    let relation = Relation::from_values(Schema::from_strs(name, &columns), rows, values);
+    relation
+        .partition(p, |_, row| h.bucket(row[by]))
+        .into_iter()
+        .enumerate()
+        .filter(|(_, part)| !part.is_empty())
+        .map(|(server, part)| Message::tuples(server, part))
+        .collect()
 }
 
 /// Sequential union-find oracle for correctness checks.

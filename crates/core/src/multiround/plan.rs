@@ -5,16 +5,19 @@
 //! HyperCube algorithm over its children's results, and all nodes at the
 //! same depth run in the same communication round on disjoint blocks of
 //! servers (Proposition 5.1). The depth of the plan is therefore the number
-//! of rounds.
+//! of rounds: each level is one [`Round`] with a block per operator, run by
+//! any [`Transport`] — the simulator, or real workers with the views held
+//! by the coordinator between rounds.
 //!
 //! Example 5.2's plan for `L_16` at ε = 1/2 has two levels: four `L_4`
 //! operators in round one, then an `L_4` over the four views in round two.
 
-use crate::hypercube::{local_join, HyperCubeRouter};
+use crate::hypercube::HyperCubeRouter;
+use crate::round::{in_process, Block, InProcess, Round, Routing, Transport};
 use crate::shares;
-use pq_mpc::{map_servers_parallel, Cluster, Message, RunMetrics};
+use pq_mpc::RunMetrics;
 use pq_query::{instantiate, Atom, ConjunctiveQuery};
-use pq_relation::{Database, Relation, Schema};
+use pq_relation::{Database, Relation};
 use std::collections::BTreeMap;
 
 /// A node of a multi-round query plan.
@@ -158,15 +161,11 @@ pub struct PlanRun {
     pub round_views: Vec<Vec<String>>,
 }
 
-/// Execute a plan for `query` over `database` on `p` servers.
-///
-/// Every node at depth `d` is evaluated in round `d` by the HyperCube
-/// algorithm for its induced join, on its own block of servers
-/// (`p / #nodes-at-that-depth` servers each).
+/// Execute a plan for `query` over `database` on `p` simulated servers:
+/// [`execute_plan_on`] in process.
 ///
 /// # Panics
-/// Panics when the plan does not reference every atom of the query exactly
-/// once, or `p` is smaller than the number of operators in some round.
+/// As [`execute_plan_on`].
 pub fn execute_plan(
     plan: &PlanNode,
     query: &ConjunctiveQuery,
@@ -174,6 +173,30 @@ pub fn execute_plan(
     p: usize,
     seed: u64,
 ) -> PlanRun {
+    in_process(execute_plan_on(plan, query, database, seed, &mut InProcess::new(p, database)))
+}
+
+/// Execute a plan for `query` over `database` on `transport`'s servers.
+///
+/// Every node at depth `d` is evaluated in round `d` by the HyperCube
+/// algorithm for its induced join, on its own block of servers
+/// (`p / #nodes-at-that-depth` servers each). Between rounds the caller's
+/// side holds every view: each block's answer is merged and deduplicated,
+/// then routed as an input of the next round.
+///
+/// # Errors
+/// As [`Transport::round`].
+///
+/// # Panics
+/// Panics when the plan does not reference every atom of the query exactly
+/// once, or `p` is smaller than the number of operators in some round.
+pub fn execute_plan_on<T: Transport>(
+    plan: &PlanNode,
+    query: &ConjunctiveQuery,
+    database: &Database,
+    seed: u64,
+    transport: &mut T,
+) -> Result<PlanRun, T::Error> {
     // Validate atom coverage.
     let mut bases = plan.base_relations();
     bases.sort();
@@ -183,9 +206,7 @@ pub fn execute_plan(
         bases, expected,
         "plan must reference every atom of the query exactly once"
     );
-
-    let mut cluster = Cluster::new(p, database.bits_per_value());
-    cluster.set_input_bits(database.total_size_bits());
+    let p = transport.p();
 
     // Materialised node outputs by view name; base relations are bound atom
     // instances.
@@ -208,8 +229,8 @@ pub fn execute_plan(
             nodes.len()
         );
         let block = p / nodes.len();
-        let mut all_messages: Vec<Message> = Vec::new();
-        let mut node_queries = Vec::new();
+        let mut grids = Vec::with_capacity(nodes.len());
+        let mut blocks = Vec::with_capacity(nodes.len());
         for (idx, node) in nodes.iter().enumerate() {
             let (induced, inputs) = induced_query(node, query, &views);
             let sizes: BTreeMap<String, u64> = inputs
@@ -222,45 +243,33 @@ pub fn execute_plan(
             // Clamp to the block size (the share LP already guarantees the
             // product fits, but stay defensive when block == 1).
             if block == 1 {
-                for v in node_shares.values_mut() {
-                    *v = 1;
-                }
+                node_shares.values_mut().for_each(|v| *v = 1);
             }
             let offset = idx * block;
             let router =
                 HyperCubeRouter::new(&induced, &node_shares, seed, round * 97 + idx * 13, offset);
-            all_messages.extend(router.route_bound(&inputs));
-            node_queries.push((node.output_name().to_string(), induced, offset, block));
+            grids.push((router, inputs));
+            blocks.push(Block {
+                query: induced,
+                servers: offset..offset + block,
+            });
         }
-        cluster.communicate(all_messages);
-
-        // Local evaluation per node block, in parallel over servers.
-        let mut produced = Vec::new();
-        for (view_name, induced, offset, block) in node_queries {
-            let servers = &cluster.servers()[offset..offset + block];
-            let outputs = map_servers_parallel(servers, |_, server| local_join(&induced, server));
-            let mut view = Relation::empty(Schema::new(view_name.clone(), induced.variables()));
-            for o in &outputs {
-                view.append(o);
-            }
-            view.dedup();
-            views.insert(view_name.clone(), view);
-            produced.push(view_name);
-        }
+        let produced: Vec<String> = nodes.iter().map(|n| n.output_name().to_string()).collect();
+        let answers = transport.round(Round {
+            routing: Routing::Grids(grids),
+            blocks,
+        })?;
+        views.extend(produced.iter().cloned().zip(answers));
         round_views.push(produced);
     }
 
-    let root = views
-        .get(plan.output_name())
-        .expect("root view materialised")
-        .clone();
-    let mut output = root.project(&query.variables(), query.name());
+    let mut output = views[plan.output_name()].project(&query.variables(), query.name());
     output.dedup();
-    PlanRun {
+    Ok(PlanRun {
         output,
-        metrics: cluster.into_metrics(),
+        metrics: transport.metrics().clone(),
         round_views,
-    }
+    })
 }
 
 /// The join nodes whose depth equals `depth` (1-based rounds) — the
@@ -312,7 +321,7 @@ fn induced_query(
 mod tests {
     use super::*;
     use pq_query::evaluate_sequential;
-    use pq_relation::DataGenerator;
+    use pq_relation::{DataGenerator, Schema};
 
     fn chain_db(k: usize, m: usize, seed: u64) -> Database {
         let mut gen = DataGenerator::new(seed, (m * 40) as u64);

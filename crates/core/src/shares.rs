@@ -20,7 +20,8 @@
 //!
 //! Real-valued shares must be converted to integers whose product is at most
 //! `p`; [`integer_shares`] offers the floor strategy and a greedy
-//! redistribution strategy (the ablation of DESIGN.md).
+//! redistribution strategy — the integral shares Section 3.1's grid needs;
+//! `tests/property_tests.rs` holds both to `Π_i p_i ≤ p`.
 
 use pq_lp::{ConstraintOp, LinearProgram, Objective};
 use pq_query::{packing, ConjunctiveQuery};

@@ -1,18 +1,18 @@
 //! The executor: turn a [`Plan`] into an answer.
 //!
-//! A plan's [`Strategy`] decides one thing — *where each tuple is sent* —
-//! and one `match` on it yields that round's router. Everything after the
-//! shuffle is shared: the in-process transport is
-//! [`pq_core::hypercube::run_one_round`] (the MPC simulator, whose
-//! per-server local joins run on the `pq-exec` pool), the TCP transport is
-//! [`WorkerPool`], and which one runs is the backend's choice, never the
-//! strategy's. So the worker cluster executes the algorithm the planner
-//! chose for every one-round strategy, with the model account
-//! ([`RunMetrics`]) bit-identical to the simulator's; only a
-//! [`Strategy::MultiRound`] plan, which the wire cannot run yet, degrades
-//! there to one-round HyperCube with the plan's LP shares. Answers are
-//! returned with columns in the user's head order, whatever variable order
-//! the underlying algorithm produced.
+//! A plan's [`Strategy`] decides one thing — *where each tuple is sent, in
+//! which rounds* — and one `match` on it builds those rounds
+//! ([`pq_core::round`]). Everything else is the transport's, and which
+//! transport runs is the backend's choice, never the strategy's: the MPC
+//! simulator ([`InProcess`], whose per-server local joins run on the
+//! `pq-exec` pool) or the worker cluster ([`Workers`], one pooled run per
+//! round). So the cluster executes the algorithm the planner chose — the
+//! one-round strategies and the §5 multi-round plans alike — with the
+//! model account ([`RunMetrics`]) bit-identical to the simulator's. Between
+//! the rounds of a multi-round plan the coordinator holds the views, so
+//! every round on the wire is a self-contained pool run, retried on its
+//! own. Answers are returned with columns in the user's head order,
+//! whatever variable order the underlying algorithm produced.
 //!
 //! Statistics are given, as §4.2 assumes: the skew-aware routers read
 //! their heavy hitters from the snapshot's catalogue
@@ -22,12 +22,13 @@
 use crate::backend::{ExecBackend, FallbackPolicy};
 use crate::planner::{Plan, Strategy};
 use crate::snapshot::Snapshot;
-use pq_core::hypercube::{route_hypercube, run_one_round, HyperCubeRouter};
-use pq_core::multiround::plan::execute_plan as execute_multiround;
+use pq_core::hypercube::HyperCubeRouter;
+use pq_core::multiround::plan::execute_plan_on;
+use pq_core::round::{in_process, run_single, InProcess, Routing, Transport, Workers};
 use pq_core::skew::star::route_star_skew_aware;
 use pq_core::skew::triangle::route_triangle_skew_aware;
-use pq_mpc::net::{AtomSpec, ClusterError, RoundProgram, WorkerPool};
-use pq_mpc::{Message, RunMetrics};
+use pq_mpc::net::ClusterError;
+use pq_mpc::RunMetrics;
 use pq_obs::MetricsRegistry;
 use pq_query::{bind_atom, instantiate, ConjunctiveQuery};
 use pq_relation::{Database, DatabaseStatistics, Relation};
@@ -46,21 +47,6 @@ pub struct RunOutcome {
     pub wall: Duration,
 }
 
-/// Where a strategy sends each tuple of its one round.
-enum Router<'a> {
-    /// The HyperCube grid with these shares: per logical server in process
-    /// ([`route_hypercube`]), folded per worker *while* routing on the wire
-    /// ([`HyperCubeRouter::route_folded`]).
-    Grid(&'a BTreeMap<String, usize>),
-    /// Ready-made per-logical-server messages; the wire folds them
-    /// set-wise ([`pq_mpc::net::Shipment::from_messages`]).
-    Messages(Box<dyn Fn() -> Vec<Message> + 'a>),
-}
-
-/// The pool of a cluster backend and the registry its rounds are recorded
-/// into; `None` runs in process.
-type Wire<'a> = Option<(&'a WorkerPool, Option<&'a Arc<MetricsRegistry>>)>;
-
 /// Execute `plan` over a database [`Snapshot`] on the in-process simulator.
 /// The `seed` selects the hash functions of the HyperCube routers; any
 /// value gives a correct answer. Takes the snapshot immutably, so
@@ -72,14 +58,14 @@ type Wire<'a> = Option<(&'a WorkerPool, Option<&'a Arc<MetricsRegistry>>)>;
 /// or re-shaped since planning); the engine re-plans on any statistics
 /// change, so this indicates misuse of the raw executor API.
 pub fn run_plan(plan: &Plan, snapshot: &Snapshot, seed: u64) -> RunOutcome {
-    execute(plan, snapshot, seed, None).expect("the in-process transport cannot fail")
+    in_process(execute(plan, snapshot, seed, |data| InProcess::new(plan.p, data)))
 }
 
 /// Execute `plan` on the chosen backend: [`run_plan`] on the simulator, or
-/// the same strategy's round over real worker processes for
+/// the same rounds over real worker processes for
 /// [`ExecBackend::Cluster`], with the rounds additionally recorded into
 /// `registry` when one is given (see
-/// [`pq_mpc::net::Coordinator::set_registry`]; the simulator path records
+/// [`pq_mpc::net::WorkerPool::execute_folded`]; the simulator path records
 /// nothing here, the engine layers account it from the returned
 /// [`RunOutcome`]). The simulator path is infallible; only the cluster can
 /// error (a worker died, timed out, or broke protocol), and under
@@ -101,7 +87,8 @@ pub fn run_plan_on(
     let ExecBackend::Cluster { pool, fallback } = backend else {
         return Ok(run_plan(plan, snapshot, seed));
     };
-    match (execute(plan, snapshot, seed, Some((pool, registry))), fallback) {
+    let workers = |data: &Database| Workers::new(pool, registry, plan.p, data);
+    match (execute(plan, snapshot, seed, workers), fallback) {
         (Err(_), FallbackPolicy::Simulator) => {
             // Graceful degradation: the cluster stayed unhealthy past its
             // whole retry budget, so serve the exact answer from the
@@ -125,105 +112,61 @@ pub fn run_plan_on(
     }
 }
 
-/// Run `plan` over `wire`, or in process without one. The one `match` on
-/// the strategy picks the query every server joins locally, the database
-/// it reads and the round's [`Router`]; the transport then runs the round.
-/// On the wire the router is asked again per retry attempt, over the
-/// immutable snapshot and for that attempt's live worker count — which is
-/// what makes the pool's automatic retry of a failed round on a reduced
+/// Run `plan` on the transport `transport` opens over the database the
+/// rounds read. The one `match` on the strategy builds the rounds: the
+/// query every server joins locally, the database it reads and where each
+/// tuple goes. On the wire every round is asked for its shipment again per
+/// retry attempt, over the immutable snapshot (and the views the
+/// coordinator holds) for that attempt's live worker count — which is what
+/// makes the pool's automatic retry of a failed round on a reduced
 /// topology safe (see [`pq_mpc::net::pool`]).
-fn execute(
+fn execute<T: Transport>(
     plan: &Plan,
     snapshot: &Snapshot,
     seed: u64,
-    wire: Wire<'_>,
-) -> Result<RunOutcome, ClusterError> {
+    transport: impl Fn(&Database) -> T,
+) -> Result<RunOutcome, T::Error> {
     let (database, statistics) = (snapshot.database(), snapshot.statistics());
     let query = &plan.parsed.query;
     let p = plan.p;
     let start = Instant::now();
-    let finish = |raw: Relation, metrics| {
-        let mut output = raw.project(&plan.parsed.head, query.name());
-        output.dedup();
-        RunOutcome {
-            output,
-            metrics,
-            wall: start.elapsed(),
+    let (raw, metrics) = match &plan.strategy {
+        Strategy::HyperCube { shares } => {
+            let router = HyperCubeRouter::new(query, shares, seed, 0, 0);
+            let routing = Routing::grid(router, instantiate(query, database));
+            run_single(transport(database), query, routing)?
         }
-    };
-    // The skew-aware triangle runs the canonical `C_3` over a re-laid-out
-    // database and maps its x1..x3 columns back to the user's variables.
-    let triangle = ConjunctiveQuery::triangle();
-    let (canonical, canonical_statistics);
-    let mut user_vars = HashMap::new();
-    let (local, data, router) = match &plan.strategy {
-        Strategy::HyperCube { shares } => (query, database, Router::Grid(shares)),
         Strategy::SkewAwareStar { .. } => {
-            let route = move || route_star_skew_aware(query, database, statistics, p, seed).0;
-            (query, database, Router::Messages(Box::new(route)))
+            let messages = route_star_skew_aware(query, database, statistics, p, seed).0;
+            run_single(transport(database), query, Routing::Messages(messages))?
         }
         Strategy::SkewAwareTriangle { canonical_vars } => {
-            (canonical, canonical_statistics) =
+            // The canonical `C_3` runs over a re-laid-out database; its
+            // x1..x3 columns map back to the user's variables.
+            let (canonical, statistics) =
                 canonical_triangle(query, canonical_vars, database, statistics);
-            user_vars = (1..)
+            let messages = route_triangle_skew_aware(&canonical, &statistics, p, seed).0;
+            let triangle = ConjunctiveQuery::triangle();
+            let (raw, metrics) =
+                run_single(transport(&canonical), &triangle, Routing::Messages(messages))?;
+            let user_vars: HashMap<String, String> = (1..)
                 .map(|i| format!("x{i}"))
                 .zip(canonical_vars.iter().cloned())
                 .collect();
-            let route = || route_triangle_skew_aware(&canonical, &canonical_statistics, p, seed).0;
-            (&triangle, &canonical, Router::Messages(Box::new(route)))
+            (raw.with_attributes_renamed(&user_vars), metrics)
         }
-        Strategy::MultiRound { plan: node, .. } => match wire {
-            // The wire runs one round per run: there the plan's LP shares
-            // (whose grid fits on `p` servers for every strategy) run as
-            // plain HyperCube — the same rows, a different load.
-            Some(_) => (query, database, Router::Grid(&plan.shares)),
-            None => {
-                let run = execute_multiround(node, query, database, p, seed);
-                return Ok(finish(run.output, run.metrics));
-            }
-        },
-    };
-    let (raw, metrics) = match wire {
-        None => {
-            let messages = match &router {
-                Router::Grid(shares) => route_hypercube(local, data, p, shares, seed),
-                Router::Messages(route) => route(),
-            };
-            run_one_round(local, data, p, messages)
-        }
-        Some((pool, registry)) => {
-            let program = RoundProgram {
-                name: local.name().to_string(),
-                output_vars: local.variables(),
-                atoms: local
-                    .atoms()
-                    .iter()
-                    .map(|atom| AtomSpec {
-                        relation: atom.relation().to_string(),
-                        variables: atom.distinct_variables(),
-                    })
-                    .collect(),
-            };
-            let (bits, input_bits) = (data.bits_per_value(), data.total_size_bits());
-            match &router {
-                Router::Grid(shares) => {
-                    let grid = HyperCubeRouter::new(local, shares, seed, 0, 0);
-                    let bound = instantiate(local, data);
-                    let fold = |workers| grid.route_folded(&bound, p, workers, bits);
-                    pool.execute_folded(p, bits, input_bits, &program, &fold, registry)?
-                }
-                Router::Messages(route) => {
-                    pool.execute(p, bits, input_bits, &program, route.as_ref(), registry)?
-                }
-            }
+        Strategy::MultiRound { plan: node, .. } => {
+            let run = execute_plan_on(node, query, database, seed, &mut transport(database))?;
+            (run.output, run.metrics)
         }
     };
-    let raw = if user_vars.is_empty() {
-        raw
-    } else {
-        raw.with_attributes_renamed(&user_vars)
-    };
-    Ok(finish(raw, metrics))
+    let mut output = raw.project(&plan.parsed.head, query.name());
+    output.dedup();
+    Ok(RunOutcome {
+        output,
+        metrics,
+        wall: start.elapsed(),
+    })
 }
 
 /// Rebuild the database in the canonical triangle layout expected by

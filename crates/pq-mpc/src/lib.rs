@@ -40,8 +40,8 @@ pub use cluster::Cluster;
 pub use message::{broadcast_relation, Message, Payload};
 pub use metrics::{RoundStats, RunMetrics};
 pub use net::{
-    serve_worker, shutdown_workers, AtomSpec, ClusterConfig, ClusterError, Coordinator,
-    LocalWorkers, RoundProgram,
+    serve_worker, shutdown_workers, AtomSpec, ClusterConfig, ClusterError, LocalWorkers,
+    RoundProgram,
 };
 pub use parallel::map_servers_parallel;
 pub use partition::{partition_by_hash, partition_round_robin};

@@ -1,13 +1,12 @@
 //! The coordinator side of the cluster protocol.
 //!
-//! A [`Coordinator`] owns one TCP connection per worker and drives the
-//! same round structure as the in-process [`crate::Cluster`]: ship this
-//! round's [`Shipment`], barrier, inspect results. The algorithm above it
-//! still thinks in `p` *logical* servers, while the unit of shipping is
-//! the *worker*: logical server `s` lives on worker `s % workers` (see the
-//! module docs of [`crate::net`] for why that folding is sound and
-//! complete), and the coordinator records two parallel cost accounts per
-//! round:
+//! One communication round over the worker connections mirrors the
+//! in-process [`crate::Cluster`]: ship the round's [`Shipment`], barrier,
+//! collect the answers. The algorithm above it still thinks in `p`
+//! *logical* servers, while the unit of shipping is the *worker*: logical
+//! server `s` lives on worker `s % workers` (see the module docs of
+//! [`crate::net`] for why that folding is sound and complete), and the
+//! round records two parallel cost accounts:
 //!
 //! * the model's [`crate::RoundStats::received_bits`] (length `p`,
 //!   idealised `bits_per_value` accounting, bit-identical to what the
@@ -17,11 +16,14 @@
 //!   what each worker actually read off its socket, frame headers
 //!   included).
 //!
-//! The write phase is deadlock-free by construction: the coordinator
-//! feeds the workers one after the other (fragments, `Execute`, flush)
-//! and reads nothing before every worker has its `Execute`, while workers
-//! write only after receiving theirs — so an early worker computes, and at
-//! worst blocks on its answer, while the later ones are still being fed.
+//! [`crate::net::WorkerPool`] drives every round — one pool run each, over
+//! the connections it keeps — and this module holds the configuration, the
+//! errors and the round's wire protocol. The write phase is deadlock-free
+//! by construction: the coordinator feeds the workers one after the other
+//! (fragments, one `Execute` per block of logical servers, flush) and
+//! reads nothing before every worker has its `Execute`s, while workers
+//! write only after receiving one — so an early worker computes, and at
+//! worst blocks on an answer, while the later ones are still being fed.
 
 use crate::metrics::{RoundStats, RunMetrics};
 use crate::net::codec::{read_frame, write_frame, Frame, FrameError};
@@ -31,7 +33,6 @@ use pq_obs::MetricsRegistry;
 use pq_relation::Relation;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Where the workers live, how long to wait for them, and how hard the
@@ -45,10 +46,10 @@ pub struct ClusterConfig {
     /// [`ClusterError::Timeout`] instead of a hang. The per-query
     /// [`ClusterConfig::deadline`] caps it further as the budget drains.
     pub read_timeout: Duration,
-    /// Per-query wall-clock budget covering *all* attempts of a run —
-    /// dials, Hellos, rounds and backoff pauses included. When it runs
-    /// out mid-run the result is [`ClusterError::DeadlineExceeded`], never
-    /// a hang.
+    /// Wall-clock budget covering *all* attempts of a run — dials,
+    /// Hellos, the round and backoff pauses included; a multi-round plan
+    /// is one run per round. When it runs out mid-run the result is
+    /// [`ClusterError::DeadlineExceeded`], never a hang.
     pub deadline: Duration,
     /// How failed runs are retried on a freshly rebuilt topology.
     pub retry: RetryPolicy,
@@ -278,6 +279,14 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
+/// Map an I/O error on `worker`'s connection to the error naming it.
+fn io_error(worker: usize) -> impl Fn(std::io::Error) -> ClusterError + Copy {
+    move |e| ClusterError::Io {
+        worker,
+        message: e.to_string(),
+    }
+}
+
 /// Map a read-side [`FrameError`] to the cluster error naming the worker.
 fn read_error(worker: usize, timeout: Duration, error: FrameError) -> ClusterError {
     match error {
@@ -292,7 +301,7 @@ fn read_error(worker: usize, timeout: Duration, error: FrameError) -> ClusterErr
 
 /// One live worker connection: a dialled, nodelay TCP stream split into a
 /// buffered reader/writer pair. [`crate::net::WorkerPool`] keeps these
-/// alive between runs; a bare [`Coordinator::connect`] dials fresh ones.
+/// alive between runs.
 #[derive(Debug)]
 pub(crate) struct Connection {
     reader: BufReader<TcpStream>,
@@ -307,10 +316,7 @@ impl Connection {
         read_timeout: Duration,
         worker: usize,
     ) -> Result<Connection, ClusterError> {
-        let io = |e: std::io::Error| ClusterError::Io {
-            worker,
-            message: e.to_string(),
-        };
+        let io = io_error(worker);
         let stream = TcpStream::connect(address).map_err(io)?;
         stream.set_nodelay(true).map_err(io)?;
         stream.set_read_timeout(Some(read_timeout)).map_err(io)?;
@@ -327,10 +333,7 @@ impl Connection {
         workers: usize,
         bits_per_value: u64,
     ) -> Result<(), ClusterError> {
-        let io = |e: std::io::Error| ClusterError::Io {
-            worker,
-            message: e.to_string(),
-        };
+        let io = io_error(worker);
         write_frame(
             &mut self.writer,
             &Frame::Hello {
@@ -369,100 +372,30 @@ impl Connection {
     }
 }
 
-/// The round driver over real worker processes. Create with
-/// [`Coordinator::connect`], call [`Coordinator::run_shipment`] once per
-/// communication round, then collect [`Coordinator::into_metrics`].
-#[derive(Debug)]
-pub struct Coordinator {
-    connections: Vec<Connection>,
-    timeout: Duration,
-    /// Absolute cut-off for this run plus the budget it came from, set by
-    /// [`Coordinator::set_deadline`]; per-read socket timeouts shrink to
-    /// the remaining budget as it drains.
-    deadline: Option<(Instant, Duration)>,
-    p: usize,
-    metrics: RunMetrics,
-    registry: Option<Arc<MetricsRegistry>>,
+/// The driver of one communication round over real worker processes.
+/// [`crate::net::WorkerPool`] builds one per attempt, over the connections
+/// it acquired — dialled and Hello'd, worker `i` of the attempt on
+/// `connections[i]` — so every round is a self-contained run that a retry
+/// can replay on a rebuilt topology.
+pub(crate) struct Coordinator<'a> {
+    pub(crate) connections: &'a mut [Connection],
+    /// The flat per-socket read timeout.
+    pub(crate) timeout: Duration,
+    /// Absolute cut-off of the run plus the budget it came from: barrier
+    /// reads cap their socket timeout at the remaining budget, and a
+    /// drained budget yields [`ClusterError::DeadlineExceeded`] instead of
+    /// another read.
+    pub(crate) deadline: (Instant, Duration),
+    /// Where the completed round is also recorded (cumulative across
+    /// rounds, see [`crate::net::WorkerPool::execute_folded`]).
+    pub(crate) registry: Option<&'a MetricsRegistry>,
 }
 
-impl Coordinator {
-    /// Connect to every configured worker and introduce ourselves with a
-    /// `Hello` frame (which also resets any state a reused worker kept
-    /// from an earlier run).
-    ///
-    /// # Errors
-    /// [`ClusterError::Io`] when a worker is unreachable;
-    /// [`ClusterError::Protocol`] when the config lists no workers or
-    /// `p == 0`.
-    pub fn connect(
-        config: &ClusterConfig,
-        p: usize,
-        bits_per_value: u64,
-    ) -> Result<Coordinator, ClusterError> {
-        if config.workers.is_empty() {
-            return Err(ClusterError::Protocol {
-                worker: 0,
-                message: "the cluster config lists no workers".into(),
-            });
-        }
-        if p == 0 {
-            return Err(ClusterError::Protocol {
-                worker: 0,
-                message: "a run needs at least one logical server".into(),
-            });
-        }
-        let workers = config.workers.len();
-        let mut connections = Vec::with_capacity(workers);
-        for (worker, address) in config.workers.iter().enumerate() {
-            let mut connection = Connection::dial(address, config.read_timeout, worker)?;
-            connection.send_hello(worker, workers, bits_per_value)?;
-            connections.push(connection);
-        }
-        Ok(Coordinator::from_connections(
-            connections,
-            config.read_timeout,
-            p,
-        ))
-    }
-
-    /// Build a coordinator over already-dialled, already-Hello'd
-    /// connections — the pool's entry point, which is what makes
-    /// connection reuse across runs possible at all.
-    pub(crate) fn from_connections(
-        connections: Vec<Connection>,
-        timeout: Duration,
-        p: usize,
-    ) -> Coordinator {
-        Coordinator {
-            connections,
-            timeout,
-            deadline: None,
-            p,
-            metrics: RunMetrics::default(),
-            registry: None,
-        }
-    }
-
-    /// Take the connections back out (for the pool to keep), along with
-    /// the metrics of the run they just served.
-    pub(crate) fn take_connections(self) -> (Vec<Connection>, RunMetrics) {
-        (self.connections, self.metrics)
-    }
-
-    /// Enforce an absolute per-run deadline: every subsequent barrier read
-    /// caps its socket timeout at the remaining budget, and a drained
-    /// budget yields [`ClusterError::DeadlineExceeded`] instead of another
-    /// read.
-    pub fn set_deadline(&mut self, deadline: Option<(Instant, Duration)>) {
-        self.deadline = deadline;
-    }
-
+impl Coordinator<'_> {
     /// The timeout for the next read on `worker`'s socket: the flat
     /// per-socket timeout, capped by what is left of the deadline budget.
     fn prepare_read(&mut self, worker: usize) -> Result<Duration, ClusterError> {
-        let Some((deadline, budget)) = self.deadline else {
-            return Ok(self.timeout);
-        };
+        let (deadline, budget) = self.deadline;
         let remaining = deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
             return Err(ClusterError::DeadlineExceeded { budget });
@@ -470,146 +403,137 @@ impl Coordinator {
         let effective = remaining.min(self.timeout);
         self.connections[worker]
             .set_read_timeout(effective)
-            .map_err(|e| ClusterError::Io {
-                worker,
-                message: e.to_string(),
-            })?;
+            .map_err(io_error(worker))?;
         Ok(effective)
     }
 
-    /// Also record every completed round into `registry` (cumulative
-    /// across coordinators): `pq_cluster_rounds_total`, a
-    /// `pq_cluster_round_wall_micros` histogram and one
-    /// `pq_cluster_worker_wire_bytes_total{worker=…}` counter per worker
-    /// slot. The per-run [`RunMetrics`] are unaffected.
-    pub fn set_registry(&mut self, registry: Arc<MetricsRegistry>) {
-        self.registry = Some(registry);
-    }
-
-    /// Number of worker processes (≤ `p`, the logical servers).
-    pub fn num_workers(&self) -> usize {
-        self.connections.len()
-    }
-
-    /// Record the total input size `|I|` in bits, exactly like
-    /// [`crate::Cluster::set_input_bits`].
-    pub fn set_input_bits(&mut self, bits: u64) {
-        self.metrics.input_bits = bits;
-    }
-
-    /// Execute one communication round on the cluster: feed the workers
-    /// one after the other — that worker's fragments, its `Execute`, a
-    /// flush — so the first starts joining while the rest are still being
-    /// fed, then barrier on their answers and return the merged,
-    /// deduplicated result. The shipment's model account becomes the
-    /// round's [`RoundStats::received_bits`] and `messages` as is.
+    /// Execute the round: feed the workers
+    /// one after the other — that worker's fragments, one `Execute` per
+    /// program, a flush — so the first starts joining while the rest are
+    /// still being fed, then barrier on their answers and return, per
+    /// program, the merged, deduplicated result. Each program is the local
+    /// query of one block of logical servers; a worker answers every
+    /// program over the fragments it holds, and the fragments of a block's
+    /// relations only ever come from that block's servers. The shipment's
+    /// model account becomes the round's [`RoundStats::received_bits`] and
+    /// `messages` as is, and the answers' frame bytes its
+    /// `result_wire_bytes`.
     ///
     /// # Errors
-    /// Any [`ClusterError`]; the coordinator is not usable afterwards
-    /// (a failed round leaves workers in an unknown state).
+    /// Any [`ClusterError`]; a failed round leaves the workers in an
+    /// unknown state, so their connections must not be reused.
     ///
     /// # Panics
-    /// Panics when the shipment was folded for a different `p` or worker
-    /// count than this coordinator's.
-    pub fn run_shipment(
-        &mut self,
+    /// Panics when the shipment was folded for a different worker count,
+    /// or `programs` is empty.
+    pub(crate) fn run(
+        mut self,
         shipment: Shipment,
-        program: &RoundProgram,
-    ) -> Result<Relation, ClusterError> {
+        programs: &[RoundProgram],
+    ) -> Result<(Vec<Relation>, RunMetrics), ClusterError> {
         let start = Instant::now();
-        let workers = self.num_workers();
-        let round = (self.metrics.rounds.len() + 1) as u64;
+        let workers = self.connections.len();
+        let round = 1;
+        let mut metrics = RunMetrics::default();
         let Shipment {
             received_bits,
             messages,
             fragments,
         } = shipment;
         assert_eq!(
-            received_bits.len(),
-            self.p,
-            "the shipment's model account must cover the run's logical servers"
-        );
-        assert_eq!(
             fragments.len(),
             workers,
-            "the shipment must be folded for this coordinator's worker count"
+            "the shipment must be folded for this round's worker count"
         );
-        let execute = Frame::Execute {
-            round,
-            name: program.name.clone(),
-            output_vars: program.output_vars.clone(),
-            atoms: program
-                .atoms
-                .iter()
-                .map(|a| (a.relation.clone(), a.variables.clone()))
-                .collect(),
-        };
+        assert!(!programs.is_empty(), "a round runs at least one program");
+        let executes: Vec<Frame> = programs
+            .iter()
+            .map(|program| Frame::Execute {
+                round,
+                name: program.name.clone(),
+                output_vars: program.output_vars.clone(),
+                atoms: program
+                    .atoms
+                    .iter()
+                    .map(|a| (a.relation.clone(), a.variables.clone()))
+                    .collect(),
+            })
+            .collect();
         // Write phase, worker by worker (ones with no fragments still get
-        // their Execute, barrier and answer empty). Nothing is read before
-        // every worker has its Execute.
+        // their Executes, barrier and answer empty). Nothing is read before
+        // every worker has its Executes.
         for (worker, relations) in fragments.into_iter().enumerate() {
             for relation in relations {
                 self.write(worker, &Frame::Fragment { round, relation })?;
             }
-            self.write(worker, &execute)?;
+            for execute in &executes {
+                self.write(worker, execute)?;
+            }
             self.connections[worker]
                 .writer
                 .flush()
-                .map_err(|e| ClusterError::Io {
-                    worker,
-                    message: e.to_string(),
-                })?;
+                .map_err(io_error(worker))?;
         }
-        // Barrier: one Answer per worker, in slot order.
+        // Barrier: one Answer per worker and program, in slot order. A
+        // worker counts the bytes it read since its previous Answer, so its
+        // round total is the sum over its Answers.
         let mut wire_bytes = vec![0u64; workers];
-        let mut merged: Option<Relation> = None;
+        let mut merged: Vec<Option<Relation>> = vec![None; programs.len()];
         for (worker, wire) in wire_bytes.iter_mut().enumerate() {
-            let timeout = self.prepare_read(worker)?;
-            let (frame, frame_bytes) = read_frame(&mut self.connections[worker].reader)
-                .map_err(|e| read_error(worker, timeout, e))?
-                .ok_or(ClusterError::Died { worker })?;
-            match frame {
-                Frame::Answer {
-                    round: answered,
-                    bytes_received,
-                    relation,
-                } => {
-                    if answered != round {
+            for answer in &mut merged {
+                let timeout = self.prepare_read(worker)?;
+                let (frame, frame_bytes) = read_frame(&mut self.connections[worker].reader)
+                    .map_err(|e| read_error(worker, timeout, e))?
+                    .ok_or(ClusterError::Died { worker })?;
+                match frame {
+                    Frame::Answer {
+                        round: answered,
+                        bytes_received,
+                        relation,
+                    } => {
+                        if answered != round {
+                            return Err(ClusterError::Protocol {
+                                worker,
+                                message: format!(
+                                    "answered round {answered} while round {round} is running"
+                                ),
+                            });
+                        }
+                        *wire += bytes_received;
+                        metrics.result_wire_bytes += frame_bytes;
+                        match answer {
+                            Some(acc) => acc.append(&relation),
+                            None => *answer = Some(relation),
+                        }
+                    }
+                    Frame::Error { message } => {
+                        return Err(ClusterError::Worker { worker, message })
+                    }
+                    other => {
                         return Err(ClusterError::Protocol {
                             worker,
-                            message: format!(
-                                "answered round {answered} while round {round} is running"
-                            ),
-                        });
+                            message: format!("expected an Answer frame, got {other:?}"),
+                        })
                     }
-                    *wire = bytes_received;
-                    self.metrics.result_wire_bytes += frame_bytes;
-                    match &mut merged {
-                        Some(acc) => acc.append(&relation),
-                        None => merged = Some(relation),
-                    }
-                }
-                Frame::Error { message } => {
-                    return Err(ClusterError::Worker { worker, message })
-                }
-                other => {
-                    return Err(ClusterError::Protocol {
-                        worker,
-                        message: format!("expected an Answer frame, got {other:?}"),
-                    })
                 }
             }
         }
-        let mut output = merged.expect("at least one worker answered");
-        output.dedup();
+        let outputs = merged
+            .into_iter()
+            .map(|answer| {
+                let mut output = answer.expect("at least one worker answered");
+                output.dedup();
+                output
+            })
+            .collect();
         let stats = RoundStats {
-            round: round as usize,
+            round: 1,
             received_bits,
             messages,
             wire_bytes,
             wall_micros: start.elapsed().as_micros() as u64,
         };
-        if let Some(registry) = self.registry.as_deref().filter(|r| r.is_enabled()) {
+        if let Some(registry) = self.registry.filter(|r| r.is_enabled()) {
             registry
                 .counter(
                     "pq_cluster_rounds_total",
@@ -634,26 +558,12 @@ impl Coordinator {
                     .add(bytes);
             }
         }
-        self.metrics.rounds.push(stats);
-        Ok(output)
-    }
-
-    /// Metrics accumulated so far.
-    pub fn metrics(&self) -> &RunMetrics {
-        &self.metrics
-    }
-
-    /// Consume the coordinator, returning its metrics. The worker
-    /// connections close; the workers themselves keep serving.
-    pub fn into_metrics(self) -> RunMetrics {
-        self.metrics
+        metrics.rounds.push(stats);
+        Ok((outputs, metrics))
     }
 
     fn write(&mut self, worker: usize, frame: &Frame) -> Result<u64, ClusterError> {
-        write_frame(&mut self.connections[worker].writer, frame).map_err(|e| ClusterError::Io {
-            worker,
-            message: e.to_string(),
-        })
+        write_frame(&mut self.connections[worker].writer, frame).map_err(io_error(worker))
     }
 }
 
@@ -675,6 +585,7 @@ mod tests {
     use super::*;
     use crate::message::Message;
     use crate::net::worker::LocalWorkers;
+    use crate::net::WorkerPool;
     use pq_relation::{natural_join, Relation, Schema};
 
     fn rel(name: &str, attrs: &[&str], rows: Vec<Vec<u64>>) -> Relation {
@@ -703,9 +614,7 @@ mod tests {
     #[test]
     fn a_round_over_real_sockets_matches_the_local_join() {
         let workers = LocalWorkers::spawn(2).unwrap();
-        let config = ClusterConfig::new(workers.addresses().to_vec());
-        let mut coordinator = Coordinator::connect(&config, 4, 16).unwrap();
-        coordinator.set_input_bits(1000);
+        let pool = WorkerPool::new(ClusterConfig::new(workers.addresses().to_vec()));
         let r = rel("R", &["x", "y"], vec![vec![1, 2], vec![3, 4], vec![5, 2]]);
         let s = rel("S", &["y", "z"], vec![vec![2, 20], vec![4, 40]]);
         // Partition R by x % 4 onto logical servers, broadcast S — every
@@ -723,8 +632,9 @@ mod tests {
         for to in 0..4 {
             messages.push(Message::tuples(to, s.clone()));
         }
-        let shipment = Shipment::from_messages(messages, 4, 2, 16);
-        let output = coordinator.run_shipment(shipment, &join_program()).unwrap();
+        let (output, metrics) = pool
+            .execute(4, 16, 1000, &join_program(), &|| messages.clone(), None)
+            .unwrap();
         let mut rows: Vec<Vec<u64>> = output.iter().map(|t| t.to_vec()).collect();
         rows.sort();
         let expected = natural_join(&r, &s);
@@ -732,8 +642,8 @@ mod tests {
         expected_rows.sort();
         assert_eq!(rows, expected_rows);
 
-        let metrics = coordinator.into_metrics();
         assert_eq!(metrics.num_rounds(), 1);
+        assert_eq!(metrics.input_bits, 1000);
         let stats = &metrics.rounds[0];
         // Model account: length p, same arithmetic as the simulator
         // (3 R-rows of 2 values + a 2-row broadcast of S, at 16 bits).
@@ -749,22 +659,71 @@ mod tests {
         workers.shutdown();
     }
 
+    /// Two blocks in one round: each program is answered over its own
+    /// relations, and a worker's round bytes are the sum over its answers.
+    #[test]
+    fn every_program_of_a_round_gets_its_own_answer() {
+        let workers = LocalWorkers::spawn(2).unwrap();
+        let pool = WorkerPool::new(ClusterConfig::new(workers.addresses().to_vec()));
+        let t = rel("T", &["u"], vec![vec![7], vec![8]]);
+        let messages = vec![
+            Message::tuples(0, rel("R", &["x", "y"], vec![vec![1, 2], vec![3, 4]])),
+            Message::tuples(0, rel("S", &["y", "z"], vec![vec![2, 20]])),
+            Message::tuples(1, t.clone()),
+        ];
+        let alone = RoundProgram {
+            name: "V".into(),
+            output_vars: vec!["u".into()],
+            atoms: vec![AtomSpec {
+                relation: "T".into(),
+                variables: vec!["u".into()],
+            }],
+        };
+        let programs = [join_program(), alone];
+        let route = |workers| Shipment::from_messages(messages.clone(), 2, workers, 16);
+        let (answers, metrics) = pool.execute_folded(16, 0, &programs, &route, None).unwrap();
+        let joined: Vec<Vec<u64>> = answers[0].iter().map(|row| row.to_vec()).collect();
+        assert_eq!(joined, vec![vec![1, 2, 20]]);
+        assert_eq!(answers[1].canonicalized(), t.renamed("V").canonicalized());
+        let bytes = |frame: &Frame| write_frame(&mut Vec::new(), frame).unwrap();
+        let execute = |program: &RoundProgram| Frame::Execute {
+            round: 1,
+            name: program.name.clone(),
+            output_vars: program.output_vars.clone(),
+            atoms: program
+                .atoms
+                .iter()
+                .map(|a| (a.relation.clone(), a.variables.clone()))
+                .collect(),
+        };
+        let worker_1 = bytes(&Frame::Fragment { round: 1, relation: t })
+            + bytes(&execute(&programs[0]))
+            + bytes(&execute(&programs[1]));
+        assert_eq!(metrics.rounds[0].wire_bytes[1], worker_1);
+        workers.shutdown();
+    }
+
     #[test]
     fn raw_payloads_load_the_model_account_and_stay_off_the_wire() {
         let workers = LocalWorkers::spawn(1).unwrap();
-        let config = ClusterConfig::new(workers.addresses().to_vec());
-        let program = join_program();
+        let pool = WorkerPool::new(ClusterConfig::new(workers.addresses().to_vec()));
         let mut wire = Vec::new();
         for messages in [vec![], vec![Message::raw(0, "stats", 64)]] {
-            let mut coordinator = Coordinator::connect(&config, 2, 8).unwrap();
-            let shipment = Shipment::from_messages(messages, 2, 1, 8);
-            assert!(coordinator.run_shipment(shipment, &program).unwrap().is_empty());
-            wire.push(coordinator.into_metrics().rounds.remove(0));
+            let (output, mut metrics) =
+                pool.execute(2, 8, 0, &join_program(), &|| messages.clone(), None).unwrap();
+            assert!(output.is_empty());
+            wire.push(metrics.rounds.remove(0));
         }
         assert_eq!(wire[1].received_bits, vec![64, 0]);
         assert_eq!(wire[1].messages, 1);
         assert_eq!(wire[1].wire_bytes, wire[0].wire_bytes);
         workers.shutdown();
+    }
+
+    /// The error a one-round run on `config` fails with.
+    fn pool_error(config: ClusterConfig) -> ClusterError {
+        let pool = WorkerPool::new(config);
+        pool.execute(2, 8, 0, &join_program(), &Vec::new, None).unwrap_err()
     }
 
     #[test]
@@ -774,14 +733,17 @@ mod tests {
             let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             listener.local_addr().unwrap().to_string()
         };
-        let config = ClusterConfig::new(vec![dead]);
-        let err = Coordinator::connect(&config, 2, 8).unwrap_err();
+        let config = ClusterConfig::new(vec![dead]).with_retry(RetryPolicy {
+            retries: 0,
+            ..RetryPolicy::default()
+        });
+        let err = pool_error(config);
         assert!(matches!(err, ClusterError::Io { worker: 0, .. }), "{err}");
     }
 
     #[test]
     fn empty_configs_are_rejected() {
-        let err = Coordinator::connect(&ClusterConfig::new(vec![]), 2, 8).unwrap_err();
+        let err = pool_error(ClusterConfig::new(vec![]));
         assert!(matches!(err, ClusterError::Protocol { .. }));
     }
 

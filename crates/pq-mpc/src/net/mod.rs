@@ -18,17 +18,18 @@
 //! * [`shipment`] — the one input of a round: a [`Shipment`] carries the
 //!   model's per-logical-server cost account next to the fragments
 //!   grouped by the *worker* that receives them;
-//! * [`coordinator`] — the driver: feeds each worker its fragments and the
-//!   round's `Execute` in turn, barriers on every worker's answer, and
-//!   merges head fragments. It records both the model's idealised
+//! * [`coordinator`] — the round's wire protocol: feed each worker its
+//!   fragments and one `Execute` per block of logical servers in turn,
+//!   barrier on every worker's answers, and merge them per block. It
+//!   records both the model's idealised
 //!   per-server `received_bits` (identical to the simulator's, given the
 //!   same router and seed) and the *measured* per-worker
 //!   [`crate::RoundStats::wire_bytes`];
 //! * [`pool`] — the resilience layer: a persistent, health-checked
 //!   [`WorkerPool`] that keeps Hello'd connections alive across runs,
-//!   pings stale sockets (`Ping`/`Pong`), retries failed rounds on a
-//!   freshly rebuilt (possibly reduced) topology under a per-query
-//!   deadline, and fails fast behind a circuit breaker;
+//!   pings stale sockets (`Ping`/`Pong`), runs every round as its own run,
+//!   retries a failed round on a freshly rebuilt (possibly reduced)
+//!   topology under a deadline, and fails fast behind a circuit breaker;
 //! * [`retry`] — the scheduling primitives under the pool: capped
 //!   exponential backoff with deterministic jitter ([`RetryPolicy`]), the
 //!   test-injectable [`Clock`], and the [`Breaker`].
@@ -76,7 +77,7 @@ pub mod worker;
 
 pub use codec::{read_frame, write_frame, Frame, FrameError, MAGIC, MAX_FRAME_LEN};
 pub use coordinator::{
-    shutdown_workers, AtomSpec, ClusterConfig, ClusterError, Coordinator, RoundProgram,
+    shutdown_workers, AtomSpec, ClusterConfig, ClusterError, RoundProgram,
 };
 pub use pool::{PoolStats, WorkerPool};
 pub use retry::{Breaker, BreakerState, Clock, RetryPolicy, SystemClock, TestClock};

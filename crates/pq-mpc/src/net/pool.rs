@@ -4,20 +4,20 @@
 //!
 //! A [`WorkerPool`] owns one connection slot per configured worker and
 //! keeps dialled, Hello'd sockets alive *across* runs — deleting the
-//! dial + Hello tax every [`Coordinator::connect`] pays per query. Each
-//! run:
+//! dial + Hello tax a fresh connection pays. Each run is one
+//! communication round:
 //!
 //! 1. asks the [`crate::net::retry::Breaker`] for admission (an open
 //!    breaker fails fast with [`ClusterError::BreakerOpen`], which is how
 //!    the engine above knows to degrade to the simulator);
-//! 2. starts the per-query deadline clock — a budget covering dials,
-//!    health pings, rounds *and* backoff pauses, so a run can never hang
-//!    past it;
+//! 2. starts the deadline clock — a budget covering dials, health
+//!    pings, the round *and* backoff pauses, so a run can never hang past
+//!    it;
 //! 3. acquires connections: pooled sockets idle past
 //!    `health_check_after` are pinged (`Ping`/`Pong`) first, dead ones
 //!    silently redialled;
-//! 4. runs the round through a [`Coordinator`] built over the borrowed
-//!    connections;
+//! 4. runs the round over the borrowed connections (the coordinator
+//!    side of the protocol, [`crate::net::coordinator`]);
 //! 5. on success, returns the connections to their slots for the next
 //!    run; on failure, drops *all* of them (a failed round leaves workers
 //!    in an unknown state) and retries on a freshly rebuilt topology
@@ -35,6 +35,13 @@
 //! residue a retry could observe. Same seed, same snapshot, same routing:
 //! a retried round computes byte-for-byte the answer the first attempt
 //! would have.
+//!
+//! A multi-round plan is one run per round, each opening with its own
+//! `Hello`. Between rounds the *coordinator* holds the intermediate views
+//! (merged and deduplicated from the workers' answers), so the next
+//! round's shipment is again a pure function of immutable inputs — the
+//! snapshot and views no worker can touch — and the argument above holds
+//! round by round: a failure replays only the round that failed.
 //!
 //! # Routing around dead workers
 //!
@@ -198,10 +205,11 @@ impl WorkerPool {
     }
 
     /// Execute one communication round of a run on the cluster from
-    /// simulator-style messages: [`WorkerPool::execute_folded`] over
-    /// whatever `messages` returns, folded set-wise for each attempt's
-    /// worker count ([`Shipment::from_messages`]). `messages` is called
-    /// once per attempt and must be pure over immutable inputs.
+    /// simulator-style messages, every worker running `program`:
+    /// [`WorkerPool::execute_folded`] over whatever `messages` returns,
+    /// folded set-wise for each attempt's worker count
+    /// ([`Shipment::from_messages`]). `messages` is called once per attempt
+    /// and must be pure over immutable inputs.
     ///
     /// # Errors
     /// As [`WorkerPool::execute_folded`].
@@ -214,29 +222,34 @@ impl WorkerPool {
         messages: &dyn Fn() -> Vec<Message>,
         registry: Option<&Arc<MetricsRegistry>>,
     ) -> Result<(Relation, RunMetrics), ClusterError> {
-        self.execute_folded(
-            p,
-            bits_per_value,
-            input_bits,
-            program,
-            &|workers| Shipment::from_messages(messages(), p, workers, bits_per_value),
-            registry,
-        )
+        let route = |workers| Shipment::from_messages(messages(), p, workers, bits_per_value);
+        let programs = std::slice::from_ref(program);
+        let (mut answers, metrics) =
+            self.execute_folded(bits_per_value, input_bits, programs, &route, registry)?;
+        Ok((answers.remove(0), metrics))
     }
 
     /// Execute one communication round of a run on the cluster, with the
-    /// full resilience stack: breaker admission, per-query deadline,
+    /// full resilience stack: breaker admission, per-run deadline,
     /// pooled connections (health-checked, redialled as needed), and
     /// retry on a rebuilt topology. `route` is called once per attempt
     /// with *that attempt's* live worker count and returns the round's
     /// [`Shipment`] folded for it — a retry on a reduced topology
     /// re-folds for the smaller count. It must be pure over immutable
     /// inputs, which is what makes the retry safe (see the module docs).
+    /// Every worker answers every one of `programs` — one per block of
+    /// logical servers, whose relations only that block's servers receive
+    /// — and the answers come back merged and deduplicated per program, in
+    /// order.
     ///
     /// On success the returned [`RunMetrics`] describe exactly the one
     /// successful attempt (plus `input_bits`), as the model accounting
     /// downstream requires; retry/reconnect counts live in
-    /// [`WorkerPool::stats`] and the registry counters instead.
+    /// [`WorkerPool::stats`] and the registry counters instead. Once a
+    /// `registry` is given, every completed round is also recorded there:
+    /// `pq_cluster_rounds_total`, a `pq_cluster_round_wall_micros`
+    /// histogram and one `pq_cluster_worker_wire_bytes_total{worker=…}`
+    /// counter per worker slot.
     ///
     /// # Errors
     /// The last attempt's [`ClusterError`], [`ClusterError::BreakerOpen`]
@@ -244,13 +257,12 @@ impl WorkerPool {
     /// budget drained mid-run.
     pub fn execute_folded(
         &self,
-        p: usize,
         bits_per_value: u64,
         input_bits: u64,
-        program: &RoundProgram,
+        programs: &[RoundProgram],
         route: &dyn Fn(usize) -> Shipment,
         registry: Option<&Arc<MetricsRegistry>>,
-    ) -> Result<(Relation, RunMetrics), ClusterError> {
+    ) -> Result<(Vec<Relation>, RunMetrics), ClusterError> {
         let inner = &self.inner;
         if let Some(registry) = registry {
             *inner.registry.lock().unwrap() = Some(registry.clone());
@@ -261,7 +273,7 @@ impl WorkerPool {
         let start = inner.clock.now();
         let result = match inner.breaker.admit(start) {
             Err(retry_in) => Err(ClusterError::BreakerOpen { retry_in }),
-            Ok(()) => self.attempts(p, bits_per_value, input_bits, program, route, salt),
+            Ok(()) => self.attempts(bits_per_value, input_bits, programs, route, salt),
         };
         match &result {
             Ok(_) => {
@@ -285,13 +297,12 @@ impl WorkerPool {
     /// all under one deadline.
     fn attempts(
         &self,
-        p: usize,
         bits_per_value: u64,
         input_bits: u64,
-        program: &RoundProgram,
+        programs: &[RoundProgram],
         route: &dyn Fn(usize) -> Shipment,
         salt: u64,
-    ) -> Result<(Relation, RunMetrics), ClusterError> {
+    ) -> Result<(Vec<Relation>, RunMetrics), ClusterError> {
         let inner = &self.inner;
         let budget = inner.config.deadline;
         let deadline = inner.clock.now() + budget;
@@ -314,27 +325,24 @@ impl WorkerPool {
                 break;
             }
             let require_full = attempt == 0;
-            let (slot_map, connections) = match self.acquire(bits_per_value, require_full) {
+            let (slot_map, mut connections) = match self.acquire(bits_per_value, require_full) {
                 Ok(acquired) => acquired,
                 Err(e) => {
                     last_err = Some(e);
                     continue;
                 }
             };
-            let mut coordinator = Coordinator::from_connections(
-                connections,
-                inner.config.read_timeout,
-                p,
-            );
-            coordinator.set_input_bits(input_bits);
-            coordinator.set_deadline(Some((deadline, budget)));
-            if let Some(registry) = self.registry_for_rounds() {
-                coordinator.set_registry(registry);
-            }
-            let shipment = route(coordinator.num_workers());
-            match coordinator.run_shipment(shipment, program) {
-                Ok(output) => {
-                    let (connections, metrics) = coordinator.take_connections();
+            let shipment = route(connections.len());
+            let registry = self.registry_for_rounds();
+            let coordinator = Coordinator {
+                connections: &mut connections,
+                timeout: inner.config.read_timeout,
+                deadline: (deadline, budget),
+                registry: registry.as_deref(),
+            };
+            match coordinator.run(shipment, programs) {
+                Ok((answers, mut metrics)) => {
+                    metrics.input_bits = input_bits;
                     let now = inner.clock.now();
                     let mut slots = inner.slots.lock().unwrap();
                     for (slot, connection) in slot_map.into_iter().zip(connections) {
@@ -343,14 +351,13 @@ impl WorkerPool {
                             last_used: now,
                         });
                     }
-                    return Ok((output, metrics));
+                    return Ok((answers, metrics));
                 }
                 Err(e) => {
                     // A failed round leaves the touched workers in an
-                    // unknown state: drop every borrowed connection (the
-                    // coordinator owns them, so dropping it closes them)
-                    // and rebuild from scratch next attempt.
-                    drop(coordinator);
+                    // unknown state: drop every borrowed connection (which
+                    // closes them) and rebuild from scratch next attempt.
+                    drop(connections);
                     let fatal = matches!(e, ClusterError::DeadlineExceeded { .. });
                     last_err = Some(e);
                     if fatal {
@@ -625,10 +632,9 @@ mod tests {
         let asked = Mutex::new(Vec::new());
         let (output, metrics) = pool
             .execute_folded(
-                4,
                 16,
                 1000,
-                &identity_program(),
+                &[identity_program()],
                 &|workers| {
                     asked.lock().unwrap().push(workers);
                     Shipment::from_messages(broadcast(4), 4, workers, 16)
@@ -636,7 +642,7 @@ mod tests {
                 None,
             )
             .unwrap();
-        assert_eq!(output.len(), 2);
+        assert_eq!(output[0].len(), 2);
         // Attempt 0 folded for the full topology and lost a worker
         // mid-round; the retry re-folded for the two survivors.
         assert_eq!(*asked.lock().unwrap(), vec![3, 2]);

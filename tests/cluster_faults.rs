@@ -10,18 +10,21 @@
 //! truncated frame or staying silent, so the faults are injected at the
 //! raw byte level beneath the codec.
 
+use pq_bench::matching_database_for_query;
+use pq_core::baselines::oracle;
 use pq_core::hypercube::HyperCubeRouter;
+use pq_engine::{Engine, EngineRun, ExecBackend, FallbackPolicy};
 use pq_mpc::net::{
-    read_frame, serve_worker, shutdown_workers, AtomSpec, BreakerState, Clock, ClusterConfig,
-    ClusterError, Coordinator, Frame, LocalWorkers, RetryPolicy, RoundProgram, Shipment,
-    TestClock, WorkerLimits, WorkerObs, WorkerPool, MAGIC,
+    read_frame, serve_worker, shutdown_workers, write_frame, AtomSpec, BreakerState, Clock,
+    ClusterConfig, ClusterError, Frame, LocalWorkers, RetryPolicy, RoundProgram, TestClock,
+    WorkerLimits, WorkerObs, WorkerPool, MAGIC,
 };
 use pq_mpc::Message;
 use pq_query::{Atom, ConjunctiveQuery};
 use pq_relation::{Relation, Schema};
 use proptest::prelude::*;
-use std::io::{BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -109,12 +112,6 @@ fn round_messages() -> Vec<Message> {
     messages
 }
 
-/// [`round_messages`] folded for the single worker the bare-coordinator
-/// tests connect to.
-fn round_shipment() -> Shipment {
-    Shipment::from_messages(round_messages(), 2, 1, 8)
-}
-
 /// The real worker loop on `listener`, until it is shut down.
 fn serve_healthy(listener: &TcpListener) {
     let obs = WorkerObs::new(
@@ -142,23 +139,22 @@ fn round_program() -> RoundProgram {
     }
 }
 
-/// Drive one round against a single faulty worker and return the typed
-/// error, bounding the whole exchange by `deadline`.
+/// Drive one round against a single faulty worker, with no retry, and
+/// return the typed error, bounding the whole exchange by `deadline`.
 fn run_against(fault: Fault, timeout: Duration, deadline: Duration) -> ClusterError {
     let (address, handle) = faulty_worker(fault);
-    let config = ClusterConfig::new(vec![address]).with_read_timeout(timeout);
+    let config = ClusterConfig::new(vec![address])
+        .with_read_timeout(timeout)
+        .with_retry(RetryPolicy {
+            retries: 0,
+            ..RetryPolicy::default()
+        });
     let started = Instant::now();
-    let error = match Coordinator::connect(&config, 2, 8) {
-        // Connect can already observe the death (write or RST); that is a
-        // typed error too, and the test asserts on whatever surfaced.
-        Err(e) => e,
-        Ok(mut coordinator) => {
-            let result = coordinator.run_shipment(round_shipment(), &round_program());
-            let error = result.expect_err("a faulty worker must fail the round");
-            drop(coordinator); // hang up so the Silent peer's read loop ends
-            error
-        }
-    };
+    // A failed attempt drops its connections, which hangs up on the
+    // Silent peer and ends its read loop.
+    let error = WorkerPool::new(config)
+        .execute(2, 8, 0, &round_program(), &round_messages, None)
+        .expect_err("a faulty worker must fail the round");
     assert!(
         started.elapsed() < deadline,
         "fault must surface within {deadline:?}, took {:?}",
@@ -279,11 +275,11 @@ fn resilient_pool(addresses: Vec<String>, retries: u32) -> WorkerPool {
     )
 }
 
-/// Every injected fault, driven through the pool instead of a bare
-/// coordinator: with two healthy workers beside the faulty one (majority
-/// floor 2 of 3), the run must *recover* — retry on a rebuilt topology,
-/// route around the dead peer, and return the exact answer — instead of
-/// surfacing the error the bare-coordinator tests above assert on.
+/// Every injected fault, now with retries: with two healthy workers beside
+/// the faulty one (majority floor 2 of 3), the run must *recover* — retry
+/// on a rebuilt topology, route around the dead peer, and return the exact
+/// answer — instead of surfacing the error the no-retry tests above
+/// assert on.
 #[test]
 fn every_fault_is_recovered_by_a_pool_retry() {
     for fault in [
@@ -298,7 +294,7 @@ fn every_fault_is_recovered_by_a_pool_retry() {
         addresses.push(faulty_address);
         let pool = resilient_pool(addresses, 4);
         let (output, metrics) = pool
-            .execute(2, 8, 0, &round_program(), &|| round_messages(), None)
+            .execute(2, 8, 0, &round_program(), &round_messages, None)
             .expect("the pool must recover from a single faulty worker");
         assert_eq!(sorted_rows(&output), oracle_join());
         assert_eq!(
@@ -359,10 +355,9 @@ fn losing_a_worker_mid_round_refolds_the_shuffle_for_the_survivors() {
     let folded_for = std::sync::Mutex::new(Vec::new());
     let (output, metrics) = pool
         .execute_folded(
-            p,
             bits_per_value,
             0,
-            &round_program(),
+            &[round_program()],
             &|workers| {
                 folded_for.lock().expect("no panics").push(workers);
                 router.route_folded(&bound, p, workers, bits_per_value)
@@ -370,7 +365,7 @@ fn losing_a_worker_mid_round_refolds_the_shuffle_for_the_survivors() {
             None,
         )
         .expect("the pool must recover from losing one of three workers");
-    assert_eq!(sorted_rows(&output), oracle);
+    assert_eq!(sorted_rows(&output[0]), oracle);
     let folded_for = folded_for.into_inner().expect("no panics");
     assert_eq!(folded_for.first(), Some(&3), "the first attempt runs on the full topology");
     assert_eq!(folded_for.last(), Some(&2), "the retry re-folds for the survivors");
@@ -410,7 +405,7 @@ fn a_flapping_cluster_opens_the_breaker_then_recovers_through_half_open() {
         })
         .with_breaker(2, Duration::from_secs(5));
     let pool = WorkerPool::with_clock(config, clock.clone());
-    let run = || pool.execute(2, 8, 0, &round_program(), &|| round_messages(), None);
+    let run = || pool.execute(2, 8, 0, &round_program(), &round_messages, None);
     assert!(run().is_err());
     assert!(run().is_err());
     assert_eq!(pool.breaker_state(), BreakerState::Open);
@@ -482,7 +477,7 @@ proptest! {
         }
         let config = pool_addresses_config(&addresses);
         let pool = WorkerPool::new(config);
-        let result = pool.execute(2, 8, 0, &round_program(), &|| round_messages(), None);
+        let result = pool.execute(2, 8, 0, &round_program(), &round_messages, None);
         let majority = addresses.len() / 2 + 1;
         match result {
             Ok((output, _)) => {
@@ -522,8 +517,8 @@ fn pool_addresses_config(addresses: &[String]) -> ClusterConfig {
         })
 }
 
-/// A healthy round straight after a faulty one on a fresh coordinator:
-/// fault handling must not poison process-global state.
+/// A healthy round straight after a faulty one on a fresh pool: fault
+/// handling must not poison process-global state.
 #[test]
 fn a_fresh_coordinator_recovers_after_a_fault() {
     let _ = run_against(
@@ -532,14 +527,114 @@ fn a_fresh_coordinator_recovers_after_a_fault() {
         Duration::from_secs(10),
     );
     let workers = pq_mpc::net::LocalWorkers::spawn(1).expect("spawn");
-    let config = ClusterConfig::new(workers.addresses().to_vec());
-    let mut coordinator = Coordinator::connect(&config, 2, 8).expect("connect");
-    let output = coordinator
-        .run_shipment(round_shipment(), &round_program())
+    let pool = WorkerPool::new(ClusterConfig::new(workers.addresses().to_vec()));
+    let (output, _) = pool
+        .execute(2, 8, 0, &round_program(), &round_messages, None)
         .expect("healthy round");
-    let mut rows: Vec<Vec<u64>> = output.iter().map(|t| t.to_vec()).collect();
-    rows.sort();
-    assert_eq!(rows, vec![vec![1, 2, 20]]);
-    drop(coordinator);
+    assert_eq!(sorted_rows(&output), vec![vec![1, 2, 20]]);
+    drop(pool);
     workers.shutdown();
+}
+
+/// A worker that serves one run and dies as the next one opens: a relay in
+/// front of the real worker at `upstream` that forwards the coordinator's
+/// frames and the worker's answers verbatim until the second `Hello` on
+/// its one connection — the opening of round 2 of a multi-round plan, each
+/// round being its own pool run — then drops both sockets. It stops
+/// listening once connected, so every redial is refused.
+fn worker_dying_between_rounds(upstream: &str) -> (String, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let address = listener.local_addr().expect("addr").to_string();
+    let upstream = TcpStream::connect(upstream).expect("dial the real worker");
+    let handle = std::thread::spawn(move || {
+        let (downstream, _) = listener.accept().expect("accept");
+        drop(listener);
+        let (mut answers, mut back) = (
+            upstream.try_clone().expect("clone"),
+            downstream.try_clone().expect("clone"),
+        );
+        let relay_answers = std::thread::spawn(move || {
+            let _ = std::io::copy(&mut answers, &mut back);
+        });
+        let mut reader = BufReader::new(downstream.try_clone().expect("clone"));
+        let mut writer = BufWriter::new(upstream.try_clone().expect("clone"));
+        let mut hellos = 0;
+        while let Ok(Some((frame, _))) = read_frame(&mut reader) {
+            hellos += usize::from(matches!(frame, Frame::Hello { .. }));
+            let forwarded = hellos < 2 && write_frame(&mut writer, &frame).is_ok();
+            if !forwarded || writer.flush().is_err() {
+                break;
+            }
+        }
+        let _ = downstream.shutdown(Shutdown::Both);
+        let _ = upstream.shutdown(Shutdown::Both);
+        relay_answers.join().expect("relay thread exits");
+    });
+    (address, handle)
+}
+
+/// `L_3` at p = 64 on three workers, the last `dying` of them behind
+/// [`worker_dying_between_rounds`] relays: the simulator's run and the
+/// cluster's (or its fallback's), after checking the plan is the 2-round
+/// bushy one.
+fn chain_across_a_death(
+    dying: usize,
+    fallback: FallbackPolicy,
+) -> (EngineRun, EngineRun, Relation) {
+    let query = ConjunctiveQuery::chain(3);
+    let db = matching_database_for_query(&query, 1_200, 47);
+    let workers = LocalWorkers::spawn(3).expect("spawn");
+    let mut addresses = workers.addresses().to_vec();
+    let mut relays = Vec::new();
+    for address in addresses.iter_mut().skip(3 - dying) {
+        let (relay, handle) = worker_dying_between_rounds(address);
+        *address = relay;
+        relays.push(handle);
+    }
+    let config = pool_addresses_config(&addresses);
+    let text = query.to_string();
+    let sim = Engine::new(db.clone(), 64).session().run(&text).expect("simulator run");
+    assert_eq!(sim.plan.strategy.name(), "multi-round bushy plan");
+    let backend = ExecBackend::cluster_with_fallback(config, fallback);
+    let run = Engine::new(db.clone(), 64)
+        .with_backend(backend)
+        .session()
+        .run(&text)
+        .expect("the run is served");
+    workers.shutdown();
+    for handle in relays {
+        handle.join().expect("relay exits");
+    }
+    (sim, run, oracle(&query, &db).canonicalized())
+}
+
+/// One of three workers dies between the rounds of a 2-round plan: the
+/// pool retries round 2 alone, re-folded for the two survivors, and the
+/// run stays exact and undegraded, with the simulator's model account.
+#[test]
+fn a_worker_dying_between_rounds_is_routed_around_in_the_next_round() {
+    let (sim, run, expected) = chain_across_a_death(1, FallbackPolicy::Error);
+    assert_eq!(run.outcome.output.canonicalized(), expected);
+    let metrics = &run.outcome.metrics;
+    assert!(!metrics.degraded);
+    assert_eq!(metrics.num_rounds(), 2);
+    assert_eq!(metrics.rounds[0].wire_bytes.len(), 3, "round 1 ran on all three");
+    assert_eq!(metrics.rounds[1].wire_bytes.len(), 2, "round 2 ran on the survivors");
+    for (round, simulated) in metrics.rounds.iter().zip(&sim.outcome.metrics.rounds) {
+        assert_eq!(round.received_bits, simulated.received_bits);
+        assert_eq!(round.messages, simulated.messages);
+    }
+}
+
+/// Two of three die between the rounds: round 2 cannot reach a live
+/// majority, so the simulator fallback answers the whole plan — exactly,
+/// with the simulator's account, marked degraded.
+#[test]
+fn losing_the_majority_between_rounds_falls_back_to_the_simulator() {
+    let (sim, run, expected) = chain_across_a_death(2, FallbackPolicy::Simulator);
+    assert_eq!(run.outcome.output.canonicalized(), expected);
+    let metrics = &run.outcome.metrics;
+    assert!(metrics.degraded);
+    assert!(!metrics.is_measured(), "the fallback has no wire");
+    assert_eq!(metrics.rounds, sim.outcome.metrics.rounds);
 }

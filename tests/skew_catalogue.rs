@@ -21,11 +21,13 @@ use pq_core::skew::heavy::{heavy_hitters_of_variable, VariableHeavyHitters};
 use pq_core::skew::star::route_star_skew_aware;
 use pq_core::skew::triangle::route_triangle_skew_aware;
 use pq_engine::{parse_query, Delta, Engine};
-use pq_mpc::{Message, Payload, RunMetrics};
 use pq_query::{bind_atom, ConjunctiveQuery};
 use pq_relation::{Database, DatabaseStatistics, Relation, Schema, Tuple, Value};
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+mod common;
+use common::{digest_messages, digest_metrics};
 
 /// The detector as it was before the catalogue: bind every atom holding the
 /// variable, count its column, threshold at `m_j / divisor`, then look the
@@ -144,71 +146,6 @@ proptest! {
             }
         }
     }
-}
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn str(&mut self, text: &str) {
-        for byte in text.bytes() {
-            self.u64(byte as u64);
-        }
-        self.u64(text.len() as u64);
-    }
-}
-
-/// Every message in order: destination, then the fragment (relation name,
-/// attributes, rows) or the raw payload (label, bits).
-fn digest_messages(messages: &[Message]) -> u64 {
-    let mut h = Fnv::new();
-    for message in messages {
-        h.u64(message.to as u64);
-        match &message.payload {
-            Payload::Tuples(fragment) => {
-                h.str(fragment.name());
-                for attribute in fragment.schema().attributes() {
-                    h.str(attribute);
-                }
-                h.u64(fragment.len() as u64);
-                for row in fragment.iter() {
-                    for &value in row {
-                        h.u64(value);
-                    }
-                }
-            }
-            Payload::Raw { label, bits } => {
-                h.str(label);
-                h.u64(*bits);
-            }
-        }
-    }
-    h.0
-}
-
-/// The model account of a run: input bits, and per round the message count
-/// and every server's received bits.
-fn digest_metrics(metrics: &RunMetrics) -> u64 {
-    let mut h = Fnv::new();
-    h.u64(metrics.input_bits);
-    for round in &metrics.rounds {
-        h.u64(round.round as u64);
-        h.u64(round.messages as u64);
-        for &bits in &round.received_bits {
-            h.u64(bits);
-        }
-    }
-    h.0
 }
 
 #[test]
