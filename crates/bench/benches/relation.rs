@@ -1,12 +1,21 @@
 //! Criterion microbenchmark for the storage layer in isolation: binary and
 //! 3-way natural joins and hash partitioning over matching relations at
-//! m ∈ {10k, 100k}. Baselines live in `BENCH_relation.json`, so regressions
-//! in `pq-relation`'s flat row storage or the join/shuffle hot path show up
-//! independently of planning and the end-to-end engine pipeline.
+//! m ∈ {10k, 100k}, and the local joins of one HyperCube round — the
+//! 64 servers of the 4×4×4 triangle grid as one block join against every
+//! server joining alone. Baselines live in `BENCH_relation.json`, so
+//! regressions in `pq-relation`'s flat row storage or the join/shuffle hot
+//! path show up independently of planning and the end-to-end engine
+//! pipeline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pq_mpc::partition_by_hash;
-use pq_relation::{natural_join, natural_join_all, DataGenerator, MultiplyShiftHash, Relation, Schema};
+use pq_core::hypercube::HyperCubeRouter;
+use pq_mpc::{map_servers_parallel, partition_by_hash, Cluster};
+use pq_query::{instantiate, ConjunctiveQuery};
+use pq_relation::{
+    natural_join, natural_join_all, natural_join_block, DataGenerator, MultiplyShiftHash, Relation,
+    Schema,
+};
+use std::collections::BTreeMap;
 
 /// A chain of `k` identity matchings S1(x0,x1), …, Sk(x{k-1},xk) of `m`
 /// rows each: every join step matches 1:1, so intermediate sizes stay `m`
@@ -58,5 +67,53 @@ fn bench_relation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_relation);
+/// The triangle over random matchings of `m` rows on the 4×4×4 grid, as
+/// routed to 64 simulated servers: each fragment buffer is held by the 4
+/// servers of its subcube.
+fn triangle_grid(m: usize) -> (ConjunctiveQuery, Cluster) {
+    let query = ConjunctiveQuery::triangle();
+    let database = DataGenerator::new(11, (m as u64) * 16).matching_database(&[
+        (Schema::from_strs("S1", &["a", "b"]), m),
+        (Schema::from_strs("S2", &["a", "b"]), m),
+        (Schema::from_strs("S3", &["a", "b"]), m),
+    ]);
+    let shares: BTreeMap<String, usize> = query.variables().into_iter().map(|v| (v, 4)).collect();
+    let router = HyperCubeRouter::new(&query, &shares, 7, 0, 0);
+    let mut cluster = Cluster::new(64, database.bits_per_value());
+    cluster.communicate(router.route_bound(&instantiate(&query, &database)));
+    (query, cluster)
+}
+
+fn bench_block_join(c: &mut Criterion) {
+    let mut group = c.benchmark_group("relation");
+    group.sample_size(10);
+    let m = 64_000;
+    let (query, cluster) = triangle_grid(m);
+    let fragments: Vec<Vec<&Relation>> = cluster
+        .servers()
+        .iter()
+        .map(|server| {
+            query
+                .atoms()
+                .iter()
+                .map(|atom| server.fragment(atom.relation()).expect("every cell is hit"))
+                .collect()
+        })
+        .collect();
+    group.bench_with_input(
+        BenchmarkId::new("block_join", m),
+        &fragments,
+        |b, fragments| b.iter(|| natural_join_block(fragments, |joined| joined.len())),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("per_server_join", m),
+        &fragments,
+        |b, fragments| {
+            b.iter(|| map_servers_parallel(fragments, |_, inputs| natural_join_all(inputs).len()))
+        },
+    );
+    group.finish();
+}
+
+criterion_group!(benches, bench_relation, bench_block_join);
 criterion_main!(benches);

@@ -27,7 +27,7 @@ use crate::round::{in_process, run_single, InProcess, Routing};
 use crate::shares::{self, ShareRounding};
 use pq_mpc::net::Shipment;
 use pq_mpc::{Message, RunMetrics, Server};
-use pq_query::{evaluate_bound, instantiate, ConjunctiveQuery};
+use pq_query::{evaluate_block, instantiate, ConjunctiveQuery};
 use pq_relation::{BucketHasher, Database, HashFamily, MultiplyShiftHash, Relation, Schema, Value};
 use std::collections::BTreeMap;
 
@@ -303,17 +303,39 @@ pub struct HyperCubeRun {
 }
 
 /// Evaluate the query locally at one server over the fragments it received.
-/// Missing fragments mean the server cannot produce any answers.
+/// Missing fragments mean the server cannot produce any answers. This is
+/// [`local_join_block`] on one server.
 pub fn local_join(query: &ConjunctiveQuery, server: &Server) -> Relation {
-    let fragments: Option<Vec<&Relation>> = query
-        .atoms()
+    local_join_block(query, std::slice::from_ref(server))
+        .pop()
+        .expect("one server, one answer")
+}
+
+/// Evaluate the query locally at every server of a block, in server order:
+/// one [`evaluate_block`] over the servers that hold a fragment of every
+/// atom — the servers of one destination subcube share a fragment's buffer,
+/// and its index is built once for all of them — and the empty answer at
+/// the others.
+pub fn local_join_block(query: &ConjunctiveQuery, servers: &[Server]) -> Vec<Relation> {
+    let fragments: Vec<Option<Vec<&Relation>>> = servers
         .iter()
-        .map(|atom| server.fragment(atom.relation()))
+        .map(|server| {
+            query
+                .atoms()
+                .iter()
+                .map(|atom| server.fragment(atom.relation()))
+                .collect()
+        })
         .collect();
-    match fragments {
-        Some(bound) => evaluate_bound(query, &bound),
-        None => Relation::empty(Schema::new(query.name(), query.variables())),
-    }
+    let complete: Vec<Vec<&Relation>> = fragments.iter().flatten().cloned().collect();
+    let mut answers = evaluate_block(query, &complete).into_iter();
+    fragments
+        .iter()
+        .map(|held| match held {
+            Some(_) => answers.next().expect("one answer per complete server"),
+            None => Relation::empty(Schema::new(query.name(), query.variables())),
+        })
+        .collect()
 }
 
 /// Run one communication round in process — what every one-round
@@ -651,6 +673,38 @@ mod tests {
             [("x1", 4usize), ("x2", 4), ("x3", 4)].iter().map(|(v, s)| (v.to_string(), *s)).collect();
         let router = HyperCubeRouter::new(&q, &shares, 1, 0, 0);
         router.route_folded(&instantiate(&q, &db), 8, 2, 8);
+    }
+
+    #[test]
+    fn a_routed_block_answers_like_each_server_alone() {
+        // The 4x4x4 triangle grid: every relation has 16 cells, each held
+        // by the 4 servers of its subcube, so the block join plans once and
+        // indexes each shared cell once.
+        let q = ConjunctiveQuery::triangle();
+        let db = matching_db(&q, 2_000, 5);
+        let shares: BTreeMap<String, usize> = [("x1", 4usize), ("x2", 4), ("x3", 4)]
+            .iter()
+            .map(|(v, s)| (v.to_string(), *s))
+            .collect();
+        let router = HyperCubeRouter::new(&q, &shares, 7, 0, 0);
+        let mut cluster = Cluster::new(64, db.bits_per_value());
+        cluster.communicate(router.route_bound(&instantiate(&q, &db)));
+        // Same answers as each server joining alone.
+        let answers = local_join_block(&q, cluster.servers());
+        for (server, answer) in cluster.servers().iter().zip(&answers) {
+            assert_eq!(
+                answer.canonicalized(),
+                local_join(&q, server).canonicalized()
+            );
+        }
+        let mut merged = Relation::empty(Schema::new(q.name(), q.variables()));
+        for answer in &answers {
+            merged.append(answer);
+        }
+        assert_eq!(
+            merged.canonicalized(),
+            evaluate_sequential(&q, &db).canonicalized()
+        );
     }
 
     #[test]

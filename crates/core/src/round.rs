@@ -9,9 +9,10 @@
 //! operator, Proposition 5.1). A [`Transport`] runs it:
 //!
 //! * [`InProcess`] — the MPC simulator: [`Cluster::communicate`] keeps the
-//!   model's cost account, every server of a block joins its fragments
-//!   locally (fanned out over the `pq-exec` pool), and each block's
-//!   answers are merged and deduplicated;
+//!   model's cost account, the servers of a block join their fragments
+//!   locally in one block join ([`local_join_block`]: fanned out over the
+//!   `pq-exec` pool, each fragment buffer a subcube shares indexed once),
+//!   and each block's answers are merged and deduplicated;
 //! * [`Workers`] — real worker processes behind a [`WorkerPool`], one pool
 //!   run per round: the shipment is folded per worker (a grid folds
 //!   *while* it routes, [`HyperCubeRouter::route_folded`]), every worker
@@ -26,9 +27,9 @@
 //! self-contained pool run opening with a fresh `Hello`, and a retry
 //! replays only the round that failed (see [`pq_mpc::net::pool`]).
 
-use crate::hypercube::{local_join, HyperCubeRouter};
+use crate::hypercube::{local_join_block, HyperCubeRouter};
 use pq_mpc::net::{AtomSpec, ClusterError, RoundProgram, Shipment, WorkerPool};
-use pq_mpc::{map_servers_parallel, Cluster, Message, RunMetrics};
+use pq_mpc::{Cluster, Message, RunMetrics};
 use pq_obs::MetricsRegistry;
 use pq_query::ConjunctiveQuery;
 use pq_relation::{Database, Relation, Schema};
@@ -186,9 +187,7 @@ impl Transport for InProcess {
             .iter()
             .map(|block| {
                 let query = &block.query;
-                let outputs = map_servers_parallel(&servers[block.servers.clone()], |_, server| {
-                    local_join(query, server)
-                });
+                let outputs = local_join_block(query, &servers[block.servers.clone()]);
                 let mut answer = Relation::empty(Schema::new(query.name(), query.variables()));
                 for output in &outputs {
                     answer.append(output);

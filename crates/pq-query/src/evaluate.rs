@@ -10,7 +10,7 @@
 
 use crate::atom::Atom;
 use crate::query::ConjunctiveQuery;
-use pq_relation::{natural_join_all, Database, Relation, Schema};
+use pq_relation::{natural_join_block, Database, Relation, Schema};
 use std::borrow::Borrow;
 
 /// Bind a stored relation to an atom: the result has one column per
@@ -97,13 +97,26 @@ pub fn evaluate_sequential(query: &ConjunctiveQuery, database: &Database) -> Rel
 /// attributes named by query variables). Exposed so distributed algorithms
 /// can reuse the same local-evaluation code on whatever fragments a server
 /// received — by reference (`&[&Relation]`) when the fragments are stored
-/// elsewhere.
+/// elsewhere. This is [`evaluate_block`] on one server.
 pub fn evaluate_bound<R: Borrow<Relation>>(query: &ConjunctiveQuery, bound: &[R]) -> Relation {
-    let joined = natural_join_all(bound);
+    let inputs: Vec<&Relation> = bound.iter().map(Borrow::borrow).collect();
+    evaluate_block(query, &[inputs])
+        .pop()
+        .expect("one server, one answer")
+}
+
+/// Evaluate the query at every server of a block, each over its own bound
+/// fragments (`servers[s]`, one per atom in atom order): one
+/// [`natural_join_block`], so fragment buffers the servers share are
+/// indexed once, then each server's answer projected onto the query's
+/// variables with set semantics, as [`evaluate_bound`] would return it.
+pub fn evaluate_block(query: &ConjunctiveQuery, servers: &[Vec<&Relation>]) -> Vec<Relation> {
     let head = query.variables();
-    let mut out = joined.project(&head, query.name());
-    out.dedup();
-    out
+    natural_join_block(servers, |joined| {
+        let mut out = joined.project(&head, query.name());
+        out.dedup();
+        out
+    })
 }
 
 #[cfg(test)]

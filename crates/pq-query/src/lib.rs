@@ -33,7 +33,7 @@ pub mod size_bounds;
 
 pub use atom::Atom;
 pub use characteristic::{characteristic, contract, is_tree_like};
-pub use evaluate::{bind_atom, evaluate_bound, evaluate_sequential, instantiate};
+pub use evaluate::{bind_atom, evaluate_block, evaluate_bound, evaluate_sequential, instantiate};
 pub use hypergraph::Hypergraph;
 pub use packing::{
     edge_cover_number, edge_packing_polytope, fractional_edge_packing_vertices, is_edge_packing,

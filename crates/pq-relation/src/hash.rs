@@ -180,43 +180,6 @@ pub fn hash_key(row: &[Value], positions: &[usize]) -> u64 {
     mix64(h ^ positions.len() as u64)
 }
 
-/// A `BuildHasher` for `HashMap`s keyed by **already-mixed** `u64` hashes
-/// (the outputs of [`hash_values`]/[`hash_key`]): the hasher passes the key
-/// through unchanged, so map operations cost no additional hashing. Do not
-/// use it with keys that are not themselves hash outputs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PrehashedBuild;
-
-/// The [`std::hash::Hasher`] produced by [`PrehashedBuild`]: records the
-/// single `u64` written to it and returns it verbatim.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PrehashedHasher(u64);
-
-impl std::hash::Hasher for PrehashedHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Fallback for non-u64 keys (never taken on the hot paths).
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(8) ^ b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    fn write_u64(&mut self, value: u64) {
-        self.0 = value;
-    }
-}
-
-impl std::hash::BuildHasher for PrehashedBuild {
-    type Hasher = PrehashedHasher;
-
-    fn build_hasher(&self) -> PrehashedHasher {
-        PrehashedHasher(0)
-    }
-}
-
 /// Convenience: build the `k` independent hashers `h_1, …, h_k` with bucket
 /// counts `shares[i]`, as the HyperCube algorithm requires (one hash per
 /// query variable with range equal to that variable's share).
@@ -338,16 +301,6 @@ mod tests {
         let row = [10u64, 20, 30, 40];
         assert_eq!(hash_key(&row, &[2, 0]), hash_values(&[30, 10]));
         assert_eq!(hash_key(&row, &[]), hash_values(&[]));
-    }
-
-    #[test]
-    fn prehashed_map_roundtrips() {
-        let mut map: HashMap<u64, usize, PrehashedBuild> = HashMap::default();
-        for v in 0..1000u64 {
-            map.insert(hash_values(&[v]), v as usize);
-        }
-        assert_eq!(map.len(), 1000);
-        assert_eq!(map[&hash_values(&[7])], 7);
     }
 
     #[test]

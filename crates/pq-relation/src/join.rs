@@ -5,8 +5,10 @@
 //! 1. **Local computation** — after the communication phase each simulated
 //!    server evaluates its residual query over the tuples it received; the
 //!    MPC model does not charge for this, so any in-memory algorithm is
-//!    admissible. We use hash-based natural joins with a greedy
-//!    most-connected-first ordering.
+//!    admissible. We use a chain of hash-based binary natural joins in a
+//!    greedy order: start from the smallest relation, then absorb the
+//!    smallest relation sharing an attribute with the result so far (the
+//!    smallest of all when none does, a Cartesian step).
 //! 2. **Correctness oracle** — tests compare every distributed algorithm's
 //!    output against [`natural_join_all`] run on the full database.
 //!
@@ -16,10 +18,39 @@
 //!
 //! The build/probe loops are **allocation-free per row**: attribute
 //! positions are resolved to position vectors once per join (no `String`
-//! comparison inside loops), the build-side index hashes key slices in place
-//! with the seeded mixer of [`crate::hash`] (no key tuple, no SipHash), the
-//! output is pre-sized from the build-side match counts, and output rows are
-//! emitted by `extend_from_slice` into the flat buffer.
+//! comparison inside loops), the build-side index is one compact chained
+//! table over key hashes taken in place with the seeded mixer of
+//! [`crate::hash`] (no key tuple, no SipHash), and each probe key is looked
+//! up once: the first pass finds where its chain starts and counts it to
+//! pre-size the output exactly, the second walks on from there and emits
+//! rows by `extend_from_slice` into the flat buffer.
+//!
+//! **Block joins.** HyperCube sends every tuple to its whole destination
+//! subcube, and the servers of a subcube hold the *same* shared row buffer
+//! (Eq. 9's replication is accounted, not copied). [`natural_join_block`]
+//! joins the servers of one block together so that they also share the
+//! work of indexing it. A fragment's *sharing factor* `k` is the number of
+//! the block's servers holding its buffer (same address, same length).
+//! When some `k ≥ 2`, the block is planned once:
+//!
+//! * **order** — the greedy order above, over the block's *summed*
+//!   fragment sizes, for every server;
+//! * **shared input vs intermediate** — an input with `k ≥ 2` is always the
+//!   build side, and its index is built once per (buffer, key columns) and
+//!   probed by every server holding it;
+//! * **first step, two inputs, at least one shared** — one build side for
+//!   the block: the input with fewer distinct buffered rows (each buffer
+//!   counted once), ties to the right;
+//! * **anything else** — the smaller side builds, per server, ties to the
+//!   right.
+//!
+//! Key columns are ordered by build-side column, so an index serves every
+//! probe whatever its schema. When nothing is shared, every server plans
+//! alone — its own greedy order, its own indexes — which is exactly
+//! [`natural_join_all`], the one-server case. The choice reads only the
+//! inputs' sizes, schemas and buffer identities. The shared indexes are
+//! built first (in parallel, each build sequential), then every server
+//! joins; the last server to probe an index releases it.
 //!
 //! **Morsel parallelism.** When the calling thread has a `pq-exec` pool
 //! installed (the engine installs its pool around execution; cluster
@@ -32,11 +63,14 @@
 //! unconditionally.
 
 use crate::hash::hash_key;
-use crate::relation::Relation;
+use crate::relation::{BufferId, Relation};
 use crate::rowindex::RowKeyIndex;
 use crate::schema::Schema;
 use crate::tuple::Value;
 use std::borrow::{Borrow, Cow};
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Natural join of two relations over their shared attribute names.
 ///
@@ -44,73 +78,143 @@ use std::borrow::{Borrow, Cow};
 /// that are not shared; the output name is `"{left}⋈{right}"`.
 /// With no shared attributes this is the Cartesian product.
 pub fn natural_join(left: &Relation, right: &Relation) -> Relation {
-    let common = left.schema().common_attributes(right.schema());
-    let left_positions: Vec<usize> = common
-        .iter()
-        .map(|a| left.schema().position(a).expect("common attr in left"))
-        .collect();
-    let right_positions: Vec<usize> = common
-        .iter()
-        .map(|a| right.schema().position(a).expect("common attr in right"))
-        .collect();
-    // Right attributes not in common, found by a position-set lookup (one
-    // boolean mask) instead of scanning `common` per attribute.
-    let mut right_is_common = vec![false; right.arity()];
-    for &p in &right_positions {
-        right_is_common[p] = true;
-    }
-    let right_extra: Vec<usize> = (0..right.arity())
-        .filter(|&p| !right_is_common[p])
-        .collect();
-
-    let mut out_attrs: Vec<String> = left.schema().attributes().to_vec();
-    out_attrs.extend(
-        right_extra
-            .iter()
-            .map(|&p| right.schema().attributes()[p].clone()),
+    let step = StepLayout::new(
+        left.schema(),
+        right.schema(),
+        format!("{}⋈{}", left.name(), right.name()),
     );
-    let out_schema = Schema::new(format!("{}⋈{}", left.name(), right.name()), out_attrs);
+    join_step(left, right, &step, Side::smaller(left, right), None)
+}
+
+/// The side of a binary join step that is indexed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Side {
+    Left,
+    Right,
+}
+
+impl Side {
+    /// The rule when nothing is shared: the smaller side builds, ties go
+    /// right.
+    fn smaller(left: &Relation, right: &Relation) -> Side {
+        if right.len() <= left.len() {
+            Side::Right
+        } else {
+            Side::Left
+        }
+    }
+}
+
+/// One binary join step resolved against its two schemas: the output
+/// schema (the left attributes, then the right ones not shared), the shared
+/// attributes as position pairs, and the right positions appended to each
+/// output row.
+struct StepLayout {
+    schema: Schema,
+    /// `(left position, right position)` of each shared attribute.
+    keys: Vec<(usize, usize)>,
+    right_extra: Vec<usize>,
+}
+
+impl StepLayout {
+    fn new(left: &Schema, right: &Schema, name: String) -> StepLayout {
+        let keys: Vec<(usize, usize)> = left
+            .common_attributes(right)
+            .iter()
+            .map(|a| {
+                (
+                    left.position(a).expect("common attr in left"),
+                    right.position(a).expect("common attr in right"),
+                )
+            })
+            .collect();
+        // Right attributes not in common, found by a position-set lookup (one
+        // boolean mask) instead of scanning the keys per attribute.
+        let mut right_is_common = vec![false; right.arity()];
+        for &(_, p) in &keys {
+            right_is_common[p] = true;
+        }
+        let right_extra: Vec<usize> = (0..right.arity())
+            .filter(|&p| !right_is_common[p])
+            .collect();
+        let mut attributes = left.attributes().to_vec();
+        attributes.extend(right_extra.iter().map(|&p| right.attributes()[p].clone()));
+        StepLayout {
+            schema: Schema::new(name, attributes),
+            keys,
+            right_extra,
+        }
+    }
+
+    /// The key positions on the `build` side and on the probe side, in
+    /// build-column order: an index over one buffer serves every probe,
+    /// whatever the probe's schema.
+    fn key_positions(&self, build: Side) -> (Vec<usize>, Vec<usize>) {
+        let mut pairs: Vec<(usize, usize)> = self
+            .keys
+            .iter()
+            .map(|&(l, r)| match build {
+                Side::Left => (l, r),
+                Side::Right => (r, l),
+            })
+            .collect();
+        pairs.sort_unstable();
+        pairs.into_iter().unzip()
+    }
+}
+
+/// `left ⋈ right` laid out by `step`, indexing the `build` side: through
+/// `index` when the caller holds one over that side, built with
+/// [`StepLayout::key_positions`], else through one built here. Rows come out
+/// probe row by probe row, each with its matching build rows in reverse
+/// insertion order — so the build side decides the row order, never the
+/// row set or the schema.
+fn join_step(
+    left: &Relation,
+    right: &Relation,
+    step: &StepLayout,
+    build: Side,
+    index: Option<&RowKeyIndex>,
+) -> Relation {
+    let out_schema = step.schema.clone();
     if left.is_empty() || right.is_empty() {
         return Relation::empty(out_schema);
     }
 
-    if common.is_empty() {
+    if step.keys.is_empty() {
         // Cartesian product, exactly pre-sized.
         let rows = left.len() * right.len();
         let mut values = Vec::with_capacity(rows * out_schema.arity());
         for lrow in left.iter() {
             for rrow in right.iter() {
                 values.extend_from_slice(lrow);
-                values.extend(right_extra.iter().map(|&p| rrow[p]));
+                values.extend(step.right_extra.iter().map(|&p| rrow[p]));
             }
         }
         return Relation::from_values(out_schema, rows, values);
     }
 
-    // Build a hash index on the smaller side keyed by the join attributes,
-    // and stream the larger side over it. The output row format is the same
-    // either way (left row followed by the extra right attributes), so the
-    // choice of build side never changes the output schema or contents.
-    let spec = if right.len() <= left.len() {
-        JoinSpec {
-            probe: left,
-            probe_positions: &left_positions,
-            build: right,
-            build_positions: &right_positions,
-            index: RowKeyIndex::build(right, &right_positions),
-            right_extra: &right_extra,
-            build_is_left: false,
+    let (build_rel, probe) = match build {
+        Side::Left => (left, right),
+        Side::Right => (right, left),
+    };
+    let (build_positions, probe_positions) = step.key_positions(build);
+    let own;
+    let index = match index {
+        Some(index) => index,
+        None => {
+            own = RowKeyIndex::build(build_rel, &build_positions);
+            &own
         }
-    } else {
-        JoinSpec {
-            probe: right,
-            probe_positions: &right_positions,
-            build: left,
-            build_positions: &left_positions,
-            index: RowKeyIndex::build(left, &left_positions),
-            right_extra: &right_extra,
-            build_is_left: true,
-        }
+    };
+    let spec = JoinSpec {
+        probe,
+        probe_positions: &probe_positions,
+        build: build_rel,
+        build_positions: &build_positions,
+        index,
+        right_extra: &step.right_extra,
+        build_is_left: build == Side::Left,
     };
 
     // Split the probe side into morsels over the shared read-only build
@@ -160,7 +264,7 @@ struct JoinSpec<'a> {
     probe_positions: &'a [usize],
     build: &'a Relation,
     build_positions: &'a [usize],
-    index: RowKeyIndex,
+    index: &'a RowKeyIndex,
     right_extra: &'a [usize],
     /// Which side of the output the build rows land on: output rows are
     /// always the *left* row followed by the extra *right* columns,
@@ -173,21 +277,21 @@ impl JoinSpec<'_> {
     /// `values` (exactly pre-sized from the build-side match counts) and
     /// returning the number of rows emitted.
     fn probe_range(&self, lo: usize, hi: usize, values: &mut Vec<Value>) -> usize {
-        // First pass: hash every probe key once and sum the build-side
-        // match counts to pre-size the output buffer.
-        let mut hashes: Vec<u64> = Vec::with_capacity(hi - lo);
+        // First pass: hash every probe key once, look it up once — where
+        // its chain starts — and count the chain to pre-size the output.
+        let mut starts: Vec<(u64, u32)> = Vec::with_capacity(hi - lo);
         let mut expected = 0usize;
-        for r in lo..hi {
-            let h = hash_key(self.probe.row(r), self.probe_positions);
-            expected += self.index.count_for_hash(h);
-            hashes.push(h);
+        for prow in self.probe.iter_range(lo, hi) {
+            let h = hash_key(prow, self.probe_positions);
+            let start = self.index.find(h);
+            expected += self.index.chain(h, start).count();
+            starts.push((h, start));
         }
         let out_arity = self.probe.arity() + self.build.arity() - self.build_positions.len();
         values.reserve(expected * out_arity);
         let mut rows = 0usize;
-        for (k, &h) in hashes.iter().enumerate() {
-            let prow = self.probe.row(lo + k);
-            for i in self.index.candidates(h) {
+        for (prow, &(h, start)) in self.probe.iter_range(lo, hi).zip(&starts) {
+            for i in self.index.chain(h, start) {
                 let brow = self.build.row(i);
                 if !keys_match(prow, self.probe_positions, brow, self.build_positions) {
                     continue;
@@ -220,9 +324,11 @@ fn keys_match(
         .all(|(&lp, &rp)| lrow[lp] == rrow[rp])
 }
 
-/// Natural join of a list of relations, using a greedy ordering that always
-/// joins in a relation sharing at least one attribute with the accumulated
-/// result when possible (avoiding needless Cartesian products).
+/// Natural join of a list of relations, in the greedy order of the module
+/// docs: the smallest relation first, then always the smallest relation
+/// sharing at least one attribute with the accumulated result when there is
+/// one (avoiding needless Cartesian products). This is
+/// [`natural_join_block`] on one server.
 ///
 /// The accumulator is renamed to `⋈{k}` (with `k` the number of relations
 /// absorbed so far) after every step, so wide queries never build an
@@ -234,44 +340,288 @@ fn keys_match(
 /// (`&[&Relation]`), whichever the caller holds; a server joining the
 /// fragments it stores never has to copy them first.
 pub fn natural_join_all<R: Borrow<Relation>>(relations: &[R]) -> Relation {
-    if relations.is_empty() {
-        return Relation::empty(Schema::new("⊤", vec![]));
-    }
-    let mut remaining: Vec<&Relation> = relations.iter().map(Borrow::borrow).collect();
-    // Start from the smallest relation: cheap and a decent heuristic.
-    let start = remaining
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, r)| r.len())
-        .map(|(i, _)| i)
-        .expect("non-empty");
-    let mut acc = Cow::Borrowed(remaining.remove(start));
-    let mut joined = 1usize;
-    while !remaining.is_empty() {
-        // Prefer a relation sharing attributes with the accumulator; for
-        // disconnected queries (no such relation) the Cartesian step picks
-        // the smallest remaining relation, like the connected case.
-        let next = remaining
+    let inputs: Vec<&Relation> = relations.iter().map(Borrow::borrow).collect();
+    natural_join_block(&[inputs], |joined| joined)
+        .pop()
+        .expect("one server, one output")
+}
+
+/// Join every server of a block: `servers[s]` lists server `s`'s inputs
+/// (one relation per atom, in the same atom order at every server), and
+/// each server's join is handed to `finish`, whose results come back in
+/// server order. `finish` runs in that server's task, so per-server
+/// post-processing (projection, deduplication) shares its parallelism.
+/// Servers run on the calling thread's `pq-exec` pool
+/// (the process-wide one when none is installed; a single server runs
+/// inline without touching any pool).
+///
+/// Every output equals [`natural_join_all`] of that server's inputs as a
+/// set of rows over the same attributes; when no fragment buffer is shared
+/// it is that very relation, byte for byte. See the module docs for the
+/// plan.
+pub fn natural_join_block<T, F>(servers: &[Vec<&Relation>], finish: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(Relation) -> T + Sync,
+{
+    let block = BlockPlan::new(servers);
+    let built = map_items(&block.indexes, |_, spec| {
+        RowKeyIndex::build(spec.relation, &spec.keys)
+    });
+    let shared: Vec<SharedIndex> = built
+        .into_iter()
+        .zip(&block.indexes)
+        .map(|(index, spec)| SharedIndex {
+            index: Mutex::new(Some(Arc::new(index))),
+            users: AtomicUsize::new(spec.users),
+        })
+        .collect();
+    map_items(servers, |s, inputs| finish(block.join(s, inputs, &shared)))
+}
+
+/// `work` over `items` on the calling thread's `pq-exec` pool (the global
+/// one when none is installed); zero or one item runs inline.
+fn map_items<T: Sync, R: Send>(items: &[T], work: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
+    if items.len() <= 1 {
+        return items
             .iter()
             .enumerate()
-            .filter(|(_, r)| !acc.schema().common_attributes(r.schema()).is_empty())
-            .min_by_key(|(_, r)| r.len())
-            .map(|(i, _)| i)
-            .unwrap_or_else(|| {
-                remaining
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, r)| r.len())
-                    .map(|(i, _)| i)
-                    .expect("non-empty remaining")
-            });
-        let r = remaining.remove(next);
-        let mut step = natural_join(&acc, r);
-        joined += 1;
-        step.rename(format!("⋈{joined}"));
-        acc = Cow::Owned(step);
+            .map(|(i, item)| work(i, item))
+            .collect();
     }
-    acc.into_owned()
+    pq_exec::current_or_global().map_indexed(items, work)
+}
+
+/// A join order and, when the block fixes it, the first step's build side.
+struct JoinPlan {
+    /// Inputs in join order.
+    order: Vec<usize>,
+    /// `steps[t]` joins the first `t + 1` inputs of `order` with
+    /// `order[t + 1]`.
+    steps: Vec<StepLayout>,
+    first_build: Option<Side>,
+}
+
+impl JoinPlan {
+    /// The greedy order over inputs of the given schemas and sizes: the
+    /// smallest first, then repeatedly the smallest one sharing an
+    /// attribute with those joined so far, or the smallest of all when none
+    /// does. Ties go to the earlier input.
+    fn greedy(schemas: &[&Schema], sizes: &[usize]) -> JoinPlan {
+        let mut order: Vec<usize> = Vec::with_capacity(schemas.len());
+        let mut remaining: Vec<usize> = (0..schemas.len()).collect();
+        let mut joined: Vec<&String> = Vec::new();
+        while !remaining.is_empty() {
+            let connected =
+                |j: &usize| schemas[*j].attributes().iter().any(|a| joined.contains(&a));
+            let next = remaining
+                .iter()
+                .copied()
+                .filter(connected)
+                .min_by_key(|&j| sizes[j])
+                .or_else(|| remaining.iter().copied().min_by_key(|&j| sizes[j]))
+                .expect("non-empty remaining");
+            remaining.retain(|&j| j != next);
+            joined.extend(schemas[next].attributes());
+            order.push(next);
+        }
+        let mut steps = Vec::with_capacity(order.len().saturating_sub(1));
+        if let Some((&start, rest)) = order.split_first() {
+            let mut acc = schemas[start].clone();
+            for (t, &j) in rest.iter().enumerate() {
+                let step = StepLayout::new(&acc, schemas[j], format!("⋈{}", t + 2));
+                acc = step.schema.clone();
+                steps.push(step);
+            }
+        }
+        JoinPlan {
+            order,
+            steps,
+            first_build: None,
+        }
+    }
+
+    /// The plan of one server joining alone.
+    fn alone(inputs: &[&Relation]) -> JoinPlan {
+        let schemas: Vec<&Schema> = inputs.iter().map(|r| r.schema()).collect();
+        let sizes: Vec<usize> = inputs.iter().map(|r| r.len()).collect();
+        JoinPlan::greedy(&schemas, &sizes)
+    }
+}
+
+/// How a block is joined: one plan for all its servers when some fragment
+/// buffer is shared (else every server plans alone), the shared indexes to
+/// build, and which server probes which.
+struct BlockPlan<'a> {
+    plan: Option<JoinPlan>,
+    indexes: Vec<IndexSpec<'a>>,
+    /// `probes[s][j]`: the shared index server `s` joins input `j` through.
+    /// Empty when nothing is shared.
+    probes: Vec<Vec<Option<usize>>>,
+}
+
+/// A shared index to build: over which buffer (any of its holders), by
+/// which key columns, and for how many probing servers.
+struct IndexSpec<'a> {
+    relation: &'a Relation,
+    keys: Vec<usize>,
+    users: usize,
+}
+
+/// A built shared index and the number of servers still to probe it.
+struct SharedIndex {
+    index: Mutex<Option<Arc<RowKeyIndex>>>,
+    users: AtomicUsize,
+}
+
+impl SharedIndex {
+    fn get(&self) -> Arc<RowKeyIndex> {
+        let index = self.index.lock().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(index.as_ref().expect("released only after its last probe"))
+    }
+
+    /// One server is done probing; the last one frees the index.
+    fn release(&self) {
+        if self.users.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.index
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+        }
+    }
+}
+
+impl<'a> BlockPlan<'a> {
+    fn new(servers: &[Vec<&'a Relation>]) -> BlockPlan<'a> {
+        let alone = BlockPlan {
+            plan: None,
+            indexes: Vec::new(),
+            probes: Vec::new(),
+        };
+        let [first, _, ..] = servers else {
+            return alone;
+        };
+        let same_schemas = servers.iter().all(|inputs| {
+            inputs.len() == first.len()
+                && inputs
+                    .iter()
+                    .zip(first)
+                    .all(|(r, f)| r.schema().attributes() == f.schema().attributes())
+        });
+        let ids: Vec<Vec<Option<BufferId>>> = servers
+            .iter()
+            .map(|inputs| inputs.iter().map(|r| r.buffer_id()).collect())
+            .collect();
+        let mut holders: HashMap<(usize, BufferId), usize> = HashMap::new();
+        for (j, id) in ids.iter().flat_map(|row| row.iter().enumerate()) {
+            if let Some(id) = id {
+                *holders.entry((j, *id)).or_default() += 1;
+            }
+        }
+        if !same_schemas || holders.values().all(|&k| k < 2) {
+            return alone;
+        }
+        let shared = |s: usize, j: usize| ids[s][j].is_some_and(|id| holders[&(j, id)] >= 2);
+        let distinct_rows = |j: usize| {
+            let mut seen = HashSet::new();
+            servers
+                .iter()
+                .zip(&ids)
+                .filter(|(_, row)| row[j].map_or(true, |id| seen.insert(id)))
+                .map(|(inputs, _)| inputs[j].len())
+                .sum::<usize>()
+        };
+
+        let schemas: Vec<&Schema> = first.iter().map(|r| r.schema()).collect();
+        let sizes: Vec<usize> = (0..first.len())
+            .map(|j| servers.iter().map(|inputs| inputs[j].len()).sum())
+            .collect();
+        let mut plan = JoinPlan::greedy(&schemas, &sizes);
+        if let ([a, b, ..], Some(step)) = (&plan.order[..], plan.steps.first()) {
+            let (a, b) = (*a, *b);
+            if !step.keys.is_empty() && (0..servers.len()).any(|s| shared(s, a) || shared(s, b)) {
+                plan.first_build = Some(if distinct_rows(b) <= distinct_rows(a) {
+                    Side::Right
+                } else {
+                    Side::Left
+                });
+            }
+        }
+
+        // One index per (buffer, key columns), whichever servers and steps
+        // probe it.
+        let mut indexes: Vec<IndexSpec<'a>> = Vec::new();
+        let mut slots: HashMap<(BufferId, Vec<usize>), usize> = HashMap::new();
+        let mut probes = vec![vec![None; first.len()]; servers.len()];
+        for (t, step) in plan.steps.iter().enumerate() {
+            let (input, side) = match (t, plan.first_build) {
+                _ if step.keys.is_empty() => continue,
+                (0, None) => continue,
+                (0, Some(Side::Left)) => (plan.order[0], Side::Left),
+                _ => (plan.order[t + 1], Side::Right),
+            };
+            let (keys, _) = step.key_positions(side);
+            for (s, inputs) in servers.iter().enumerate() {
+                let Some(id) = ids[s][input].filter(|_| shared(s, input)) else {
+                    continue;
+                };
+                let slot = *slots.entry((id, keys.clone())).or_insert_with(|| {
+                    indexes.push(IndexSpec {
+                        relation: inputs[input],
+                        keys: keys.clone(),
+                        users: 0,
+                    });
+                    indexes.len() - 1
+                });
+                indexes[slot].users += 1;
+                probes[s][input] = Some(slot);
+            }
+        }
+        BlockPlan {
+            plan: Some(plan),
+            indexes,
+            probes,
+        }
+    }
+
+    /// Server `s`'s join of `inputs`, through the built `shared` indexes.
+    fn join(&self, s: usize, inputs: &[&Relation], shared: &[SharedIndex]) -> Relation {
+        let own;
+        let plan = match &self.plan {
+            Some(plan) => plan,
+            None => {
+                own = JoinPlan::alone(inputs);
+                &own
+            }
+        };
+        let slot_of = |j: usize| self.probes.get(s).and_then(|row| row[j]);
+        let Some((&start, rest)) = plan.order.split_first() else {
+            return Relation::empty(Schema::new("⊤", vec![]));
+        };
+        let mut acc = Cow::Borrowed(inputs[start]);
+        for (t, (&j, step)) in rest.iter().zip(&plan.steps).enumerate() {
+            let right = inputs[j];
+            let build = match plan.first_build {
+                Some(side) if t == 0 => side,
+                _ if slot_of(j).is_some() => Side::Right,
+                _ => Side::smaller(&acc, right),
+            };
+            let built_input = match build {
+                Side::Left if t == 0 => Some(start),
+                Side::Left => None,
+                Side::Right => Some(j),
+            };
+            let slot = built_input.and_then(slot_of).map(|i| &shared[i]);
+            let index = slot.map(SharedIndex::get);
+            let joined = join_step(&acc, right, step, build, index.as_deref());
+            drop(index);
+            if let Some(slot) = slot {
+                slot.release();
+            }
+            acc = Cow::Owned(joined);
+        }
+        acc.into_owned()
+    }
 }
 
 /// Project a relation onto the given attributes with set semantics and a
@@ -484,6 +834,56 @@ mod tests {
         let swapped_par = pool.install(|| natural_join(&right, &left));
         assert_eq!(swapped_par.len(), swapped_seq.len());
         assert!(swapped_par.iter().zip(swapped_seq.iter()).all(|(a, b)| a == b));
+    }
+
+    #[test]
+    fn a_block_indexes_each_shared_fragment_once() {
+        // The 4x4x4 triangle grid by hand: S1(x1,x2), S2(x2,x3), S3(x3,x1)
+        // over the complete 8x8 graph, each cut into 16 cells by its two
+        // values mod 4. Server (a, b, c) holds clones — one shared buffer —
+        // of cell (a, b) of S1, (b, c) of S2 and (c, a) of S3, so every
+        // cell is held by 4 servers. The block builds the indexed atom of
+        // both steps once per cell: 2 x 16 indexes for 64 servers, where
+        // every server alone would build 2 of its own.
+        let cells = |name: &str, attrs: &[&str]| -> Vec<Vec<Relation>> {
+            (0..4u64)
+                .map(|a| {
+                    (0..4u64)
+                        .map(|b| {
+                            let rows = (0..8u64)
+                                .flat_map(|u| (0..8u64).map(move |v| vec![u, v]))
+                                .filter(|row| row[0] % 4 == a && row[1] % 4 == b)
+                                .collect();
+                            r(name, attrs, rows)
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let (s1, s2, s3) = (
+            cells("S1", &["x1", "x2"]),
+            cells("S2", &["x2", "x3"]),
+            cells("S3", &["x3", "x1"]),
+        );
+        let mut held = Vec::new();
+        for a in 0..4 {
+            for b in 0..4 {
+                for c in 0..4 {
+                    held.push([s1[a][b].clone(), s2[b][c].clone(), s3[c][a].clone()]);
+                }
+            }
+        }
+        let servers: Vec<Vec<&Relation>> = held.iter().map(|inputs| inputs.iter().collect()).collect();
+        let block = BlockPlan::new(&servers);
+        assert_eq!(block.indexes.len(), 32);
+        assert!(block.indexes.iter().all(|index| index.users == 4));
+        assert_eq!(BlockPlan::new(&servers[..1]).indexes.len(), 0);
+        let answers = natural_join_block(&servers, |joined| joined.canonicalized());
+        assert_eq!(answers.len(), 64);
+        for (answer, inputs) in answers.iter().zip(&servers) {
+            assert_eq!(answer.len(), 8);
+            assert_eq!(answer, &natural_join_all(inputs).canonicalized());
+        }
     }
 
     #[test]

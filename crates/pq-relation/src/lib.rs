@@ -26,8 +26,10 @@
 //!   heavy-hitter injectors and Zipf-skewed relations,
 //! * [`join`] — natural-join evaluation used both as the local computation
 //!   performed by each simulated server and as a correctness oracle in
-//!   tests; large probe sides split into morsels over the installed
-//!   `pq-exec` pool with sequential-identical output.
+//!   tests; a block join indexes each fragment buffer the servers of a
+//!   HyperCube subcube share once for all of them, and large probe sides
+//!   split into morsels over the installed `pq-exec` pool with
+//!   sequential-identical output.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -51,10 +53,9 @@ pub use csv::{
 pub use database::Database;
 pub use generator::{DataGenerator, SkewSpec};
 pub use hash::{
-    hash_key, hash_values, mix64, BucketHasher, HashFamily, MultiplyShiftHash, PrehashedBuild,
-    TabulationHash,
+    hash_key, hash_values, mix64, BucketHasher, HashFamily, MultiplyShiftHash, TabulationHash,
 };
-pub use join::{natural_join, natural_join_all, project, MORSEL_ROWS};
+pub use join::{natural_join, natural_join_all, natural_join_block, project, MORSEL_ROWS};
 pub use relation::{Relation, Rows};
 pub use scatter::Scatter;
 pub use schema::Schema;

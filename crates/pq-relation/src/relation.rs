@@ -29,8 +29,8 @@
 //! fill a plain `Vec<Value>` and freeze it once with
 //! [`Relation::from_values`].
 
-use crate::hash::{hash_values, PrehashedBuild};
-use crate::rowindex::RowKeyIndex;
+use crate::hash::hash_values;
+use crate::rowindex::{assert_indexable, RowKeyIndex};
 use crate::schema::Schema;
 use crate::tuple::{Tuple, Value};
 use serde::{Deserialize, Serialize};
@@ -164,6 +164,19 @@ impl Relation {
         &self.values
     }
 
+    /// The identity of the row buffer — its address, length and stride —
+    /// or `None` for an empty buffer (every empty buffer has the same
+    /// dangling address). Two live relations with the same id share their
+    /// rows: that is how a block join tells which servers of a HyperCube
+    /// subcube hold one fragment.
+    pub(crate) fn buffer_id(&self) -> Option<BufferId> {
+        (!self.values.is_empty()).then(|| BufferId {
+            address: self.values.as_ptr() as usize,
+            values: self.values.len(),
+            arity: self.schema.arity(),
+        })
+    }
+
     /// Borrowed view of row `i` (length [`Relation::arity`]).
     ///
     /// # Panics
@@ -287,8 +300,9 @@ impl Relation {
     }
 
     /// Remove duplicate tuples (set semantics). Preserves first occurrence
-    /// order. Uses the seeded row hash of [`crate::hash`] with full-row
-    /// verification on equal hashes — no per-row key allocation.
+    /// order. Insert-if-absent on the join's compact chained key index
+    /// over the seeded row hash of [`crate::hash`], with
+    /// full-row verification on equal hashes — no per-row key allocation.
     pub fn dedup(&mut self) {
         if self.rows <= 1 {
             return;
@@ -299,43 +313,23 @@ impl Relation {
             self.rows = 1;
             return;
         }
-        // `map` takes each row hash to the first *kept* row with that hash;
-        // `next` chains further kept rows sharing the hash. Slice equality
-        // against the kept prefix of `out` resolves hash collisions exactly.
-        const NONE: u32 = u32::MAX;
-        assert!(
-            self.rows < NONE as usize,
-            "dedup supports at most {NONE} rows, relation `{}` has {}",
-            self.name(),
-            self.rows
-        );
-        let mut map: HashMap<u64, u32, PrehashedBuild> =
-            HashMap::with_capacity_and_hasher(self.rows, PrehashedBuild);
-        let mut next: Vec<u32> = Vec::new();
+        // `kept` indexes the rows of `out`, the kept prefix; slice equality
+        // against it resolves hash collisions exactly.
+        assert_indexable(self.rows, self.name());
+        let mut kept = RowKeyIndex::with_capacity(self.rows);
         let mut out: Vec<Value> = Vec::with_capacity(self.values.len());
-        let mut kept = 0u32;
-        for r in 0..self.rows {
-            let row = &self.values[r * arity..(r + 1) * arity];
+        for row in self.iter() {
             let h = hash_values(row);
-            let mut candidate = *map.get(&h).unwrap_or(&NONE);
-            let mut duplicate = false;
-            while candidate != NONE {
-                let c = candidate as usize;
-                if &out[c * arity..(c + 1) * arity] == row {
-                    duplicate = true;
-                    break;
-                }
-                candidate = next[c];
-            }
-            if !duplicate {
+            if !kept
+                .chain(h, kept.find(h))
+                .any(|k| &out[k * arity..(k + 1) * arity] == row)
+            {
+                kept.insert(h);
                 out.extend_from_slice(row);
-                let prev = map.insert(h, kept).unwrap_or(NONE);
-                next.push(prev);
-                kept += 1;
             }
         }
+        self.rows = kept.len();
         self.values = Arc::new(out);
-        self.rows = kept as usize;
     }
 
     /// Sort tuples lexicographically (useful for comparisons in tests).
@@ -564,6 +558,14 @@ impl Relation {
             index.contains(other, &other_positions, row, &self_positions) == keep_matching
         })
     }
+}
+
+/// The identity of a live row buffer (see [`Relation::buffer_id`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct BufferId {
+    address: usize,
+    values: usize,
+    arity: usize,
 }
 
 /// Iterator over the borrowed row views of a [`Relation`].

@@ -1,66 +1,117 @@
-//! Crate-internal hash index over the rows of a flat [`Relation`], keyed by
-//! a subset of column positions. This is the build side of the hash join and
-//! the key set of semijoin/antijoin: no key tuple is ever materialised —
-//! keys are hashed in place with [`crate::hash::hash_key`] and equal hashes
-//! are verified by comparing the key positions of the stored rows.
+//! Crate-internal compact hash index over the rows of a flat [`Relation`],
+//! keyed by a subset of column positions. This is the build side of the
+//! hash join, the key set of semijoin/antijoin and the seen-set of
+//! [`Relation::dedup`]: no key tuple is ever materialised — keys are hashed
+//! in place with [`crate::hash::hash_key`] and equal hashes are verified by
+//! comparing the key positions of the stored rows.
+//!
+//! # Layout
+//!
+//! One chained table, three flat arrays and nothing else:
+//!
+//! * `heads` — a power-of-two bucket array of at least twice the expected
+//!   row count, holding the most recently inserted row of each bucket;
+//! * `next` — per row, the previous row of its bucket;
+//! * `hashes` — per row, its full 64-bit key hash.
+//!
+//! That is 20–28 bytes per indexed row (8–16 of bucket heads, 4 of chain,
+//! 8 of hash) in three allocations. A lookup reads one bucket head and then
+//! walks the chain, skipping rows whose stored hash differs without
+//! touching the indexed relation. Rows with equal hashes therefore come out
+//! most recent first — reverse insertion order — and a count of them is
+//! exact except on a 64-bit hash collision, which the caller's key
+//! comparison rejects.
 
-use crate::hash::{hash_key, PrehashedBuild};
+use crate::hash::hash_key;
 use crate::relation::Relation;
 use crate::tuple::Value;
-use std::collections::HashMap;
 
-const NONE: u32 = u32::MAX;
+/// The end of a chain (and the one row id the index cannot hold).
+pub(crate) const NONE: u32 = u32::MAX;
 
-/// A chained hash index: `map` takes a key hash to the most recent row with
-/// that hash plus the number of rows sharing it; `next` chains the earlier
-/// rows. Row ids index into the indexed relation.
+/// Panic unless `rows` rows fit a [`RowKeyIndex`]: row ids are `u32`, with
+/// [`NONE`] reserved.
+pub(crate) fn assert_indexable(rows: usize, relation: &str) {
+    assert!(
+        rows < NONE as usize,
+        "RowKeyIndex supports at most {NONE} rows, relation `{relation}` has {rows}"
+    );
+}
+
+/// A chained hash index over 64-bit key hashes (see the module docs). Row
+/// ids are insertion numbers: for an index built by [`RowKeyIndex::build`],
+/// the indexed relation's row numbers.
 pub(crate) struct RowKeyIndex {
-    map: HashMap<u64, (u32, u32), PrehashedBuild>,
+    heads: Vec<u32>,
     next: Vec<u32>,
+    hashes: Vec<u64>,
 }
 
 impl RowKeyIndex {
+    /// An empty index sized for `rows` rows.
+    pub(crate) fn with_capacity(rows: usize) -> Self {
+        RowKeyIndex {
+            heads: vec![NONE; (2 * rows).next_power_of_two()],
+            next: Vec::with_capacity(rows),
+            hashes: Vec::with_capacity(rows),
+        }
+    }
+
     /// Index every row of `relation` by the values at `key_positions`.
     pub(crate) fn build(relation: &Relation, key_positions: &[usize]) -> Self {
-        assert!(
-            relation.len() < NONE as usize,
-            "RowKeyIndex supports at most {} rows, relation `{}` has {}",
-            NONE,
-            relation.name(),
-            relation.len()
-        );
-        let mut map: HashMap<u64, (u32, u32), PrehashedBuild> =
-            HashMap::with_capacity_and_hasher(relation.len(), PrehashedBuild);
-        let mut next = vec![NONE; relation.len()];
-        for (i, row) in relation.iter().enumerate() {
-            let h = hash_key(row, key_positions);
-            match map.entry(h) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let (head, count) = *e.get();
-                    next[i] = head;
-                    *e.get_mut() = (i as u32, count + 1);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert((i as u32, 1));
-                }
-            }
+        assert_indexable(relation.len(), relation.name());
+        let mut index = RowKeyIndex::with_capacity(relation.len());
+        for row in relation.iter() {
+            index.insert(hash_key(row, key_positions));
         }
-        RowKeyIndex { map, next }
+        index
     }
 
-    /// Number of indexed rows whose key hash equals `hash` (an upper bound
-    /// on the true match count, exact except on 64-bit hash collisions).
-    /// Used to pre-size join outputs.
-    pub(crate) fn count_for_hash(&self, hash: u64) -> usize {
-        self.map.get(&hash).map(|&(_, c)| c as usize).unwrap_or(0)
+    /// Number of rows inserted so far.
+    pub(crate) fn len(&self) -> usize {
+        self.next.len()
     }
 
-    /// Iterate the row ids whose key hash equals `hash` (callers verify the
-    /// actual key values).
-    pub(crate) fn candidates(&self, hash: u64) -> Candidates<'_> {
-        Candidates {
-            next: &self.next,
-            current: self.map.get(&hash).map(|&(head, _)| head).unwrap_or(NONE),
+    #[inline]
+    fn bucket(&self, hash: u64) -> usize {
+        hash as usize & (self.heads.len() - 1)
+    }
+
+    /// Add the next row, whose key hashes to `hash`.
+    #[inline]
+    pub(crate) fn insert(&mut self, hash: u64) {
+        let row = self.next.len() as u32;
+        let bucket = self.bucket(hash);
+        self.next.push(self.heads[bucket]);
+        self.hashes.push(hash);
+        self.heads[bucket] = row;
+    }
+
+    /// The most recent row whose key hash is `hash`, or [`NONE`]: where
+    /// [`RowKeyIndex::chain`] starts. This is the lookup; the chain walk
+    /// from its result reads no bucket head again.
+    #[inline]
+    pub(crate) fn find(&self, hash: u64) -> u32 {
+        self.skip_to(hash, self.heads[self.bucket(hash)])
+    }
+
+    #[inline]
+    fn skip_to(&self, hash: u64, mut row: u32) -> u32 {
+        while row != NONE && self.hashes[row as usize] != hash {
+            row = self.next[row as usize];
+        }
+        row
+    }
+
+    /// The rows whose key hash is `hash`, most recent first, from `start`
+    /// (a result of [`RowKeyIndex::find`] for the same hash) on. Callers
+    /// verify the actual key values.
+    #[inline]
+    pub(crate) fn chain(&self, hash: u64, start: u32) -> Chain<'_> {
+        Chain {
+            index: self,
+            hash,
+            row: start,
         }
     }
 
@@ -75,7 +126,7 @@ impl RowKeyIndex {
         probe_positions: &[usize],
     ) -> bool {
         let h = hash_key(probe_row, probe_positions);
-        self.candidates(h).any(|i| {
+        self.chain(h, self.find(h)).any(|i| {
             let row = indexed.row(i);
             key_positions
                 .iter()
@@ -85,21 +136,23 @@ impl RowKeyIndex {
     }
 }
 
-/// Iterator over the chained row ids of one hash bucket.
-pub(crate) struct Candidates<'a> {
-    next: &'a [u32],
-    current: u32,
+/// Iterator over the row ids of one key hash (see [`RowKeyIndex::chain`]).
+pub(crate) struct Chain<'a> {
+    index: &'a RowKeyIndex,
+    hash: u64,
+    row: u32,
 }
 
-impl Iterator for Candidates<'_> {
+impl Iterator for Chain<'_> {
     type Item = usize;
 
+    #[inline]
     fn next(&mut self) -> Option<usize> {
-        if self.current == NONE {
+        if self.row == NONE {
             return None;
         }
-        let i = self.current as usize;
-        self.current = self.next[i];
+        let i = self.row as usize;
+        self.row = self.index.skip_to(self.hash, self.index.next[i]);
         Some(i)
     }
 }
@@ -107,7 +160,12 @@ impl Iterator for Candidates<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::hash_values;
     use crate::schema::Schema;
+
+    fn rows_of(index: &RowKeyIndex, hash: u64) -> Vec<usize> {
+        index.chain(hash, index.find(hash)).collect()
+    }
 
     #[test]
     fn index_finds_all_rows_for_a_key() {
@@ -116,12 +174,63 @@ mod tests {
             vec![vec![1, 10], vec![2, 20], vec![1, 30]],
         );
         let idx = RowKeyIndex::build(&r, &[0]);
-        let h = crate::hash::hash_values(&[1]);
-        assert_eq!(idx.count_for_hash(h), 2);
-        let mut rows: Vec<usize> = idx.candidates(h).collect();
-        rows.sort_unstable();
-        assert_eq!(rows, vec![0, 2]);
+        let h = hash_values(&[1]);
+        // Equal keys come out in reverse insertion order.
+        assert_eq!(rows_of(&idx, h), vec![2, 0]);
         assert!(idx.contains(&r, &[0], &[99, 1], &[1]));
         assert!(!idx.contains(&r, &[0], &[99, 5], &[1]));
+    }
+
+    #[test]
+    fn rows_of_one_bucket_are_told_apart_by_their_hashes() {
+        // Hand-picked hashes forced into one bucket of a 2-row table
+        // (4 buckets): low bits equal, full hashes different.
+        let mut idx = RowKeyIndex::with_capacity(2);
+        assert_eq!(idx.heads.len(), 4);
+        let (a, b) = (0x10_u64, 0x20_u64);
+        assert_eq!(idx.bucket(a), idx.bucket(b));
+        idx.insert(a);
+        idx.insert(b);
+        idx.insert(a);
+        assert_eq!(rows_of(&idx, a), vec![2, 0]);
+        assert_eq!(rows_of(&idx, b), vec![1]);
+        assert_eq!(idx.find(0x30), NONE);
+        assert_eq!(idx.len(), 3);
+    }
+
+    #[test]
+    fn equal_hashes_of_different_keys_are_rejected_by_the_key_check() {
+        // A 64-bit collision, simulated: two different keys inserted under
+        // one hash. The chain yields both; `contains` compares the values.
+        let r = Relation::from_rows(Schema::from_strs("R", &["x"]), vec![vec![7], vec![8]]);
+        let h = hash_values(&[7]);
+        let mut idx = RowKeyIndex::with_capacity(2);
+        idx.insert(h);
+        idx.insert(h);
+        assert_eq!(rows_of(&idx, h), vec![1, 0]);
+        assert!(idx.contains(&r, &[0], &[7], &[0]));
+        // Row 1 (value 8) sits on hash(7)'s chain but is no match for 7,
+        // and a probe for 8 hashes elsewhere: nothing on its chain.
+        assert!(!idx.contains(&r, &[0], &[8], &[0]));
+    }
+
+    #[test]
+    fn empty_and_one_row_relations_index() {
+        let empty = Relation::empty(Schema::from_strs("E", &["x"]));
+        let idx = RowKeyIndex::build(&empty, &[0]);
+        assert_eq!(idx.len(), 0);
+        assert_eq!(idx.find(hash_values(&[1])), NONE);
+        assert!(!idx.contains(&empty, &[0], &[1], &[0]));
+        let one = Relation::from_rows(Schema::from_strs("O", &["x"]), vec![vec![3]]);
+        let idx = RowKeyIndex::build(&one, &[0]);
+        assert_eq!(rows_of(&idx, hash_values(&[3])), vec![0]);
+        assert!(idx.contains(&one, &[0], &[3], &[0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "RowKeyIndex supports at most 4294967295 rows")]
+    fn row_count_is_capped_below_u32_max() {
+        assert_indexable(NONE as usize - 1, "R");
+        assert_indexable(NONE as usize, "R");
     }
 }

@@ -10,7 +10,10 @@
 //! * worker-granular routing (`route_folded`) ships the per-worker set
 //!   union of `route_bound`'s messages under the simulator's model account;
 //! * `route_bound` (one shared fragment per destination subcube) delivers
-//!   what a naive row-by-row `destinations()` router delivers.
+//!   what a naive row-by-row `destinations()` router delivers;
+//! * the block join gives every server of a HyperCube grid the answer it
+//!   would join alone — the very same rows in the same order wherever no
+//!   fragment buffer is shared — at pool sizes 1, 2 and 8.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -20,7 +23,9 @@ use pq_core::multiround::plan::{bushy_chain_plan, execute_plan};
 use pq_core::shares::{grid_size, integer_shares, optimal_share_exponents, ShareRounding};
 use pq_core::{hypercube, skew};
 use pq_query::{characteristic, evaluate_sequential, packing, Atom, ConjunctiveQuery};
-use pq_relation::{DataGenerator, Database, Relation, Schema};
+use pq_relation::{
+    natural_join_all, natural_join_block, DataGenerator, Database, Relation, Schema,
+};
 
 /// Build a database for a query with uniformly random relations of the given
 /// cardinality (duplicates removed), over a domain that guarantees plenty of
@@ -71,8 +76,80 @@ fn arbitrary_connected_query() -> impl Strategy<Value = ConjunctiveQuery> {
     )
 }
 
+/// [`arbitrary_connected_query`] (a tree, acyclic, or a tree with extra
+/// edges, cyclic), plus — for `extra` of 1 or 2 — an atom over variables of
+/// its own, which makes one join step a Cartesian product.
+fn arbitrary_block_query() -> impl Strategy<Value = ConjunctiveQuery> {
+    (arbitrary_connected_query(), 0usize..3).prop_map(|(query, extra)| {
+        let mut atoms = query.atoms().to_vec();
+        if extra > 0 {
+            atoms.push(Atom::new(
+                "D",
+                (0..extra).map(|i| format!("y{i}")).collect(),
+            ));
+        }
+        ConjunctiveQuery::new("rand", atoms)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // The block join against each server joining alone, on HyperCube-routed
+    // fragments: random acyclic, cyclic and Cartesian queries, random grids
+    // (shares of 1 included) at a server offset, pool sizes 1, 2 and 8.
+    // Every server's answer is the bag its own `natural_join_all` returns;
+    // where no two servers hold one buffer, it is that very relation — same
+    // schema, same rows, same order.
+    #[test]
+    fn block_join_equals_each_server_joining_alone(
+        query in arbitrary_block_query(),
+        share_seed in proptest::collection::vec(1usize..4, 7..8),
+        server_offset in 0usize..4,
+        m in 1usize..50,
+        seed in 0u64..1000,
+    ) {
+        let db = random_database(&query, m, 30, seed);
+        let shares: BTreeMap<String, usize> =
+            query.variables().into_iter().zip(share_seed).collect();
+        let router = hypercube::HyperCubeRouter::new(&query, &shares, seed, 0, server_offset);
+        let mut cluster = pq_mpc::Cluster::new(server_offset + router.grid_size(), 8);
+        cluster.communicate(router.route_bound(&pq_query::instantiate(&query, &db)));
+        let fragments: Vec<Vec<&Relation>> = cluster
+            .servers()
+            .iter()
+            .filter_map(|server| {
+                query.atoms().iter().map(|a| server.fragment(a.relation())).collect()
+            })
+            .collect();
+        let shared = fragments.iter().enumerate().any(|(s, inputs)| {
+            fragments[..s].iter().any(|other| {
+                inputs
+                    .iter()
+                    .zip(other)
+                    .any(|(a, b)| !a.is_empty() && a.values().as_ptr() == b.values().as_ptr())
+            })
+        });
+        let alone: Vec<Relation> = fragments.iter().map(|inputs| natural_join_all(inputs)).collect();
+        let variables = query.variables();
+        let sorted_bag = |joined: &Relation| {
+            let mut rows = joined.project(&variables, "bag");
+            rows.sort();
+            rows
+        };
+        for threads in [1, 2, 8] {
+            let block = pq_exec::TaskPool::new(threads)
+                .install(|| natural_join_block(&fragments, |joined| joined));
+            prop_assert_eq!(block.len(), fragments.len());
+            for (joined, own) in block.iter().zip(&alone) {
+                if shared {
+                    prop_assert_eq!(sorted_bag(joined), sorted_bag(own));
+                } else {
+                    prop_assert_eq!(joined, own);
+                }
+            }
+        }
+    }
 
     #[test]
     fn hypercube_always_matches_oracle_on_random_data(
