@@ -2,7 +2,9 @@
 //! 3-way natural joins and hash partitioning over matching relations at
 //! m ∈ {10k, 100k}, and the local joins of one HyperCube round — the
 //! 64 servers of the 4×4×4 triangle grid as one block join against every
-//! server joining alone. Baselines live in `BENCH_relation.json`, so
+//! server joining alone — and the HyperCube round's routing that feeds
+//! them, per logical server and folded onto two workers. Baselines live in
+//! `BENCH_relation.json`, so
 //! regressions in `pq-relation`'s flat row storage or the join/shuffle hot
 //! path show up independently of planning and the end-to-end engine
 //! pipeline.
@@ -67,10 +69,10 @@ fn bench_relation(c: &mut Criterion) {
     group.finish();
 }
 
-/// The triangle over random matchings of `m` rows on the 4×4×4 grid, as
-/// routed to 64 simulated servers: each fragment buffer is held by the 4
-/// servers of its subcube.
-fn triangle_grid(m: usize) -> (ConjunctiveQuery, Cluster) {
+/// The triangle over random matchings of `m` rows bound to its query
+/// variables, its router on the 4×4×4 grid of 64 servers, and the model's
+/// bits per value.
+fn triangle_routing(m: usize) -> (ConjunctiveQuery, Vec<Relation>, HyperCubeRouter, u64) {
     let query = ConjunctiveQuery::triangle();
     let database = DataGenerator::new(11, (m as u64) * 16).matching_database(&[
         (Schema::from_strs("S1", &["a", "b"]), m),
@@ -79,8 +81,16 @@ fn triangle_grid(m: usize) -> (ConjunctiveQuery, Cluster) {
     ]);
     let shares: BTreeMap<String, usize> = query.variables().into_iter().map(|v| (v, 4)).collect();
     let router = HyperCubeRouter::new(&query, &shares, 7, 0, 0);
-    let mut cluster = Cluster::new(64, database.bits_per_value());
-    cluster.communicate(router.route_bound(&instantiate(&query, &database)));
+    let bound = instantiate(&query, &database);
+    (query, bound, router, database.bits_per_value())
+}
+
+/// The triangle's round of [`triangle_routing`] delivered to 64 simulated
+/// servers: each fragment buffer is held by the 4 servers of its subcube.
+fn triangle_grid(m: usize) -> (ConjunctiveQuery, Cluster) {
+    let (query, bound, router, bits_per_value) = triangle_routing(m);
+    let mut cluster = Cluster::new(64, bits_per_value);
+    cluster.communicate(router.route_bound(&bound));
     (query, cluster)
 }
 
@@ -115,5 +125,24 @@ fn bench_block_join(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_relation, bench_block_join);
+/// HyperCube routing of the triangle round on the process-wide pool: one
+/// message per (server, relation) (`route_bound`, what the simulator
+/// backend ships) and one fragment per (worker, relation) for two workers
+/// (`route_folded`, what the cluster coordinator ships).
+fn bench_hypercube_route(c: &mut Criterion) {
+    let mut group = c.benchmark_group("relation");
+    group.sample_size(10);
+    let m = 64_000;
+    let (_, bound, router, bits_per_value) = triangle_routing(m);
+    let pool = pq_exec::global();
+    group.bench_with_input(BenchmarkId::new("hypercube_route", m), &bound, |b, bound| {
+        b.iter(|| pool.install(|| router.route_bound(bound).len()))
+    });
+    group.bench_with_input(BenchmarkId::new("hypercube_fold", m), &bound, |b, bound| {
+        b.iter(|| pool.install(|| router.route_folded(bound, 64, 2, bits_per_value).messages))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_relation, bench_block_join, bench_hypercube_route);
 criterion_main!(benches);

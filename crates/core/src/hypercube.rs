@@ -28,7 +28,10 @@ use crate::shares::{self, ShareRounding};
 use pq_mpc::net::Shipment;
 use pq_mpc::{Message, RunMetrics, Server};
 use pq_query::{evaluate_block, instantiate, ConjunctiveQuery};
-use pq_relation::{BucketHasher, Database, HashFamily, MultiplyShiftHash, Relation, Schema, Value};
+use pq_relation::hash::MultiplyShiftHasher;
+use pq_relation::{
+    BucketHasher, Database, HashFamily, MultiplyShiftHash, Relation, Scatter, Schema, Value,
+};
 use std::collections::BTreeMap;
 
 /// A configured HyperCube router: the grid layout (shares per variable), the
@@ -45,7 +48,7 @@ pub struct HyperCubeRouter {
     /// `strides[d]` = Π_{d' > d} shares[d']: the weight of dimension `d` in
     /// the row-major linearisation of the grid.
     strides: Vec<usize>,
-    hashers: Vec<<MultiplyShiftHash as HashFamily>::Hasher>,
+    hashers: Vec<MultiplyShiftHasher>,
     server_offset: usize,
 }
 
@@ -119,18 +122,22 @@ impl HyperCubeRouter {
         self.server_offset + idx
     }
 
-    /// Resolve a bound relation's schema against the grid once: which grid
-    /// dimension each schema position pins (`bound`), and the linear-index
-    /// offsets of every combination of the remaining free dimensions
-    /// (`free_offsets`). Per-row routing is then one hash and one add per
-    /// bound dimension plus one add per destination — no string comparison,
-    /// no recursion, no allocation.
-    fn route_plan(&self, bound_schema_vars: &[String]) -> (Vec<(usize, usize)>, Vec<usize>) {
-        let mut bound: Vec<(usize, usize)> = Vec::new();
+    /// Compile a bound relation's schema against the grid once: which grid
+    /// dimension each schema position pins, with that dimension's hasher
+    /// and stride, and the linear-index offsets of every combination of the
+    /// remaining free dimensions. Per-row routing is then one hash, one
+    /// multiply and one add per bound dimension — no string comparison, no
+    /// lookup, no allocation.
+    fn route_plan(&self, bound_schema_vars: &[String]) -> RoutePlan {
+        let mut bound = Vec::new();
         let mut dim_is_bound = vec![false; self.variables.len()];
         for (pos, var) in bound_schema_vars.iter().enumerate() {
             if let Some(dim) = self.variables.iter().position(|v| v == var) {
-                bound.push((dim, pos));
+                bound.push(BoundDim {
+                    pos,
+                    hasher: self.hashers[dim].clone(),
+                    stride: self.strides[dim],
+                });
                 dim_is_bound[dim] = true;
             }
         }
@@ -146,38 +153,41 @@ impl HyperCubeRouter {
             }
             free_offsets = next;
         }
-        (bound, free_offsets)
+        RoutePlan {
+            bound,
+            free_offsets,
+        }
     }
 
     /// The destination subcube of a row of the given bound relation
     /// (schema attributes = query variables): every physical server whose
     /// grid coordinates agree with the hashes of the row's values.
     pub fn destinations(&self, bound_schema_vars: &[String], row: &[Value]) -> Vec<usize> {
-        let (bound, free_offsets) = self.route_plan(bound_schema_vars);
-        let base = self.server_offset + self.base_index(&bound, row);
-        free_offsets.iter().map(|&o| base + o).collect()
-    }
-
-    #[inline]
-    fn base_index(&self, bound: &[(usize, usize)], row: &[Value]) -> usize {
-        bound
-            .iter()
-            .map(|&(dim, pos)| self.hashers[dim].bucket(row[pos]) * self.strides[dim])
-            .sum()
+        let plan = self.route_plan(bound_schema_vars);
+        let cell: usize = plan.bound.iter().map(|dim| dim.offset(row)).sum();
+        let base = self.server_offset + cell;
+        plan.free_offsets.iter().map(|&o| base + o).collect()
     }
 
     /// Route one bound relation (schema attributes = query variables):
     /// one message per (non-empty cell of the bound dimensions, server of
     /// that cell's subcube), in ascending server order. Each row is copied
-    /// once, into its cell's fragment ([`Relation::partition`]: hashing
-    /// morsel-parallel on the installed `pq-exec` pool, rows in input order
-    /// at any pool size); the messages to the servers of one subcube share
-    /// that fragment's buffer, so the replication Eq. 9 prescribes is
-    /// charged to every receiver but not performed as a memory copy.
+    /// once, into its cell's fragment ([`Relation::scatter`] with one part
+    /// per cell: hashing and filling morsel-parallel on the installed
+    /// `pq-exec` pool, rows in input order at any pool size); the messages
+    /// to the servers of one subcube share that fragment's buffer, so the
+    /// replication Eq. 9 prescribes is charged to every receiver but not
+    /// performed as a memory copy.
     pub fn route_relation(&self, relation: &Relation) -> Vec<Message> {
-        let (bound, free_offsets) = self.route_plan(relation.schema().attributes());
-        let cells = relation.partition(self.grid_size(), |_, row| self.base_index(&bound, row));
-        let mut messages: Vec<Message> = cells
+        let plan = self.route_plan(relation.schema().attributes());
+        let grid = self.grid_size();
+        let cells: Vec<usize> = (0..grid).collect();
+        let scatter = plan.scatter(relation, grid, grid, |cell| {
+            std::slice::from_ref(&cells[cell])
+        });
+        let free_offsets = &plan.free_offsets;
+        let mut messages: Vec<Message> = scatter
+            .parts
             .iter()
             .enumerate()
             .filter(|(_, cell)| !cell.is_empty())
@@ -248,24 +258,23 @@ impl HyperCubeRouter {
     fn fold_relation(&self, relation: &Relation, bits_per_value: u64, shipment: &mut Shipment) {
         let p = shipment.received_bits.len();
         let workers = shipment.fragments.len();
-        let (bound, free_offsets) = self.route_plan(relation.schema().attributes());
+        let plan = self.route_plan(relation.schema().attributes());
+        let free_offsets = &plan.free_offsets;
         // `(base + off) % workers` depends on `base` only through its
-        // residue, so the deduplicated worker list of a cell is a lookup.
+        // residue, so the deduplicated worker list of a cell is one of
+        // `workers` lists, picked once per cell.
         let hosts: Vec<Vec<usize>> = (0..workers)
             .map(|residue| {
                 let mut hit = vec![false; workers];
-                for &off in &free_offsets {
+                for &off in free_offsets {
                     hit[(residue + off) % workers] = true;
                 }
                 (0..workers).filter(|&w| hit[w]).collect()
             })
             .collect();
-        let folded = relation.scatter(
-            self.grid_size(),
-            |_, row| self.base_index(&bound, row),
-            workers,
-            |base| &hosts[(self.server_offset + base) % workers],
-        );
+        let folded = plan.scatter(relation, self.grid_size(), workers, |base| {
+            hosts[(self.server_offset + base) % workers].as_slice()
+        });
         // Bound and free dimensions are disjoint, so every (base, offset)
         // pair is a distinct logical server: one model message each.
         let bits_per_row = relation.arity() as u64 * bits_per_value;
@@ -273,7 +282,7 @@ impl HyperCubeRouter {
             if rows == 0 {
                 continue;
             }
-            for &off in &free_offsets {
+            for &off in free_offsets {
                 let server = self.server_offset + base + off;
                 assert!(
                     server < p,
@@ -287,6 +296,68 @@ impl HyperCubeRouter {
             if !fragment.is_empty() {
                 shipment.fragments[worker].push(fragment);
             }
+        }
+    }
+}
+
+/// One bound dimension of a relation's route plan: the schema position
+/// it reads, the dimension's hash function and its stride in the grid's
+/// row-major linear index.
+struct BoundDim {
+    pos: usize,
+    hasher: MultiplyShiftHasher,
+    stride: usize,
+}
+
+impl BoundDim {
+    /// The dimension's share of the row's cell id.
+    #[inline(always)]
+    fn offset(&self, row: &[Value]) -> usize {
+        self.hasher.bucket(row[self.pos]) * self.stride
+    }
+}
+
+/// A bound relation compiled against a grid ([`HyperCubeRouter::route_plan`]):
+/// its cell classifier (the bound dimensions) and its subcube (the
+/// linear-index offsets of the free dimensions).
+struct RoutePlan {
+    bound: Vec<BoundDim>,
+    free_offsets: Vec<usize>,
+}
+
+impl RoutePlan {
+    /// [`Relation::scatter`] by the grid cell of the bound dimensions. The
+    /// classifier is picked once per relation, specialised for up to three
+    /// bound dimensions — a fixed set of hashes inlined into the kernel's
+    /// loop — with a loop over the dimensions for more.
+    fn scatter<'d>(
+        &self,
+        relation: &Relation,
+        cells: usize,
+        parts: usize,
+        destinations: impl Fn(usize) -> &'d [usize],
+    ) -> Scatter {
+        match self.bound.as_slice() {
+            [] => relation.scatter(cells, |_, _| 0, parts, destinations),
+            [a] => relation.scatter(cells, |_, row| a.offset(row), parts, destinations),
+            [a, b] => relation.scatter(
+                cells,
+                |_, row| a.offset(row) + b.offset(row),
+                parts,
+                destinations,
+            ),
+            [a, b, c] => relation.scatter(
+                cells,
+                |_, row| a.offset(row) + b.offset(row) + c.offset(row),
+                parts,
+                destinations,
+            ),
+            dims => relation.scatter(
+                cells,
+                |_, row| dims.iter().map(|dim| dim.offset(row)).sum(),
+                parts,
+                destinations,
+            ),
         }
     }
 }

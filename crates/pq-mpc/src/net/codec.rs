@@ -13,8 +13,9 @@
 //! Inside payloads: integers are little-endian (`u32`/`u64`), strings are a
 //! `u16` length followed by UTF-8 bytes, string lists are a `u16` count of
 //! strings, and a relation is `name ‖ attributes ‖ row count (u64) ‖ raw
-//! row buffer` — the flat storage shipped verbatim via
-//! [`Relation::write_rows_le`], so encoding a fragment is one buffer copy.
+//! row buffer` — the flat storage shipped verbatim in the layout of
+//! [`Relation::write_rows_le`], encoded in bounded chunks straight from the
+//! relation's buffer as the frame is written.
 //!
 //! Decoding never panics: a bad magic, an unknown type byte, an oversized
 //! length prefix, a stream that ends mid-frame or a payload whose fields
@@ -22,7 +23,7 @@
 //! clean EOF *between* frames is `Ok(None)` — the peer hung up, which is
 //! an orderly close, not a malformed frame.
 
-use pq_relation::{Relation, Schema, WireError};
+use pq_relation::{values_to_le_bytes, Relation, Schema, WireError};
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 
@@ -231,17 +232,28 @@ fn put_str_list(out: &mut Vec<u8>, list: &[String]) {
     }
 }
 
-fn put_relation(out: &mut Vec<u8>, relation: &Relation) {
+/// A relation's encoding up to its raw row buffer, which
+/// [`write_frame`] streams after the rest of the payload.
+fn put_relation_head(out: &mut Vec<u8>, relation: &Relation) {
     put_str(out, relation.name());
     put_str_list(out, relation.schema().attributes());
     put_u64(out, relation.len() as u64);
-    relation.write_rows_le(out);
 }
+
+/// Bytes of a relation's row buffer encoded and written per write: the
+/// most a frame ever copies beyond its few header fields.
+const ROW_CHUNK_BYTES: usize = 64 * 1024;
 
 /// Serialise `frame` to `writer`. Returns the number of bytes written
 /// (header included) so both ends can account real wire traffic.
+///
+/// A [`Frame::Fragment`] or [`Frame::Answer`] ends in its relation's row
+/// buffer: the length prefix counts it up front and the rows are encoded
+/// in 64 KiB pieces straight from the relation, so a large fragment is
+/// never copied into a payload buffer whole.
 pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> std::io::Result<u64> {
     let mut payload = Vec::new();
+    let mut rows: Option<&Relation> = None;
     match frame {
         Frame::Hello {
             worker,
@@ -254,7 +266,8 @@ pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> std::io::Result<u6
         }
         Frame::Fragment { round, relation } => {
             put_u64(&mut payload, *round);
-            put_relation(&mut payload, relation);
+            put_relation_head(&mut payload, relation);
+            rows = Some(relation);
         }
         Frame::Execute {
             round,
@@ -278,7 +291,8 @@ pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> std::io::Result<u6
         } => {
             put_u64(&mut payload, *round);
             put_u64(&mut payload, *bytes_received);
-            put_relation(&mut payload, relation);
+            put_relation_head(&mut payload, relation);
+            rows = Some(relation);
         }
         Frame::Error { message } => {
             put_str(&mut payload, &message.chars().take(1024).collect::<String>());
@@ -288,13 +302,21 @@ pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> std::io::Result<u6
             put_u64(&mut payload, *nonce);
         }
     }
-    let len = u32::try_from(payload.len()).expect("payload under 4 GiB");
+    let values = rows.map_or(&[][..], Relation::values);
+    let total = payload.len() + values.len() * 8;
+    let len = u32::try_from(total).expect("payload under 4 GiB");
     assert!(len <= MAX_FRAME_LEN, "frame payload exceeds the protocol cap");
     writer.write_all(&MAGIC)?;
     writer.write_all(&[frame.type_byte()])?;
     writer.write_all(&len.to_le_bytes())?;
     writer.write_all(&payload)?;
-    Ok(9 + payload.len() as u64)
+    let mut chunk = Vec::with_capacity(ROW_CHUNK_BYTES.min(values.len() * 8));
+    for piece in values.chunks(ROW_CHUNK_BYTES / 8) {
+        chunk.clear();
+        values_to_le_bytes(piece, &mut chunk);
+        writer.write_all(&chunk)?;
+    }
+    Ok(9 + total as u64)
 }
 
 // ---------------------------------------------------------------- decoding
@@ -720,6 +742,62 @@ mod tests {
                 context: "fragment.relation"
             }
         );
+    }
+
+    /// Records every `write` call's size, to see how a frame is written.
+    #[derive(Default)]
+    struct Writes {
+        bytes: Vec<u8>,
+        largest: usize,
+    }
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn multi_chunk_fragments_and_answers_keep_their_encoding() {
+        // FNV-1a over every byte of the frame.
+        let digest = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let rows = |arity: u64, n: u64| -> Vec<Vec<u64>> {
+            (0..n)
+                .map(|i| (0..arity).map(|c| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (c << 60)).collect())
+                .collect()
+        };
+        // 80 000 and 72 000 bytes of rows: two chunks each. The digests are
+        // those of the encoder that built the whole payload before writing.
+        let fragment = Frame::Fragment {
+            round: 3,
+            relation: rel("S1", &["a", "b"], rows(2, 5000)),
+        };
+        let answer = Frame::Answer {
+            round: 2,
+            bytes_received: 77,
+            relation: rel("Q", &["x", "y", "z"], rows(3, 3000)),
+        };
+        for (frame, len, pinned) in [
+            (&fragment, 80_037, 0xdc9a_944b_2b64_7e82u64),
+            (&answer, 72_047, 0x9126_321b_e9e5_5e2c),
+        ] {
+            let mut writes = Writes::default();
+            assert_eq!(write_frame(&mut writes, frame).unwrap(), len);
+            assert_eq!(writes.bytes.len() as u64, len);
+            assert_eq!(digest(&writes.bytes), pinned);
+            assert!(writes.largest <= ROW_CHUNK_BYTES, "largest write {}", writes.largest);
+            assert_eq!(&roundtrip(frame.clone()), frame);
+        }
     }
 
     #[test]

@@ -74,6 +74,7 @@ impl HashFamily for MultiplyShiftHash {
 }
 
 impl BucketHasher for MultiplyShiftHasher {
+    #[inline]
     fn bucket(&self, value: Value) -> usize {
         // Multiply-shift into the top bits, then map to the bucket range by
         // the fixed-point multiplication trick (unbiased for bucket counts

@@ -11,6 +11,10 @@
 //!   union of `route_bound`'s messages under the simulator's model account;
 //! * `route_bound` (one shared fragment per destination subcube) delivers
 //!   what a naive row-by-row `destinations()` router delivers;
+//! * both HyperCube routers, whose classifiers are specialised by the
+//!   number of grid dimensions a relation binds, deliver what Eq. 9
+//!   computed from the hash functions themselves delivers, on relations
+//!   binding 0 to 4 dimensions;
 //! * the block join gives every server of a HyperCube grid the answer it
 //!   would join alone — the very same rows in the same order wherever no
 //!   fragment buffer is shared — at pool sizes 1, 2 and 8.
@@ -339,6 +343,149 @@ proptest! {
             let shipment = router.route_folded(&bound, p, workers, bits_per_value);
             prop_assert_eq!(&shipment.received_bits, &expected.received_bits);
             prop_assert_eq!(shipment.messages, expected.messages);
+        }
+    }
+
+    // Both routers against Eq. 9 evaluated straight from the hash family,
+    // one row at a time, sharing no code with the routers' compiled route
+    // plans: random grids over 1–5 variables (shares of 1 included) at a
+    // positive server offset, relations binding 0 to 4 of the dimensions
+    // in any column order beside columns the grid does not know, so every
+    // specialised classifier and the general one run. `route_bound`
+    // delivers the reference's rows in input order at pool sizes 1, 2 and
+    // 8; `route_folded` ships every worker exactly what `Shipment::from_messages`
+    // makes of `route_bound`'s messages; both keep the simulator's account.
+    #[test]
+    fn routers_deliver_what_eq9_from_the_hashers_delivers(
+        k in 1usize..6,
+        share_seed in proptest::collection::vec(1usize..5, 5..6),
+        layout in proptest::collection::vec(0usize..1000, 4..5),
+        sizes in proptest::collection::vec(0usize..4, 4..5),
+        server_offset in 1usize..6,
+        bits_per_value in 1u64..40,
+        seed in 0u64..1000,
+    ) {
+        use pq_relation::{BucketHasher, HashFamily, MultiplyShiftHash};
+        let variables: Vec<String> = (0..k).map(|d| format!("x{d}")).collect();
+        let query = ConjunctiveQuery::new("grid", vec![Atom::new("Q", variables.clone())]);
+        let shares: Vec<usize> = share_seed[..k].to_vec();
+        let share_map: BTreeMap<String, usize> = variables.iter().cloned().zip(shares.clone()).collect();
+        let router = hypercube::HyperCubeRouter::new(&query, &share_map, seed, 0, server_offset);
+        let grid: usize = shares.iter().product();
+        let p = server_offset + grid;
+        let family = MultiplyShiftHash::new(seed);
+        let hashers: Vec<_> = (0..k).map(|d| family.hasher(d, shares[d])).collect();
+        let stride = |d: usize| shares[d + 1..].iter().product::<usize>();
+
+        // Relation j binds `binds` of the dimensions, in a rotated order,
+        // with `extras` columns outside the grid interleaved.
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut bound = Vec::new();
+        for (j, (&shape, &size)) in layout.iter().zip(&sizes).enumerate() {
+            let binds = (shape % 5).min(k);
+            let extras = (shape / 5) % 3;
+            let mut attributes: Vec<String> =
+                (0..binds).map(|i| variables[(i + shape / 15) % k].clone()).collect();
+            for e in 0..extras {
+                attributes.insert((shape / 45 + e) % (attributes.len() + 1), format!("e{e}"));
+            }
+            let m = [0, 9, 70, 2 * pq_relation::MORSEL_ROWS + 31][size];
+            let arity = attributes.len();
+            let mut relation = Relation::empty(Schema::new(format!("S{j}"), attributes));
+            for _ in 0..m {
+                let row: Vec<u64> = (0..arity).map(|_| next() % 50).collect();
+                relation.push_row(&row);
+            }
+            // Distinct rows: a worker's set union then has every row once.
+            relation.dedup();
+            bound.push(relation);
+        }
+
+        let mut reference: BTreeMap<(usize, String), Vec<Vec<u64>>> = BTreeMap::new();
+        for relation in &bound {
+            let pins: Vec<(usize, usize)> = relation
+                .schema()
+                .attributes()
+                .iter()
+                .enumerate()
+                .filter_map(|(pos, a)| variables.iter().position(|v| v == a).map(|d| (d, pos)))
+                .collect();
+            // The grid points agreeing with each combination of buckets.
+            let mut subcubes: BTreeMap<Vec<usize>, Vec<usize>> = BTreeMap::new();
+            for row in relation.iter() {
+                let buckets: Vec<usize> =
+                    pins.iter().map(|&(d, pos)| hashers[d].bucket(row[pos])).collect();
+                let points = subcubes.entry(buckets.clone()).or_insert_with(|| {
+                    (0..grid)
+                        .filter(|point| {
+                            pins.iter()
+                                .zip(&buckets)
+                                .all(|(&(d, _), &b)| (point / stride(d)) % shares[d] == b)
+                        })
+                        .collect()
+                });
+                for &point in points.iter() {
+                    let key = (server_offset + point, relation.name().to_string());
+                    reference.entry(key).or_default().push(row.to_vec());
+                }
+            }
+        }
+        let reference_messages: Vec<pq_mpc::Message> = reference
+            .iter()
+            .map(|((server, name), rows)| {
+                let schema = bound.iter().find(|r| r.name() == name).unwrap().schema().clone();
+                pq_mpc::Message::tuples(*server, Relation::from_rows(schema, rows.clone()))
+            })
+            .collect();
+        let expected = pq_mpc::Cluster::new(p, bits_per_value)
+            .communicate(reference_messages)
+            .clone();
+
+        let mut messages = Vec::new();
+        for threads in [1, 2, 8] {
+            messages = pq_exec::TaskPool::new(threads).install(|| router.route_bound(&bound));
+            let mut routed: BTreeMap<(usize, String), Vec<Vec<u64>>> = BTreeMap::new();
+            for message in &messages {
+                let pq_mpc::Payload::Tuples(fragment) = &message.payload else {
+                    unreachable!("routers ship tuples")
+                };
+                let rows = fragment.iter().map(<[u64]>::to_vec).collect();
+                let twice = routed.insert((message.to, fragment.name().to_string()), rows);
+                prop_assert!(twice.is_none(), "one fragment per (server, relation)");
+            }
+            prop_assert!(routed == reference, "pool size {threads}");
+            let stats = pq_mpc::Cluster::new(p, bits_per_value).communicate(messages.clone()).clone();
+            prop_assert_eq!(&stats.received_bits, &expected.received_bits);
+            prop_assert_eq!(stats.messages, expected.messages);
+        }
+
+        let sorted_rows = |fragments: &[Relation]| {
+            let mut rows: Vec<(String, Vec<u64>)> = fragments
+                .iter()
+                .flat_map(|f| f.iter().map(|row| (f.name().to_string(), row.to_vec())))
+                .collect();
+            rows.sort();
+            rows
+        };
+        for workers in [1, 2, 3, 5] {
+            let folded = pq_exec::TaskPool::new(2)
+                .install(|| router.route_folded(&bound, p, workers, bits_per_value));
+            let unfolded =
+                pq_mpc::net::Shipment::from_messages(messages.clone(), p, workers, bits_per_value);
+            prop_assert_eq!(&folded.received_bits, &expected.received_bits);
+            prop_assert_eq!(folded.messages, expected.messages);
+            for worker in 0..workers {
+                prop_assert!(
+                    sorted_rows(&folded.fragments[worker]) == sorted_rows(&unfolded.fragments[worker]),
+                    "worker {worker} of {workers}"
+                );
+            }
         }
     }
 
