@@ -15,15 +15,19 @@
 //! strings, and a relation is `name ‖ attributes ‖ row count (u64) ‖ raw
 //! row buffer` — the flat storage shipped verbatim in the layout of
 //! [`Relation::write_rows_le`], encoded in bounded chunks straight from the
-//! relation's buffer as the frame is written.
+//! relation's buffer as the frame is written. These fields are written and
+//! read with the shared primitives of [`pq_relation::wire`] ([`Prefix::U16`]).
 //!
 //! Decoding never panics: a bad magic, an unknown type byte, an oversized
 //! length prefix, a stream that ends mid-frame or a payload whose fields
 //! disagree with its length all surface as located [`FrameError`]s. A
 //! clean EOF *between* frames is `Ok(None)` — the peer hung up, which is
-//! an orderly close, not a malformed frame.
+//! an orderly close, not a malformed frame. Nor does encoding panic: see
+//! [`write_frame`].
 
-use pq_relation::{values_to_le_bytes, Relation, Schema, WireError};
+use pq_relation::wire::{put_count, put_schema, put_str, put_strs, put_u64, Prefix};
+use pq_relation::wire::{ReadError, Reader};
+use pq_relation::{values_to_le_bytes, Relation, WireError};
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 
@@ -34,15 +38,6 @@ pub const MAGIC: [u8; 4] = *b"PQW1";
 /// this is rejected before any allocation: a corrupt or hostile prefix
 /// must not become an out-of-memory attempt.
 pub const MAX_FRAME_LEN: u32 = 1 << 30;
-
-const TYPE_HELLO: u8 = 1;
-const TYPE_FRAGMENT: u8 = 2;
-const TYPE_EXECUTE: u8 = 3;
-const TYPE_ANSWER: u8 = 4;
-const TYPE_ERROR: u8 = 5;
-const TYPE_SHUTDOWN: u8 = 6;
-const TYPE_PING: u8 = 7;
-const TYPE_PONG: u8 = 8;
 
 /// One protocol frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,16 +115,17 @@ pub enum Frame {
 }
 
 impl Frame {
-    fn type_byte(&self) -> u8 {
+    /// The type byte (as [`read_frame`] matches it) and the payload's name.
+    fn kind(&self) -> (u8, &'static str) {
         match self {
-            Frame::Hello { .. } => TYPE_HELLO,
-            Frame::Fragment { .. } => TYPE_FRAGMENT,
-            Frame::Execute { .. } => TYPE_EXECUTE,
-            Frame::Answer { .. } => TYPE_ANSWER,
-            Frame::Error { .. } => TYPE_ERROR,
-            Frame::Shutdown => TYPE_SHUTDOWN,
-            Frame::Ping { .. } => TYPE_PING,
-            Frame::Pong { .. } => TYPE_PONG,
+            Frame::Hello { .. } => (1, "hello"),
+            Frame::Fragment { .. } => (2, "fragment"),
+            Frame::Execute { .. } => (3, "execute"),
+            Frame::Answer { .. } => (4, "answer"),
+            Frame::Error { .. } => (5, "error"),
+            Frame::Shutdown => (6, "shutdown"),
+            Frame::Ping { .. } => (7, "ping"),
+            Frame::Pong { .. } => (8, "pong"),
         }
     }
 }
@@ -159,8 +155,8 @@ pub enum FrameError {
         context: &'static str,
     },
     /// The payload decoded inconsistently with its length prefix (a field
-    /// ran past the end, trailing bytes remained, or a string was not
-    /// UTF-8).
+    /// ran past the end, trailing bytes remained, a string was not UTF-8
+    /// or a relation named an attribute twice).
     Malformed {
         /// Which field was being decoded.
         context: &'static str,
@@ -202,43 +198,13 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-impl From<WireError> for FrameError {
-    fn from(e: WireError) -> Self {
-        FrameError::Wire(e)
+impl From<ReadError> for FrameError {
+    fn from(e: ReadError) -> Self {
+        FrameError::Malformed { context: e.field }
     }
 }
 
 // ---------------------------------------------------------------- encoding
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let len = u16::try_from(s.len()).expect("protocol strings are short");
-    put_u16(out, len);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_str_list(out: &mut Vec<u8>, list: &[String]) {
-    let len = u16::try_from(list.len()).expect("protocol lists are short");
-    put_u16(out, len);
-    for s in list {
-        put_str(out, s);
-    }
-}
-
-/// A relation's encoding up to its raw row buffer, which
-/// [`write_frame`] streams after the rest of the payload.
-fn put_relation_head(out: &mut Vec<u8>, relation: &Relation) {
-    put_str(out, relation.name());
-    put_str_list(out, relation.schema().attributes());
-    put_u64(out, relation.len() as u64);
-}
 
 /// Bytes of a relation's row buffer encoded and written per write: the
 /// most a frame ever copies beyond its few header fields.
@@ -251,63 +217,57 @@ const ROW_CHUNK_BYTES: usize = 64 * 1024;
 /// buffer: the length prefix counts it up front and the rows are encoded
 /// in 64 KiB pieces straight from the relation, so a large fragment is
 /// never copied into a payload buffer whole.
+///
+/// # Errors
+/// [`ErrorKind::InvalidInput`], before any byte is written, when a string
+/// or list is too long for its `u16` prefix or the payload would exceed
+/// [`MAX_FRAME_LEN`]; otherwise the writer's own I/O errors.
 pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> std::io::Result<u64> {
     let mut payload = Vec::new();
     let mut rows: Option<&Relation> = None;
     match frame {
-        Frame::Hello {
-            worker,
-            workers,
-            bits_per_value,
-        } => {
+        Frame::Hello { worker, workers, bits_per_value } => {
             put_u64(&mut payload, *worker);
             put_u64(&mut payload, *workers);
             put_u64(&mut payload, *bits_per_value);
         }
         Frame::Fragment { round, relation } => {
             put_u64(&mut payload, *round);
-            put_relation_head(&mut payload, relation);
             rows = Some(relation);
         }
-        Frame::Execute {
-            round,
-            name,
-            output_vars,
-            atoms,
-        } => {
+        Frame::Execute { round, name, output_vars, atoms } => {
             put_u64(&mut payload, *round);
-            put_str(&mut payload, name);
-            put_str_list(&mut payload, output_vars);
-            put_u16(&mut payload, u16::try_from(atoms.len()).expect("few atoms"));
+            put_str(&mut payload, Prefix::U16, name)?;
+            put_strs(&mut payload, Prefix::U16, output_vars)?;
+            put_count(&mut payload, Prefix::U16, atoms.len())?;
             for (relation, variables) in atoms {
-                put_str(&mut payload, relation);
-                put_str_list(&mut payload, variables);
+                put_str(&mut payload, Prefix::U16, relation)?;
+                put_strs(&mut payload, Prefix::U16, variables)?;
             }
         }
-        Frame::Answer {
-            round,
-            bytes_received,
-            relation,
-        } => {
+        Frame::Answer { round, bytes_received, relation } => {
             put_u64(&mut payload, *round);
             put_u64(&mut payload, *bytes_received);
-            put_relation_head(&mut payload, relation);
             rows = Some(relation);
         }
         Frame::Error { message } => {
-            put_str(&mut payload, &message.chars().take(1024).collect::<String>());
+            put_str(&mut payload, Prefix::U16, &message.chars().take(1024).collect::<String>())?;
         }
         Frame::Shutdown => {}
-        Frame::Ping { nonce } | Frame::Pong { nonce } => {
-            put_u64(&mut payload, *nonce);
-        }
+        Frame::Ping { nonce } | Frame::Pong { nonce } => put_u64(&mut payload, *nonce),
+    }
+    if let Some(relation) = rows {
+        put_schema(&mut payload, Prefix::U16, relation.schema())?;
+        put_u64(&mut payload, relation.len() as u64);
     }
     let values = rows.map_or(&[][..], Relation::values);
     let total = payload.len() + values.len() * 8;
-    let len = u32::try_from(total).expect("payload under 4 GiB");
-    assert!(len <= MAX_FRAME_LEN, "frame payload exceeds the protocol cap");
+    let len = u32::try_from(total).ok().filter(|&len| len <= MAX_FRAME_LEN).ok_or_else(|| {
+        let message = format!("a {total}-byte frame payload exceeds the {MAX_FRAME_LEN}-byte cap");
+        std::io::Error::new(ErrorKind::InvalidInput, message)
+    })?;
     writer.write_all(&MAGIC)?;
-    writer.write_all(&[frame.type_byte()])?;
+    writer.write_all(&[frame.kind().0])?;
     writer.write_all(&len.to_le_bytes())?;
     writer.write_all(&payload)?;
     let mut chunk = Vec::with_capacity(ROW_CHUNK_BYTES.min(values.len() * 8));
@@ -320,79 +280,6 @@ pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> std::io::Result<u6
 }
 
 // ---------------------------------------------------------------- decoding
-
-/// A bounds-checked reader over one frame's payload.
-struct Decoder<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Decoder<'a> {
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], FrameError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or(FrameError::Malformed { context })?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u16(&mut self, context: &'static str) -> Result<u16, FrameError> {
-        let b = self.take(2, context)?;
-        Ok(u16::from_le_bytes(b.try_into().expect("2 bytes")))
-    }
-
-    fn u64(&mut self, context: &'static str) -> Result<u64, FrameError> {
-        let b = self.take(8, context)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn string(&mut self, context: &'static str) -> Result<String, FrameError> {
-        let len = self.u16(context)? as usize;
-        let bytes = self.take(len, context)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| FrameError::Malformed { context })
-    }
-
-    fn str_list(&mut self, context: &'static str) -> Result<Vec<String>, FrameError> {
-        let count = self.u16(context)? as usize;
-        (0..count).map(|_| self.string(context)).collect()
-    }
-
-    fn relation(&mut self, context: &'static str) -> Result<Relation, FrameError> {
-        let name = self.string(context)?;
-        let attributes = self.str_list(context)?;
-        let rows = usize::try_from(self.u64(context)?)
-            .map_err(|_| FrameError::Malformed { context })?;
-        let arity = attributes.len();
-        let byte_len = rows
-            .checked_mul(arity)
-            .and_then(|v| v.checked_mul(8))
-            .ok_or(FrameError::Malformed { context })?;
-        let buffer = self.take(byte_len, context)?;
-        // Duplicate attributes would make `Schema::new` panic; reject them
-        // as a malformed frame instead.
-        for (i, a) in attributes.iter().enumerate() {
-            if attributes[..i].contains(a) {
-                return Err(FrameError::Malformed { context });
-            }
-        }
-        Ok(Relation::from_rows_le(
-            Schema::new(name, attributes),
-            rows,
-            buffer,
-        )?)
-    }
-
-    fn finish(self, context: &'static str) -> Result<(), FrameError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(FrameError::Malformed { context })
-        }
-    }
-}
 
 fn io_error(e: std::io::Error, context: &'static str) -> FrameError {
     match e.kind() {
@@ -424,97 +311,55 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<(Frame, u64)>, FrameE
         return Err(FrameError::BadMagic { got: magic });
     }
     let mut head = [0u8; 5];
-    reader
-        .read_exact(&mut head)
-        .map_err(|e| io_error(e, "frame header"))?;
+    reader.read_exact(&mut head).map_err(|e| io_error(e, "frame header"))?;
     let type_byte = head[0];
     let len = u32::from_le_bytes(head[1..5].try_into().expect("4 bytes"));
     if len > MAX_FRAME_LEN {
         return Err(FrameError::Oversized { len });
     }
     let mut payload = vec![0u8; len as usize];
-    reader
-        .read_exact(&mut payload)
-        .map_err(|e| io_error(e, "frame payload"))?;
-    let mut d = Decoder {
-        bytes: &payload,
-        pos: 0,
-    };
+    reader.read_exact(&mut payload).map_err(|e| io_error(e, "frame payload"))?;
+    let mut r = Reader::new(&payload);
     let frame = match type_byte {
-        TYPE_HELLO => {
-            let frame = Frame::Hello {
-                worker: d.u64("hello.worker")?,
-                workers: d.u64("hello.workers")?,
-                bits_per_value: d.u64("hello.bits_per_value")?,
-            };
-            d.finish("hello")?;
-            frame
-        }
-        TYPE_FRAGMENT => {
-            let round = d.u64("fragment.round")?;
-            let relation = d.relation("fragment.relation")?;
-            d.finish("fragment")?;
-            Frame::Fragment { round, relation }
-        }
-        TYPE_EXECUTE => {
-            let round = d.u64("execute.round")?;
-            let name = d.string("execute.name")?;
-            let output_vars = d.str_list("execute.output_vars")?;
-            let atom_count = d.u16("execute.atoms")? as usize;
-            let atoms = (0..atom_count)
+        1 => Frame::Hello {
+            worker: r.u64("hello.worker")?,
+            workers: r.u64("hello.workers")?,
+            bits_per_value: r.u64("hello.bits_per_value")?,
+        },
+        2 => Frame::Fragment {
+            round: r.u64("fragment.round")?,
+            relation: r.relation(Prefix::U16, "fragment.relation")?,
+        },
+        3 => Frame::Execute {
+            round: r.u64("execute.round")?,
+            name: r.str(Prefix::U16, "execute.name")?,
+            output_vars: r.strs(Prefix::U16, "execute.output_vars")?,
+            atoms: (0..r.count(Prefix::U16, "execute.atoms")?)
                 .map(|_| {
-                    Ok((
-                        d.string("execute.atom.relation")?,
-                        d.str_list("execute.atom.variables")?,
-                    ))
+                    let relation = r.str(Prefix::U16, "execute.atom.relation")?;
+                    Ok((relation, r.strs(Prefix::U16, "execute.atom.variables")?))
                 })
-                .collect::<Result<Vec<_>, FrameError>>()?;
-            d.finish("execute")?;
-            Frame::Execute {
-                round,
-                name,
-                output_vars,
-                atoms,
-            }
-        }
-        TYPE_ANSWER => {
-            let round = d.u64("answer.round")?;
-            let bytes_received = d.u64("answer.bytes_received")?;
-            let relation = d.relation("answer.relation")?;
-            d.finish("answer")?;
-            Frame::Answer {
-                round,
-                bytes_received,
-                relation,
-            }
-        }
-        TYPE_ERROR => {
-            let message = d.string("error.message")?;
-            d.finish("error")?;
-            Frame::Error { message }
-        }
-        TYPE_SHUTDOWN => {
-            d.finish("shutdown")?;
-            Frame::Shutdown
-        }
-        TYPE_PING => {
-            let nonce = d.u64("ping.nonce")?;
-            d.finish("ping")?;
-            Frame::Ping { nonce }
-        }
-        TYPE_PONG => {
-            let nonce = d.u64("pong.nonce")?;
-            d.finish("pong")?;
-            Frame::Pong { nonce }
-        }
+                .collect::<Result<_, ReadError>>()?,
+        },
+        4 => Frame::Answer {
+            round: r.u64("answer.round")?,
+            bytes_received: r.u64("answer.bytes_received")?,
+            relation: r.relation(Prefix::U16, "answer.relation")?,
+        },
+        5 => Frame::Error { message: r.str(Prefix::U16, "error.message")? },
+        6 => Frame::Shutdown,
+        7 => Frame::Ping { nonce: r.u64("ping.nonce")? },
+        8 => Frame::Pong { nonce: r.u64("pong.nonce")? },
         other => return Err(FrameError::UnknownType { type_byte: other }),
     };
+    r.finish(frame.kind().1)?;
     Ok(Some((frame, 9 + len as u64)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pq_relation::Schema;
     use std::io::Cursor;
 
     fn roundtrip(frame: Frame) -> Frame {

@@ -235,6 +235,15 @@ pub enum ClusterError {
         /// The worker's message.
         message: String,
     },
+    /// The run's frames cannot be encoded: a name is too long for the
+    /// protocol's `u16` string prefix, or a payload exceeds
+    /// [`crate::net::MAX_FRAME_LEN`]. The query, not the cluster, is at
+    /// fault, so the pool neither retries the run nor counts it against
+    /// the circuit breaker.
+    Unencodable {
+        /// Why encoding failed.
+        message: String,
+    },
 }
 
 impl std::fmt::Display for ClusterError {
@@ -273,17 +282,26 @@ impl std::fmt::Display for ClusterError {
             ClusterError::Worker { worker, message } => {
                 write!(f, "worker {worker} reported: {message}")
             }
+            ClusterError::Unencodable { message } => {
+                write!(f, "the run cannot be encoded as frames: {message}")
+            }
         }
     }
 }
 
 impl std::error::Error for ClusterError {}
 
-/// Map an I/O error on `worker`'s connection to the error naming it.
+/// Map an I/O error on `worker`'s connection to the error naming it; an
+/// `InvalidInput` error is [`write_frame`] refusing a frame it cannot encode.
 fn io_error(worker: usize) -> impl Fn(std::io::Error) -> ClusterError + Copy {
-    move |e| ClusterError::Io {
-        worker,
-        message: e.to_string(),
+    move |e| match e.kind() {
+        std::io::ErrorKind::InvalidInput => ClusterError::Unencodable {
+            message: e.to_string(),
+        },
+        _ => ClusterError::Io {
+            worker,
+            message: e.to_string(),
+        },
     }
 }
 

@@ -282,8 +282,12 @@ impl WorkerPool {
             }
             Err(e) => {
                 // A fast-failed (breaker-open) run is no *new* evidence of
-                // ill health — only real attempt failures move the state.
-                if !matches!(e, ClusterError::BreakerOpen { .. }) {
+                // ill health, nor is a query the codec cannot encode — only
+                // real attempt failures move the state.
+                if !matches!(
+                    e,
+                    ClusterError::BreakerOpen { .. } | ClusterError::Unencodable { .. }
+                ) {
                     inner.breaker.record_failure(inner.clock.now());
                 }
                 inner.stats.runs_failed.fetch_add(1, Ordering::Relaxed);
@@ -358,7 +362,10 @@ impl WorkerPool {
                     // unknown state: drop every borrowed connection (which
                     // closes them) and rebuild from scratch next attempt.
                     drop(connections);
-                    let fatal = matches!(e, ClusterError::DeadlineExceeded { .. });
+                    let fatal = matches!(
+                        e,
+                        ClusterError::DeadlineExceeded { .. } | ClusterError::Unencodable { .. }
+                    );
                     last_err = Some(e);
                     if fatal {
                         break;

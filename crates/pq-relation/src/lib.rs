@@ -29,7 +29,10 @@
 //!   tests; a block join indexes each fragment buffer the servers of a
 //!   HyperCube subcube share once for all of them, and large probe sides
 //!   split into morsels over the installed `pq-exec` pool with
-//!   sequential-identical output.
+//!   sequential-identical output,
+//! * [`wire`] — the one binary codec: little-endian writers and one
+//!   bounds-checked reader, under the worker frames of `pq-mpc` and the
+//!   WAL records and checkpoint files of `pq-wal`.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -1,20 +1,17 @@
-//! Zero-copy-friendly wire encoding for flat row buffers.
-//!
-//! The flat row-major storage of [`Relation`] is already the ideal wire
-//! format: a fragment is fully described by its schema, a row count and the
-//! raw `u64` row buffer. This module converts that buffer to and from
-//! little-endian bytes — one pass, no per-row allocation — so network
-//! codecs (the `pq-mpc` cluster frames) can ship fragments as
-//! `length ‖ memcpy` without inventing their own tuple serialisation.
-//!
-//! Decoding is defensive: the byte slice must be exactly `rows · arity · 8`
-//! bytes, so a truncated or padded frame surfaces as a located
-//! [`WireError`] instead of silently mis-framing rows.
+//! The one binary codec of the workspace: the little-endian writers
+//! (`put_*`) and the bounds-checked [`Reader`] under `PQW1` worker frames
+//! (`pq_mpc::net::codec`), WAL records and `PQCKPT1` checkpoints (`pq_wal`).
+//! Each format keeps its own layout, magic and CRC; they share integers,
+//! strings and lists behind a [`Prefix`], schemas and the row block
+//! `rows: u64 ‖ rows·arity·8` bytes — the flat storage of [`Relation`],
+//! converted in one pass. The reader never panics or over-reads: every
+//! malformed field is a [`ReadError`] naming it.
 
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::Value;
 use std::fmt;
+use std::io;
 
 /// Ways a raw row buffer can fail to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,6 +106,193 @@ impl Relation {
             });
         }
         Ok(Relation::from_values(schema, rows, values))
+    }
+}
+
+/// Width of a string length or list count: `U16` in frames, `U32` on disk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Prefix {
+    /// A little-endian `u16`.
+    U16,
+    /// A little-endian `u32`.
+    U32,
+}
+
+/// Append a little-endian `u32`.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append a little-endian `u64`.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append a string length or list count `n` in `prefix` width.
+///
+/// # Errors
+/// [`io::ErrorKind::InvalidInput`], appending nothing, when `n` does not fit
+/// the prefix. The writers built on it fail alike, after their earlier fields.
+pub fn put_count(out: &mut Vec<u8>, prefix: Prefix, n: usize) -> io::Result<()> {
+    match prefix {
+        Prefix::U16 => u16::try_from(n).map(|n| out.extend_from_slice(&n.to_le_bytes())).ok(),
+        Prefix::U32 => u32::try_from(n).map(|n| put_u32(out, n)).ok(),
+    }
+    .ok_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidInput, format!("length {n} overflows a {prefix:?} prefix"))
+    })
+}
+
+/// Append `s` as its byte length ([`put_count`]) and its UTF-8 bytes.
+pub fn put_str(out: &mut Vec<u8>, prefix: Prefix, s: &str) -> io::Result<()> {
+    put_count(out, prefix, s.len())?;
+    out.extend_from_slice(s.as_bytes());
+    Ok(())
+}
+
+/// Append a string list: its count, then each string ([`put_str`]).
+pub fn put_strs(out: &mut Vec<u8>, prefix: Prefix, list: &[String]) -> io::Result<()> {
+    put_count(out, prefix, list.len())?;
+    list.iter().try_for_each(|s| put_str(out, prefix, s))
+}
+
+/// Append a schema: its name, then its attribute list.
+pub fn put_schema(out: &mut Vec<u8>, prefix: Prefix, schema: &Schema) -> io::Result<()> {
+    put_str(out, prefix, schema.name())?;
+    put_strs(out, prefix, schema.attributes())
+}
+
+/// Append a row block: `rows` as a `u64`, then `values` as little-endian bytes.
+pub fn put_rows(out: &mut Vec<u8>, rows: usize, values: &[Value]) {
+    put_u64(out, rows as u64);
+    values_to_le_bytes(values, out);
+}
+
+/// Why a [`Reader`] rejected its bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReadError {
+    /// The field being decoded, e.g. `"ping.nonce"`.
+    pub field: &'static str,
+    /// What was wrong with it.
+    pub reason: String,
+}
+
+impl fmt::Display for ReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.field, self.reason)
+    }
+}
+
+impl std::error::Error for ReadError {}
+
+/// A bounds-checked reader over one encoded payload. Each decoder names
+/// the field it reads; a failure carries that name back.
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// Read `bytes` from their start.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Reader { bytes, pos: 0 }
+    }
+
+    fn take(&mut self, n: usize, field: &'static str) -> Result<&'a [u8], ReadError> {
+        let Some(bytes) = self.bytes[self.pos..].get(..n) else {
+            let reason = format!("{n} byte(s) wanted at {} of {}", self.pos, self.bytes.len());
+            return Err(ReadError { field, reason });
+        };
+        self.pos += n;
+        Ok(bytes)
+    }
+
+    fn array<const N: usize>(&mut self, field: &'static str) -> Result<[u8; N], ReadError> {
+        let mut array = [0; N];
+        array.copy_from_slice(self.take(N, field)?);
+        Ok(array)
+    }
+
+    /// One byte.
+    pub fn u8(&mut self, field: &'static str) -> Result<u8, ReadError> {
+        self.array(field).map(u8::from_le_bytes)
+    }
+
+    /// A little-endian `u16`.
+    pub fn u16(&mut self, field: &'static str) -> Result<u16, ReadError> {
+        self.array(field).map(u16::from_le_bytes)
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self, field: &'static str) -> Result<u32, ReadError> {
+        self.array(field).map(u32::from_le_bytes)
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self, field: &'static str) -> Result<u64, ReadError> {
+        self.array(field).map(u64::from_le_bytes)
+    }
+
+    /// A string length or list count ([`put_count`]).
+    pub fn count(&mut self, prefix: Prefix, field: &'static str) -> Result<usize, ReadError> {
+        match prefix {
+            Prefix::U16 => self.u16(field).map(usize::from),
+            Prefix::U32 => self.u32(field).map(|n| n as usize),
+        }
+    }
+
+    /// A length-prefixed UTF-8 string ([`put_str`]).
+    pub fn str(&mut self, prefix: Prefix, field: &'static str) -> Result<String, ReadError> {
+        let len = self.count(prefix, field)?;
+        let bytes = self.take(len, field)?.to_vec();
+        String::from_utf8(bytes).map_err(|_| ReadError { field, reason: "not UTF-8".into() })
+    }
+
+    /// A string list ([`put_strs`]).
+    pub fn strs(&mut self, prefix: Prefix, field: &'static str) -> Result<Vec<String>, ReadError> {
+        (0..self.count(prefix, field)?).map(|_| self.str(prefix, field)).collect()
+    }
+
+    /// A row block of `arity`-wide rows ([`put_rows`]): the row count and
+    /// the values. `rows · arity · 8` is computed with checked arithmetic,
+    /// so a hostile row count is an error, never a wrapped size.
+    pub fn rows(
+        &mut self,
+        arity: usize,
+        field: &'static str,
+    ) -> Result<(usize, Vec<Value>), ReadError> {
+        let declared = self.u64(field)?;
+        let rows = usize::try_from(declared).ok();
+        let len = rows.and_then(|r| r.checked_mul(arity)?.checked_mul(8));
+        let (Some(rows), Some(len)) = (rows, len) else {
+            let reason = format!("{declared} row(s) of arity {arity} overflow");
+            return Err(ReadError { field, reason });
+        };
+        let values = values_from_le_bytes(self.take(len, field)?).expect("whole u64 values");
+        Ok((rows, values))
+    }
+
+    /// A relation: its schema ([`put_schema`]), then its row block. A schema
+    /// naming an attribute twice is an error here, before [`Schema::new`]
+    /// would panic on it.
+    pub fn relation(&mut self, prefix: Prefix, field: &'static str) -> Result<Relation, ReadError> {
+        let name = self.str(prefix, field)?;
+        let attributes = self.strs(prefix, field)?;
+        if let Some(i) = (1..attributes.len()).find(|&i| attributes[..i].contains(&attributes[i])) {
+            let reason = format!("`{name}` repeats attribute `{}`", attributes[i]);
+            return Err(ReadError { field, reason });
+        }
+        let (rows, values) = self.rows(attributes.len(), field)?;
+        Ok(Relation::from_values(Schema::new(name, attributes), rows, values))
+    }
+
+    /// Succeed only if every byte was read.
+    pub fn finish(self, field: &'static str) -> Result<(), ReadError> {
+        match self.bytes.len() - self.pos {
+            0 => Ok(()),
+            left => Err(ReadError { field, reason: format!("{left} trailing byte(s)") }),
+        }
     }
 }
 

@@ -14,18 +14,21 @@
 //! [ crc32 of everything above, u32 LE ]
 //! ```
 //!
-//! where `str` is `[len u32 LE][utf8]`. Row bytes are the exact
-//! [`pq_relation::Relation::write_rows_le`] layout. Files are written to a
-//! `.tmp` sibling, fsynced and atomically renamed — a crash mid-write
-//! leaves only a `.tmp` that [`crate::Wal::open`] sweeps away, never a
-//! half-valid checkpoint under the real name.
+//! where `str` is `[len u32 LE][utf8]`: each relation is a schema and a
+//! row block of [`pq_relation::wire`], whose reader also rejects a schema
+//! naming an attribute twice. Files are written to a `.tmp` sibling,
+//! fsynced and atomically renamed — a crash mid-write leaves only a `.tmp`
+//! that [`crate::Wal::open`] sweeps away, never a half-valid checkpoint
+//! under the real name.
 
 use crate::crc::crc32;
-use crate::record::{put_str, put_u32, put_u64, Cursor, Lsn, RecordError};
-use pq_relation::{Database, Relation, Schema, ValueDictionary};
+use crate::record::Lsn;
+use pq_relation::wire::{put_count, put_rows, put_schema, put_str, put_u32, put_u64, Prefix};
+use pq_relation::wire::{ReadError, Reader};
+use pq_relation::{Database, ValueDictionary};
 use std::fmt;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::fs::{self, OpenOptions};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"PQCKPT1\n";
@@ -109,8 +112,8 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-impl From<RecordError> for CheckpointError {
-    fn from(e: RecordError) -> Self {
+impl From<ReadError> for CheckpointError {
+    fn from(e: ReadError) -> Self {
         CheckpointError::Corrupt(e.to_string())
     }
 }
@@ -128,20 +131,14 @@ pub fn write_checkpoint_file(
     bytes.extend_from_slice(MAGIC);
     put_u64(&mut bytes, covered_lsn);
     put_u64(&mut bytes, database.domain_size());
-    let relations: Vec<(&str, &std::sync::Arc<Relation>)> = database.relation_arcs().collect();
-    put_u32(&mut bytes, relations.len() as u32);
-    for (name, relation) in relations {
-        put_str(&mut bytes, name);
-        put_u32(&mut bytes, relation.arity() as u32);
-        for attribute in relation.schema().attributes() {
-            put_str(&mut bytes, attribute);
-        }
-        put_u64(&mut bytes, relation.len() as u64);
-        relation.write_rows_le(&mut bytes);
+    put_count(&mut bytes, Prefix::U32, database.num_relations())?;
+    for (_, relation) in database.relation_arcs() {
+        put_schema(&mut bytes, Prefix::U32, relation.schema())?;
+        put_rows(&mut bytes, relation.len(), relation.values());
     }
     put_u64(&mut bytes, dictionary.len() as u64);
     for token in dictionary.tokens() {
-        put_str(&mut bytes, token);
+        put_str(&mut bytes, Prefix::U32, token)?;
     }
     let checksum = crc32(&bytes);
     put_u32(&mut bytes, checksum);
@@ -159,8 +156,7 @@ pub fn write_checkpoint_file(
 
 /// Load and verify one checkpoint file.
 pub fn load_checkpoint_file(path: &Path) -> Result<Checkpoint, CheckpointError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
+    let bytes = fs::read(path)?;
     if bytes.len() < MAGIC.len() + 4 {
         return Err(CheckpointError::Corrupt(format!("{} byte(s) is too short", bytes.len())));
     }
@@ -175,34 +171,16 @@ pub fn load_checkpoint_file(path: &Path) -> Result<Checkpoint, CheckpointError> 
             "checksum mismatch: file says {stored:#010x}, content is {computed:#010x}"
         )));
     }
-    let mut cursor = Cursor::new(&body[MAGIC.len()..]);
-    let covered_lsn = cursor.u64()?;
-    let domain_size = cursor.u64()?;
-    let mut database = Database::new(domain_size);
-    let nrel = cursor.u32()? as usize;
-    for _ in 0..nrel {
-        let name = cursor.string()?;
-        let arity = cursor.u32()? as usize;
-        let mut attributes = Vec::with_capacity(arity.min(1024));
-        for _ in 0..arity {
-            attributes.push(cursor.string()?);
-        }
-        let rows = cursor.u64()? as usize;
-        let nbytes = rows
-            .checked_mul(arity)
-            .and_then(|v| v.checked_mul(8))
-            .ok_or_else(|| CheckpointError::Corrupt(format!("{name}: {rows}×{arity} overflows")))?;
-        let row_bytes = cursor.take(nbytes)?;
-        let relation = Relation::from_rows_le(Schema::new(name, attributes), rows, row_bytes)
-            .map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
-        database.insert(relation);
+    let mut r = Reader::new(&body[MAGIC.len()..]);
+    let covered_lsn = r.u64("checkpoint.lsn")?;
+    let mut database = Database::new(r.u64("checkpoint.domain_size")?);
+    for _ in 0..r.count(Prefix::U32, "checkpoint.relations")? {
+        database.insert(r.relation(Prefix::U32, "checkpoint.relation")?);
     }
-    let ntokens = cursor.u64()? as usize;
-    let mut tokens = Vec::with_capacity(ntokens.min(1 << 20));
-    for _ in 0..ntokens {
-        tokens.push(cursor.string()?);
-    }
-    cursor.finish()?;
+    let tokens = (0..r.u64("checkpoint.tokens")?)
+        .map(|_| r.str(Prefix::U32, "checkpoint.token"))
+        .collect::<Result<_, _>>()?;
+    r.finish("checkpoint.body")?;
     Ok(Checkpoint { covered_lsn, database, dictionary: ValueDictionary::from_tokens(tokens) })
 }
 
@@ -226,6 +204,7 @@ pub fn load_latest_checkpoint(dir: &Path) -> io::Result<(Option<Checkpoint>, u64
 mod tests {
     use super::*;
     use crate::testutil::TempDir;
+    use pq_relation::{Relation, Schema};
 
     fn sample_state() -> (Database, ValueDictionary) {
         let mut dictionary = ValueDictionary::new();
@@ -305,6 +284,44 @@ mod tests {
         let (loaded, discarded) = load_latest_checkpoint(dir.path()).unwrap();
         assert!(loaded.is_none());
         assert_eq!(discarded, 2);
+    }
+
+    #[test]
+    fn checkpoint_file_keeps_its_encoding() {
+        // FNV-1a over every byte of the file, magic and CRC included.
+        let digest = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let dir = TempDir::new("ckpt-golden");
+        let (database, dictionary) = sample_state();
+        let path = write_checkpoint_file(dir.path(), 42, &database, &dictionary).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), 170);
+        assert_eq!(digest(&bytes), 0x5952_0f4d_187b_6c21);
+    }
+
+    #[test]
+    fn a_resealed_repeated_attribute_falls_back_to_the_older_checkpoint() {
+        let dir = TempDir::new("ckpt-dup-attr");
+        let (database, dictionary) = sample_state();
+        write_checkpoint_file(dir.path(), 5, &database, &dictionary).unwrap();
+        let newest = write_checkpoint_file(dir.path(), 9, &database, &dictionary).unwrap();
+        // Rename E's second attribute `y` to `x` (same length), then reseal
+        // the CRC so the body decoder, not the checksum, has to catch it.
+        let mut bytes = fs::read(&newest).unwrap();
+        let attributes = [1, 0, 0, 0, b'x', 1, 0, 0, 0, b'y'];
+        let at = bytes.windows(attributes.len()).position(|w| w == attributes).unwrap();
+        bytes[at + attributes.len() - 1] = b'x';
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&newest, &bytes).unwrap();
+        assert!(matches!(load_checkpoint_file(&newest), Err(CheckpointError::Corrupt(_))));
+        let (loaded, discarded) = load_latest_checkpoint(dir.path()).unwrap();
+        assert_eq!(loaded.unwrap().covered_lsn, 5);
+        assert_eq!(discarded, 1);
     }
 
     #[test]

@@ -396,11 +396,15 @@ impl Wal {
             self.rotate(&mut state)?;
         }
         let mut buf = Vec::new();
-        for record in records {
-            let lsn = state.next_lsn;
-            encode_record(record, lsn, &mut buf);
-            state.next_lsn += 1;
+        for (lsn, record) in (state.next_lsn..).zip(records) {
+            if encode_record(record, lsn, &mut buf) == 0 {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("a {} record too large for the log format", record.kind()),
+                ));
+            }
         }
+        state.next_lsn += records.len() as u64;
         state.file.write_all(&buf)?;
         state.segment_len += buf.len() as u64;
         state.unsynced_bytes += buf.len() as u64;

@@ -8,10 +8,10 @@
 //! ```
 //!
 //! so the reader can verify integrity before interpreting a single body
-//! byte. Row data inside [`WalRecord::DeltaApplied`] reuses the flat
-//! little-endian row encoding of [`pq_relation::values_to_le_bytes`] — the
-//! same bytes the cluster codec ships, produced in one pass with no
-//! per-row allocation.
+//! byte. Bodies are written and read with the shared primitives of
+//! [`pq_relation::wire`]: strings and lists carry a `u32` prefix, and the
+//! rows of a [`WalRecord::DeltaApplied`] batch are a row block — the same
+//! flat little-endian bytes the cluster codec ships.
 //!
 //! Decoding is defensive end to end: a truncated frame, a checksum
 //! mismatch, an oversized declared length, an unknown type byte or a
@@ -20,7 +20,9 @@
 //! clean prefix.
 
 use crate::crc::crc32;
-use pq_relation::{values_from_le_bytes, values_to_le_bytes, Value};
+use pq_relation::wire::{put_count, put_rows, put_str, put_strs, put_u32, put_u64, Prefix};
+use pq_relation::wire::{ReadError, Reader};
+use pq_relation::Value;
 use std::fmt;
 
 /// A log sequence number. LSNs start at 1 and increase by one per record;
@@ -45,18 +47,6 @@ pub struct RelationInserts {
     pub rows: usize,
     /// Row-major values; `values.len() == rows * arity`.
     pub values: Vec<Value>,
-}
-
-impl RelationInserts {
-    /// Iterate over borrowed row views.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[Value]> {
-        // `chunks_exact(0)` panics, so nullary rows need their own arm —
-        // there are `rows` of them and nothing to yield per row.
-        let arity = self.arity.max(1);
-        self.values
-            .chunks_exact(arity)
-            .take(if self.arity == 0 { 0 } else { self.rows })
-    }
 }
 
 /// One logical WAL record (its LSN is assigned by the log manager at
@@ -95,26 +85,20 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    /// The frame type byte.
-    fn type_byte(&self) -> u8 {
+    /// The frame type byte and the record-kind name.
+    fn tag(&self) -> (u8, &'static str) {
         match self {
-            WalRecord::DeltaApplied { .. } => 1,
-            WalRecord::CheckpointStart => 2,
-            WalRecord::SnapshotWritten { .. } => 3,
-            WalRecord::CheckpointEnd { .. } => 4,
-            WalRecord::DictExtend { .. } => 5,
+            WalRecord::DeltaApplied { .. } => (1, "delta"),
+            WalRecord::CheckpointStart => (2, "checkpoint-start"),
+            WalRecord::SnapshotWritten { .. } => (3, "snapshot-written"),
+            WalRecord::CheckpointEnd { .. } => (4, "checkpoint-end"),
+            WalRecord::DictExtend { .. } => (5, "dict-extend"),
         }
     }
 
     /// Short record-kind name (metrics/log labels).
     pub fn kind(&self) -> &'static str {
-        match self {
-            WalRecord::DeltaApplied { .. } => "delta",
-            WalRecord::CheckpointStart => "checkpoint-start",
-            WalRecord::SnapshotWritten { .. } => "snapshot-written",
-            WalRecord::CheckpointEnd { .. } => "checkpoint-end",
-            WalRecord::DictExtend { .. } => "dict-extend",
-        }
+        self.tag().1
     }
 }
 
@@ -169,147 +153,76 @@ impl fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
+impl From<ReadError> for RecordError {
+    fn from(e: ReadError) -> Self {
+        RecordError::Malformed(e.to_string())
+    }
 }
 
 /// Append the framed encoding of `record` at `lsn` to `out`; returns the
-/// number of bytes appended.
+/// number of bytes appended, or 0 (appending nothing) when a string exceeds
+/// its `u32` prefix or the payload exceeds [`MAX_FRAME_BYTES`].
 pub fn encode_record(record: &WalRecord, lsn: Lsn, out: &mut Vec<u8>) -> usize {
     let mut payload = Vec::new();
-    payload.push(record.type_byte());
+    payload.push(record.tag().0);
     put_u64(&mut payload, lsn);
+    let len = encode_body(record, &mut payload).ok().and_then(|()| u32::try_from(payload.len()).ok());
+    let Some(len) = len.filter(|&len| len <= MAX_FRAME_BYTES) else {
+        return 0;
+    };
+    put_u32(out, len);
+    put_u32(out, crc32(&payload));
+    out.extend_from_slice(&payload);
+    8 + payload.len()
+}
+
+fn encode_body(record: &WalRecord, out: &mut Vec<u8>) -> std::io::Result<()> {
     match record {
         WalRecord::DeltaApplied { inserts } => {
-            put_u32(&mut payload, inserts.len() as u32);
+            put_count(out, Prefix::U32, inserts.len())?;
             for batch in inserts {
-                put_str(&mut payload, &batch.relation);
-                put_u32(&mut payload, batch.arity as u32);
-                put_u64(&mut payload, batch.rows as u64);
-                values_to_le_bytes(&batch.values, &mut payload);
+                put_str(out, Prefix::U32, &batch.relation)?;
+                put_count(out, Prefix::U32, batch.arity)?;
+                put_rows(out, batch.rows, &batch.values);
             }
         }
         WalRecord::CheckpointStart => {}
         WalRecord::SnapshotWritten { checkpoint_lsn }
-        | WalRecord::CheckpointEnd { checkpoint_lsn } => put_u64(&mut payload, *checkpoint_lsn),
+        | WalRecord::CheckpointEnd { checkpoint_lsn } => put_u64(out, *checkpoint_lsn),
         WalRecord::DictExtend { first_id, tokens } => {
-            put_u64(&mut payload, *first_id);
-            put_u32(&mut payload, tokens.len() as u32);
-            for token in tokens {
-                put_str(&mut payload, token);
-            }
+            put_u64(out, *first_id);
+            put_strs(out, Prefix::U32, tokens)?;
         }
     }
-    let before = out.len();
-    put_u32(out, payload.len() as u32);
-    put_u32(out, crc32(&payload));
-    out.extend_from_slice(&payload);
-    out.len() - before
-}
-
-/// A bounds-checked cursor over a verified payload.
-pub(crate) struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, at: 0 }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], RecordError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| {
-                RecordError::Malformed(format!(
-                    "body over-read: {n} byte(s) wanted at offset {} of {}",
-                    self.at,
-                    self.bytes.len()
-                ))
-            })?;
-        let slice = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, RecordError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, RecordError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, RecordError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| RecordError::Malformed("string is not UTF-8".into()))
-    }
-
-    pub(crate) fn finish(self) -> Result<(), RecordError> {
-        if self.at == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(RecordError::Malformed(format!(
-                "{} trailing byte(s) after the body",
-                self.bytes.len() - self.at
-            )))
-        }
-    }
+    Ok(())
 }
 
 fn decode_payload(payload: &[u8]) -> Result<(Lsn, WalRecord), RecordError> {
-    let mut cursor = Cursor { bytes: payload, at: 0 };
-    let type_byte = cursor.take(1)?[0];
-    let lsn = cursor.u64()?;
+    let mut r = Reader::new(payload);
+    let type_byte = r.u8("record.type")?;
+    let lsn = r.u64("record.lsn")?;
     let record = match type_byte {
         1 => {
-            let nrel = cursor.u32()? as usize;
-            let mut inserts = Vec::with_capacity(nrel.min(1024));
-            for _ in 0..nrel {
-                let relation = cursor.string()?;
-                let arity = cursor.u32()? as usize;
-                let rows = cursor.u64()? as usize;
-                let nvalues = rows.checked_mul(arity).ok_or_else(|| {
-                    RecordError::Malformed(format!("{rows} rows x {arity} arity overflows"))
-                })?;
-                let byte_len = nvalues.checked_mul(8).ok_or_else(|| {
-                    RecordError::Malformed(format!("{nvalues} values x 8 bytes overflows"))
-                })?;
-                let values = values_from_le_bytes(cursor.take(byte_len)?)
-                    .map_err(|e| RecordError::Malformed(e.to_string()))?;
+            let count = r.count(Prefix::U32, "delta.relations")?;
+            let mut inserts = Vec::with_capacity(count.min(1024));
+            for _ in 0..count {
+                let relation = r.str(Prefix::U32, "delta.relation")?;
+                let arity = r.count(Prefix::U32, "delta.arity")?;
+                let (rows, values) = r.rows(arity, "delta.rows")?;
                 inserts.push(RelationInserts { relation, arity, rows, values });
             }
             WalRecord::DeltaApplied { inserts }
         }
         2 => WalRecord::CheckpointStart,
-        3 => WalRecord::SnapshotWritten { checkpoint_lsn: cursor.u64()? },
-        4 => WalRecord::CheckpointEnd { checkpoint_lsn: cursor.u64()? },
-        5 => {
-            let first_id = cursor.u64()?;
-            let count = cursor.u32()? as usize;
-            let mut tokens = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                tokens.push(cursor.string()?);
-            }
-            WalRecord::DictExtend { first_id, tokens }
-        }
+        3 => WalRecord::SnapshotWritten { checkpoint_lsn: r.u64("snapshot.lsn")? },
+        4 => WalRecord::CheckpointEnd { checkpoint_lsn: r.u64("checkpoint_end.lsn")? },
+        5 => WalRecord::DictExtend {
+            first_id: r.u64("dict.first_id")?,
+            tokens: r.strs(Prefix::U32, "dict.tokens")?,
+        },
         other => return Err(RecordError::UnknownType(other)),
     };
-    cursor.finish()?;
+    r.finish("record.body")?;
     Ok((lsn, record))
 }
 
@@ -485,13 +398,26 @@ mod tests {
     }
 
     #[test]
-    fn nullary_rows_iterate_correctly() {
-        let batch =
-            RelationInserts { relation: "N".into(), arity: 0, rows: 2, values: vec![] };
-        assert_eq!(batch.rows_iter().count(), 0);
-        let batch =
-            RelationInserts { relation: "R".into(), arity: 2, rows: 2, values: vec![1, 2, 3, 4] };
-        let rows: Vec<&[Value]> = batch.rows_iter().collect();
-        assert_eq!(rows, vec![&[1u64, 2][..], &[3, 4]]);
+    fn every_record_kind_keeps_its_encoding() {
+        // FNV-1a over every byte of the framed record, header and CRC
+        // included: a change to the on-disk format breaks these pins.
+        let digest = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let pinned = [
+            (87, 0x20dd_5541_df80_c213u64),
+            (17, 0xb0d2_729f_e0da_6748),
+            (25, 0x3015_520d_a22e_afb1),
+            (25, 0x2214_bb62_5285_ab75),
+            (45, 0x4868_61f6_b0e2_14cc),
+        ];
+        for ((lsn, record), (len, pin)) in (1..).zip(sample_records()).zip(pinned) {
+            let mut bytes = Vec::new();
+            assert_eq!(encode_record(&record, lsn, &mut bytes), len, "{}", record.kind());
+            assert_eq!(bytes.len(), len);
+            assert_eq!(digest(&bytes), pin, "{}", record.kind());
+        }
     }
 }

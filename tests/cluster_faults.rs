@@ -13,7 +13,7 @@
 use pq_bench::matching_database_for_query;
 use pq_core::baselines::oracle;
 use pq_core::hypercube::HyperCubeRouter;
-use pq_engine::{Engine, EngineRun, ExecBackend, FallbackPolicy};
+use pq_engine::{Engine, EngineError, EngineRun, ExecBackend, FallbackPolicy};
 use pq_mpc::net::{
     read_frame, serve_worker, shutdown_workers, write_frame, AtomSpec, BreakerState, Clock,
     ClusterConfig, ClusterError, Frame, LocalWorkers, RetryPolicy, RoundProgram, TestClock,
@@ -637,4 +637,34 @@ fn losing_the_majority_between_rounds_falls_back_to_the_simulator() {
     assert!(metrics.degraded);
     assert!(!metrics.is_measured(), "the fallback has no wire");
     assert_eq!(metrics.rounds, sim.outcome.metrics.rounds);
+}
+
+/// A variable name too long for the frame's u16 string prefix cannot be
+/// encoded: the run fails with a typed error before the frame is written,
+/// and the pool stays usable. Three such runs in a row — the breaker's
+/// default threshold — do not open the breaker either: the next query on
+/// the same engine is exact.
+#[test]
+fn an_unencodable_query_is_an_error_and_the_next_query_still_runs() {
+    let query = ConjunctiveQuery::triangle();
+    let db = matching_database_for_query(&query, 300, 61);
+    let workers = LocalWorkers::spawn(2).expect("spawn");
+    let session = Engine::new(db.clone(), 8)
+        .with_backend(ExecBackend::cluster(ClusterConfig::new(workers.addresses().to_vec())))
+        .session();
+    let long = "v".repeat(usize::from(u16::MAX) + 1);
+    let rename = |v: &str| if v == "x1" { long.clone() } else { v.to_string() };
+    let atoms = query.atoms().iter().map(|a| a.map_variables(rename)).collect();
+    let text = ConjunctiveQuery::new(query.name(), atoms).to_string();
+    for _ in 0..3 {
+        let err = session.run(&text).expect_err("the long name cannot be encoded");
+        assert!(
+            matches!(err, EngineError::Cluster(ClusterError::Unencodable { .. })),
+            "{err}"
+        );
+    }
+    let run = session.run(&query.to_string()).expect("the next query runs");
+    assert_eq!(run.outcome.output.canonicalized(), oracle(&query, &db).canonicalized());
+    assert!(run.outcome.metrics.is_measured());
+    workers.shutdown();
 }
