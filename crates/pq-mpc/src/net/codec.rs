@@ -24,10 +24,18 @@
 //! clean EOF *between* frames is `Ok(None)` — the peer hung up, which is
 //! an orderly close, not a malformed frame. Nor does encoding panic: see
 //! [`write_frame`].
+//!
+//! The read path is [`read_frame_into`]: a connection reads every frame
+//! into its one payload buffer, which grows only by the bytes that arrive,
+//! and a relation decodes into the row storage its caller holds under the
+//! relation's name, when there is one. A repeated frame then reuses the
+//! memory the previous one left behind. [`read_frame`] is the same read
+//! into fresh storage, for callers that read a single frame.
 
 use pq_relation::wire::{put_count, put_schema, put_str, put_strs, put_u64, Prefix};
 use pq_relation::wire::{ReadError, Reader};
-use pq_relation::{values_to_le_bytes, Relation, WireError};
+use pq_relation::{values_to_le_bytes, Relation, Value, WireError};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 
@@ -289,11 +297,27 @@ fn io_error(e: std::io::Error, context: &'static str) -> FrameError {
     }
 }
 
+/// Read one frame into a fresh buffer: [`read_frame_into`] for a caller
+/// that reads one frame and keeps nothing for the next.
+pub fn read_frame(reader: &mut impl Read) -> Result<Option<(Frame, u64)>, FrameError> {
+    read_frame_into(reader, &mut Vec::new(), &mut BTreeMap::new())
+}
+
 /// Read one frame. Returns `Ok(None)` on a clean EOF at a frame boundary
 /// (the peer closed the connection between frames); everything else that
 /// is not a whole, well-formed frame is a [`FrameError`]. On success the
 /// byte count (header included) is returned alongside the frame.
-pub fn read_frame(reader: &mut impl Read) -> Result<Option<(Frame, u64)>, FrameError> {
+///
+/// The payload is read into `payload`, the connection's buffer: cleared,
+/// then grown only by the bytes that actually arrive, so a repeated frame
+/// reuses its memory and a hostile length prefix commits no more than the
+/// peer sent. A decoded relation takes its row storage from `spares`, the
+/// buffer held under its name (removed from the map), when there is one.
+pub fn read_frame_into(
+    reader: &mut impl Read,
+    payload: &mut Vec<u8>,
+    spares: &mut BTreeMap<String, Vec<Value>>,
+) -> Result<Option<(Frame, u64)>, FrameError> {
     let mut magic = [0u8; 4];
     // Distinguish "no more frames" (0 bytes then EOF) from a truncated
     // frame (1–3 bytes then EOF): the former is an orderly close.
@@ -317,9 +341,16 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<(Frame, u64)>, FrameE
     if len > MAX_FRAME_LEN {
         return Err(FrameError::Oversized { len });
     }
-    let mut payload = vec![0u8; len as usize];
-    reader.read_exact(&mut payload).map_err(|e| io_error(e, "frame payload"))?;
-    let mut r = Reader::new(&payload);
+    payload.clear();
+    reader
+        .take(u64::from(len))
+        .read_to_end(payload)
+        .map_err(|e| io_error(e, "frame payload"))?;
+    if payload.len() < len as usize {
+        return Err(FrameError::ShortRead { context: "frame payload" });
+    }
+    let mut r = Reader::new(payload);
+    let mut storage = |name: &str| spares.remove(name).unwrap_or_default();
     let frame = match type_byte {
         1 => Frame::Hello {
             worker: r.u64("hello.worker")?,
@@ -328,7 +359,7 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<(Frame, u64)>, FrameE
         },
         2 => Frame::Fragment {
             round: r.u64("fragment.round")?,
-            relation: r.relation(Prefix::U16, "fragment.relation")?,
+            relation: r.relation(Prefix::U16, "fragment.relation", &mut storage)?,
         },
         3 => Frame::Execute {
             round: r.u64("execute.round")?,
@@ -344,7 +375,7 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<(Frame, u64)>, FrameE
         4 => Frame::Answer {
             round: r.u64("answer.round")?,
             bytes_received: r.u64("answer.bytes_received")?,
-            relation: r.relation(Prefix::U16, "answer.relation")?,
+            relation: r.relation(Prefix::U16, "answer.relation", &mut storage)?,
         },
         5 => Frame::Error { message: r.str(Prefix::U16, "error.message")? },
         6 => Frame::Shutdown,
@@ -643,6 +674,34 @@ mod tests {
             assert!(writes.largest <= ROW_CHUNK_BYTES, "largest write {}", writes.largest);
             assert_eq!(&roundtrip(frame.clone()), frame);
         }
+    }
+
+    #[test]
+    fn frames_reuse_the_connection_buffer_and_the_spare_of_their_name() {
+        let fragment = |name: &str, n: u64| Frame::Fragment {
+            round: 1,
+            relation: rel(name, &["x", "y"], (0..n).map(|i| vec![i, i + 1]).collect()),
+        };
+        let mut bytes = Vec::new();
+        for frame in [fragment("R", 500), fragment("S", 300), fragment("R", 200)] {
+            write_frame(&mut bytes, &frame).unwrap();
+        }
+        let mut stream = Cursor::new(bytes);
+        let mut payload = Vec::new();
+        let mut spares = BTreeMap::from([("R".to_string(), Vec::<Value>::with_capacity(1000))]);
+        let spare = spares["R"].as_ptr();
+        let mut next = || read_frame_into(&mut stream, &mut payload, &mut spares).unwrap();
+        let Some((Frame::Fragment { relation: r, .. }, _)) = next() else { panic!() };
+        assert_eq!(r.values().as_ptr(), spare, "R decodes into R's spare");
+        assert_eq!(r, rel("R", &["x", "y"], (0..500).map(|i| vec![i, i + 1]).collect()));
+        // S has no spare; the second R finds R's taken and gets fresh storage.
+        let Some((Frame::Fragment { relation: s, .. }, _)) = next() else { panic!() };
+        let Some((Frame::Fragment { relation: r2, .. }, _)) = next() else { panic!() };
+        assert_eq!((s.len(), r2.len()), (300, 200));
+        assert_ne!(r2.values().as_ptr(), spare);
+        assert!(next().is_none());
+        assert!(spares.is_empty());
+        assert!(payload.capacity() >= 8_000, "the largest payload's storage stays");
     }
 
     #[test]

@@ -26,11 +26,12 @@
 //! worst blocks on an answer, while the later ones are still being fed.
 
 use crate::metrics::{RoundStats, RunMetrics};
-use crate::net::codec::{read_frame, write_frame, Frame, FrameError};
+use crate::net::codec::{read_frame_into, write_frame, Frame, FrameError};
 use crate::net::retry::RetryPolicy;
 use crate::net::shipment::Shipment;
 use pq_obs::MetricsRegistry;
 use pq_relation::Relation;
+use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -318,12 +319,13 @@ fn read_error(worker: usize, timeout: Duration, error: FrameError) -> ClusterErr
 }
 
 /// One live worker connection: a dialled, nodelay TCP stream split into a
-/// buffered reader/writer pair. [`crate::net::WorkerPool`] keeps these
-/// alive between runs.
+/// buffered reader/writer pair, and the buffer its frames are read into.
+/// [`crate::net::WorkerPool`] keeps these alive between runs.
 #[derive(Debug)]
 pub(crate) struct Connection {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    payload: Vec<u8>,
 }
 
 impl Connection {
@@ -340,7 +342,7 @@ impl Connection {
         stream.set_read_timeout(Some(read_timeout)).map_err(io)?;
         let reader = BufReader::new(stream.try_clone().map_err(io)?);
         let writer = BufWriter::new(stream);
-        Ok(Connection { reader, writer })
+        Ok(Connection { reader, writer, payload: Vec::new() })
     }
 
     /// Introduce this run: `Hello` resets whatever fragment state the
@@ -374,9 +376,14 @@ impl Connection {
             return false;
         }
         matches!(
-            read_frame(&mut self.reader),
+            self.read_frame(),
             Ok(Some((Frame::Pong { nonce: echoed }, _))) if echoed == nonce
         )
+    }
+
+    /// Read the next frame through this connection's buffer.
+    fn read_frame(&mut self) -> Result<Option<(Frame, u64)>, FrameError> {
+        read_frame_into(&mut self.reader, &mut self.payload, &mut BTreeMap::new())
     }
 
     /// Adjust the socket's read timeout (the deadline budget shrinks it
@@ -500,7 +507,8 @@ impl Coordinator<'_> {
         for (worker, wire) in wire_bytes.iter_mut().enumerate() {
             for answer in &mut merged {
                 let timeout = self.prepare_read(worker)?;
-                let (frame, frame_bytes) = read_frame(&mut self.connections[worker].reader)
+                let (frame, frame_bytes) = self.connections[worker]
+                    .read_frame()
                     .map_err(|e| read_error(worker, timeout, e))?
                     .ok_or(ClusterError::Died { worker })?;
                 match frame {

@@ -75,7 +75,9 @@ pub mod retry;
 pub mod shipment;
 pub mod worker;
 
-pub use codec::{read_frame, write_frame, Frame, FrameError, MAGIC, MAX_FRAME_LEN};
+pub use codec::{
+    read_frame, read_frame_into, write_frame, Frame, FrameError, MAGIC, MAX_FRAME_LEN,
+};
 pub use coordinator::{
     shutdown_workers, AtomSpec, ClusterConfig, ClusterError, RoundProgram,
 };

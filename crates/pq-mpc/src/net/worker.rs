@@ -21,6 +21,17 @@
 //! fragment state — the cheap liveness check of the coordinator-side
 //! [`crate::net::WorkerPool`].
 //!
+//! A pooled connection serves run after run, and its rounds run at
+//! steady-state memory. Every frame is read into the connection's one
+//! payload buffer. The fragment store recycles row storage: a `Hello`
+//! turns each stored fragment into a spare row buffer under its relation
+//! name, the run's fragment of that name decodes into it, and the spares
+//! still unclaimed at the run's first `Execute` are freed before the join.
+//! What a connection holds is therefore this run's fragments plus one
+//! frame buffer, and a repeated round allocates — and page-faults — no
+//! fresh fragment memory. A relation the run does not ship stays absent,
+//! so its atom still joins as the empty relation.
+//!
 //! A `Shutdown` frame ends the whole serve loop (not just the current
 //! connection) — the fix for the daemon's listener otherwise looping
 //! forever with no teardown path. Connections are bounded by
@@ -31,9 +42,9 @@
 //! the test suites and benchmarks stand up a real-socket cluster without
 //! managing child processes.
 
-use crate::net::codec::{read_frame, write_frame, Frame};
+use crate::net::codec::{read_frame_into, write_frame, Frame};
 use pq_obs::{Counter, LogLevel, Logger, MetricsRegistry};
-use pq_relation::{natural_join_all, project, Relation, Schema};
+use pq_relation::{natural_join_all, project, Relation, Schema, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Write};
@@ -134,13 +145,18 @@ fn serve_connection(
     // Fragments merged by relation name, like the simulator's Server; the
     // MPC model lets knowledge accumulate across rounds.
     let mut fragments: BTreeMap<String, Relation> = BTreeMap::new();
+    // The previous run's row buffers by relation name, until this run's
+    // fragment of that name decodes into one or its first Execute frees
+    // the rest; and the buffer every frame's payload is read into.
+    let mut spares: BTreeMap<String, Vec<Value>> = BTreeMap::new();
+    let mut payload = Vec::new();
     // Measured bytes read since the last Answer (frame headers included).
     let mut wire_bytes = 0u64;
     // Stored fragment bytes accumulated on this connection, checked
     // against `limits.max_fragment_bytes`.
     let mut fragment_bytes = 0u64;
     loop {
-        let (frame, frame_bytes) = match read_frame(&mut reader) {
+        let (frame, frame_bytes) = match read_frame_into(&mut reader, &mut payload, &mut spares) {
             Ok(Some(read)) => read,
             // Orderly close between frames: this coordinator is done.
             Ok(None) => return false,
@@ -168,8 +184,12 @@ fn serve_connection(
         obs.wire_bytes.add(frame_bytes);
         match frame {
             Frame::Hello { .. } => {
-                // A new run on a reused connection: forget previous state.
-                fragments.clear();
+                // A new run on a reused connection: forget previous state,
+                // keeping its row storage for this run's fragments.
+                spares = std::mem::take(&mut fragments)
+                    .into_iter()
+                    .map(|(name, relation)| (name, relation.into_values()))
+                    .collect();
                 wire_bytes = 0;
                 fragment_bytes = 0;
             }
@@ -225,6 +245,7 @@ fn serve_connection(
             } => {
                 wire_bytes += frame_bytes;
                 obs.rounds.inc();
+                spares.clear();
                 // The folded logical servers were merged into these
                 // fragments by the coordinator, so this one join carries
                 // the whole round's local work — run it on the pool so the
@@ -698,6 +719,75 @@ mod tests {
             read_frame(&mut reader).unwrap(),
             Some((Frame::Answer { .. }, _))
         ));
+    }
+
+    /// A run on a pooled connection decodes its fragments into the previous
+    /// run's row storage: no row of run 1 may survive into run 2, a
+    /// relation run 2 does not ship stays absent, and a relation shipped
+    /// with other attributes decodes to its new shape.
+    #[test]
+    fn recycled_row_storage_never_leaks_rows_into_the_next_run() {
+        let workers = LocalWorkers::spawn(1).unwrap();
+        let stream = TcpStream::connect(&workers.addresses()[0]).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = BufWriter::new(stream);
+        let strings = |names: &[&str]| names.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+        let execute = |output: &[&str], atoms: &[(&str, &[&str])]| Frame::Execute {
+            round: 1,
+            name: "Q".into(),
+            output_vars: strings(output),
+            atoms: atoms.iter().map(|(r, vars)| (r.to_string(), strings(vars))).collect(),
+        };
+        let fragment = |relation| Frame::Fragment { round: 1, relation };
+        let hello = Frame::Hello { worker: 0, workers: 1, bits_per_value: 8 };
+        let r_join_s = execute(&["x", "y", "z"], &[("R", &["x", "y"]), ("S", &["y", "z"])]);
+        let mut run = |frames: Vec<Frame>| -> Vec<Relation> {
+            for frame in &frames {
+                write_frame(&mut writer, frame).unwrap();
+            }
+            writer.flush().unwrap();
+            let executes = frames.iter().filter(|f| matches!(f, Frame::Execute { .. })).count();
+            (0..executes)
+                .map(|_| match read_frame(&mut reader).unwrap() {
+                    Some((Frame::Answer { relation, .. }, _)) => relation,
+                    other => panic!("expected an Answer, got {other:?}"),
+                })
+                .collect()
+        };
+        let rows = |relation: &Relation| {
+            let mut rows: Vec<Vec<u64>> = relation.iter().map(|r| r.to_vec()).collect();
+            rows.sort();
+            rows
+        };
+
+        let answers = run(vec![
+            hello.clone(),
+            fragment(frag("R", &["x", "y"], vec![vec![1, 2], vec![3, 4], vec![5, 6]])),
+            fragment(frag("S", &["y", "z"], vec![vec![2, 20], vec![4, 40], vec![6, 60]])),
+            r_join_s.clone(),
+        ]);
+        assert_eq!(answers[0].len(), 3);
+
+        // Run 2 ships one row of R and no S: R ⋈ S is empty, R is one row.
+        let answers = run(vec![
+            hello.clone(),
+            fragment(frag("R", &["x", "y"], vec![vec![3, 4]])),
+            r_join_s,
+            execute(&["x", "y"], &[("R", &["x", "y"])]),
+        ]);
+        assert!(answers[0].is_empty());
+        assert_eq!(answers[0].schema().attributes(), &["x", "y", "z"]);
+        assert_eq!(rows(&answers[1]), vec![vec![3, 4]]);
+
+        // Run 3 ships R three columns wide, into the storage of R's one row.
+        let answers = run(vec![
+            hello,
+            fragment(frag("R", &["a", "b", "c"], vec![vec![7, 8, 9], vec![1, 1, 1]])),
+            execute(&["a", "b", "c"], &[("R", &["a", "b", "c"])]),
+        ]);
+        assert_eq!(answers[0].schema().attributes(), &["a", "b", "c"]);
+        assert_eq!(rows(&answers[0]), vec![vec![1, 1, 1], vec![7, 8, 9]]);
+        workers.shutdown();
     }
 
     /// Two coordinators are served concurrently: one holds its connection

@@ -22,8 +22,10 @@
 //! table over key hashes taken in place with the seeded mixer of
 //! [`crate::hash`] (no key tuple, no SipHash), and each probe key is looked
 //! up once: the first pass finds where its chain starts and counts it to
-//! pre-size the output exactly, the second walks on from there and emits
-//! rows by `extend_from_slice` into the flat buffer.
+//! pre-size the output, the second walks on from there and emits rows by
+//! `extend_from_slice` into the flat buffer. The two passes take at most
+//! [`MORSEL_ROWS`] probe rows at a time, so the chain starts they keep
+//! between them never outgrow one morsel.
 //!
 //! **Block joins.** HyperCube sends every tuple to its whole destination
 //! subcube, and the servers of a subcube hold the *same* shared row buffer
@@ -274,36 +276,50 @@ struct JoinSpec<'a> {
 
 impl JoinSpec<'_> {
     /// Probe rows `lo..hi` against the build index, appending output rows to
-    /// `values` (exactly pre-sized from the build-side match counts) and
-    /// returning the number of rows emitted.
+    /// `values` and returning the number of rows emitted. Both passes run
+    /// over at most [`MORSEL_ROWS`] rows at a time, so the chain-start
+    /// scratch stays bounded however long the range; the output order is
+    /// the range's. The output is pre-sized from the build-side match
+    /// counts: the first chunk's exactly, plus its match rate projected
+    /// over the rest of the range, at most one row per remaining probe row
+    /// — a uniform probe sizes its output once, and a bounded guess never
+    /// over-reserves more than the probe side; later chunks grow it as
+    /// needed.
     fn probe_range(&self, lo: usize, hi: usize, values: &mut Vec<Value>) -> usize {
-        // First pass: hash every probe key once, look it up once — where
-        // its chain starts — and count the chain to pre-size the output.
-        let mut starts: Vec<(u64, u32)> = Vec::with_capacity(hi - lo);
-        let mut expected = 0usize;
-        for prow in self.probe.iter_range(lo, hi) {
-            let h = hash_key(prow, self.probe_positions);
-            let start = self.index.find(h);
-            expected += self.index.chain(h, start).count();
-            starts.push((h, start));
-        }
         let out_arity = self.probe.arity() + self.build.arity() - self.build_positions.len();
-        values.reserve(expected * out_arity);
+        let mut starts: Vec<(u64, u32)> = Vec::with_capacity((hi - lo).min(MORSEL_ROWS));
         let mut rows = 0usize;
-        for (prow, &(h, start)) in self.probe.iter_range(lo, hi).zip(&starts) {
-            for i in self.index.chain(h, start) {
-                let brow = self.build.row(i);
-                if !keys_match(prow, self.probe_positions, brow, self.build_positions) {
-                    continue;
+        for (lo, hi, rest) in (lo..hi).step_by(MORSEL_ROWS).map(|chunk| {
+            let end = (chunk + MORSEL_ROWS).min(hi);
+            (chunk, end, if chunk == lo { hi - end } else { 0 })
+        }) {
+            // First pass: hash every probe key once, look it up once —
+            // where its chain starts — and count the chain to pre-size.
+            starts.clear();
+            let mut expected = 0usize;
+            for prow in self.probe.iter_range(lo, hi) {
+                let h = hash_key(prow, self.probe_positions);
+                let start = self.index.find(h);
+                expected += self.index.chain(h, start).count();
+                starts.push((h, start));
+            }
+            let projected = (expected.saturating_mul(rest) / (hi - lo)).min(rest);
+            values.reserve((expected + projected) * out_arity);
+            for (prow, &(h, start)) in self.probe.iter_range(lo, hi).zip(&starts) {
+                for i in self.index.chain(h, start) {
+                    let brow = self.build.row(i);
+                    if !keys_match(prow, self.probe_positions, brow, self.build_positions) {
+                        continue;
+                    }
+                    let (lrow, rrow) = if self.build_is_left {
+                        (brow, prow)
+                    } else {
+                        (prow, brow)
+                    };
+                    values.extend_from_slice(lrow);
+                    values.extend(self.right_extra.iter().map(|&p| rrow[p]));
+                    rows += 1;
                 }
-                let (lrow, rrow) = if self.build_is_left {
-                    (brow, prow)
-                } else {
-                    (prow, brow)
-                };
-                values.extend_from_slice(lrow);
-                values.extend(self.right_extra.iter().map(|&p| rrow[p]));
-                rows += 1;
             }
         }
         rows

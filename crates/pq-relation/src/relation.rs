@@ -164,6 +164,12 @@ impl Relation {
         &self.values
     }
 
+    /// Give up the relation for its row buffer: the buffer itself when no
+    /// clone shares it, else a copy.
+    pub fn into_values(self) -> Vec<Value> {
+        Arc::try_unwrap(self.values).unwrap_or_else(|shared| (*shared).clone())
+    }
+
     /// The identity of the row buffer — its address, length and stride —
     /// or `None` for an empty buffer (every empty buffer has the same
     /// dangling address). Two live relations with the same id share their

@@ -71,10 +71,23 @@ pub fn values_from_le_bytes(bytes: &[u8]) -> Result<Vec<Value>, WireError> {
     if bytes.len() % 8 != 0 {
         return Err(WireError::UnalignedBytes { len: bytes.len() });
     }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| Value::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes")))
-        .collect())
+    let mut values = Vec::new();
+    decode_le_into(bytes, &mut values);
+    Ok(values)
+}
+
+/// Replace `values` with the whole `u64`s of `bytes`, reusing its capacity
+/// and trimming it to the decoded length, so reused storage never outgrows
+/// what it holds.
+#[inline]
+fn decode_le_into(bytes: &[u8], values: &mut Vec<Value>) {
+    let len = bytes.len() / 8;
+    values.clear();
+    values.shrink_to(len);
+    values.reserve_exact(len);
+    values.extend(
+        bytes.chunks_exact(8).map(|c| Value::from_le_bytes(c.try_into().expect("8 bytes"))),
+    );
 }
 
 impl Relation {
@@ -199,6 +212,7 @@ impl<'a> Reader<'a> {
         Reader { bytes, pos: 0 }
     }
 
+    #[inline]
     fn take(&mut self, n: usize, field: &'static str) -> Result<&'a [u8], ReadError> {
         let Some(bytes) = self.bytes[self.pos..].get(..n) else {
             let reason = format!("{n} byte(s) wanted at {} of {}", self.pos, self.bytes.len());
@@ -208,6 +222,7 @@ impl<'a> Reader<'a> {
         Ok(bytes)
     }
 
+    #[inline]
     fn array<const N: usize>(&mut self, field: &'static str) -> Result<[u8; N], ReadError> {
         let mut array = [0; N];
         array.copy_from_slice(self.take(N, field)?);
@@ -215,26 +230,31 @@ impl<'a> Reader<'a> {
     }
 
     /// One byte.
+    #[inline]
     pub fn u8(&mut self, field: &'static str) -> Result<u8, ReadError> {
         self.array(field).map(u8::from_le_bytes)
     }
 
     /// A little-endian `u16`.
+    #[inline]
     pub fn u16(&mut self, field: &'static str) -> Result<u16, ReadError> {
         self.array(field).map(u16::from_le_bytes)
     }
 
     /// A little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self, field: &'static str) -> Result<u32, ReadError> {
         self.array(field).map(u32::from_le_bytes)
     }
 
     /// A little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, field: &'static str) -> Result<u64, ReadError> {
         self.array(field).map(u64::from_le_bytes)
     }
 
     /// A string length or list count ([`put_count`]).
+    #[inline]
     pub fn count(&mut self, prefix: Prefix, field: &'static str) -> Result<usize, ReadError> {
         match prefix {
             Prefix::U16 => self.u16(field).map(usize::from),
@@ -255,12 +275,14 @@ impl<'a> Reader<'a> {
     }
 
     /// A row block of `arity`-wide rows ([`put_rows`]): the row count and
-    /// the values. `rows · arity · 8` is computed with checked arithmetic,
-    /// so a hostile row count is an error, never a wrapped size.
+    /// the values, decoded into `values` — cleared, its capacity reused and
+    /// trimmed to the block. `rows · arity · 8` is computed with checked
+    /// arithmetic, so a hostile row count is an error, never a wrapped size.
     pub fn rows(
         &mut self,
         arity: usize,
         field: &'static str,
+        mut values: Vec<Value>,
     ) -> Result<(usize, Vec<Value>), ReadError> {
         let declared = self.u64(field)?;
         let rows = usize::try_from(declared).ok();
@@ -269,21 +291,27 @@ impl<'a> Reader<'a> {
             let reason = format!("{declared} row(s) of arity {arity} overflow");
             return Err(ReadError { field, reason });
         };
-        let values = values_from_le_bytes(self.take(len, field)?).expect("whole u64 values");
+        decode_le_into(self.take(len, field)?, &mut values);
         Ok((rows, values))
     }
 
-    /// A relation: its schema ([`put_schema`]), then its row block. A schema
-    /// naming an attribute twice is an error here, before [`Schema::new`]
-    /// would panic on it.
-    pub fn relation(&mut self, prefix: Prefix, field: &'static str) -> Result<Relation, ReadError> {
+    /// A relation: its schema ([`put_schema`]), then its row block decoded
+    /// as [`Reader::rows`] does into the storage `storage` hands out for the
+    /// relation's name. A schema naming an attribute twice is an error
+    /// here, before [`Schema::new`] would panic on it.
+    pub fn relation(
+        &mut self,
+        prefix: Prefix,
+        field: &'static str,
+        storage: impl FnOnce(&str) -> Vec<Value>,
+    ) -> Result<Relation, ReadError> {
         let name = self.str(prefix, field)?;
         let attributes = self.strs(prefix, field)?;
         if let Some(i) = (1..attributes.len()).find(|&i| attributes[..i].contains(&attributes[i])) {
             let reason = format!("`{name}` repeats attribute `{}`", attributes[i]);
             return Err(ReadError { field, reason });
         }
-        let (rows, values) = self.rows(attributes.len(), field)?;
+        let (rows, values) = self.rows(attributes.len(), field, storage(&name))?;
         Ok(Relation::from_values(Schema::new(name, attributes), rows, values))
     }
 

@@ -175,7 +175,7 @@ pub fn load_checkpoint_file(path: &Path) -> Result<Checkpoint, CheckpointError> 
     let covered_lsn = r.u64("checkpoint.lsn")?;
     let mut database = Database::new(r.u64("checkpoint.domain_size")?);
     for _ in 0..r.count(Prefix::U32, "checkpoint.relations")? {
-        database.insert(r.relation(Prefix::U32, "checkpoint.relation")?);
+        database.insert(r.relation(Prefix::U32, "checkpoint.relation", |_| Vec::new())?);
     }
     let tokens = (0..r.u64("checkpoint.tokens")?)
         .map(|_| r.str(Prefix::U32, "checkpoint.token"))

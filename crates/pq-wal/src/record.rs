@@ -208,7 +208,7 @@ fn decode_payload(payload: &[u8]) -> Result<(Lsn, WalRecord), RecordError> {
             for _ in 0..count {
                 let relation = r.str(Prefix::U32, "delta.relation")?;
                 let arity = r.count(Prefix::U32, "delta.arity")?;
-                let (rows, values) = r.rows(arity, "delta.rows")?;
+                let (rows, values) = r.rows(arity, "delta.rows", Vec::new())?;
                 inserts.push(RelationInserts { relation, arity, rows, values });
             }
             WalRecord::DeltaApplied { inserts }

@@ -9,14 +9,21 @@
 //! the checksum. The decoder must then return a typed error or a clean
 //! decode; it must never panic. A clean frame or WAL decode must also
 //! re-encode to exactly the bytes it consumed.
+//!
+//! Frames are read the way a connection reads them: every case goes through
+//! one reused payload buffer and one spare-storage map that decoded
+//! relations hand their row buffers back to, and each mangled frame is
+//! followed by its clean original, which must then decode exactly.
 
-use pq_mpc::net::{read_frame, write_frame, Frame};
-use pq_relation::{Database, Relation, Schema, ValueDictionary};
+use pq_mpc::net::{read_frame_into, write_frame, Frame, FrameError, MAX_FRAME_LEN};
+use pq_relation::{Database, Relation, Schema, Value, ValueDictionary};
 use pq_wal::{
     crc32, encode_record, load_checkpoint_file, write_checkpoint_file, CheckpointError,
     RecordReader, RelationInserts, WalRecord,
 };
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -28,7 +35,7 @@ fn nullary(name: &str, rows: usize) -> Relation {
     relation
 }
 
-fn frames() -> Vec<Vec<u8>> {
+fn frames() -> Vec<(Frame, Vec<u8>)> {
     let frames = [
         Frame::Hello {
             worker: 1,
@@ -66,11 +73,11 @@ fn frames() -> Vec<Vec<u8>> {
         Frame::Ping { nonce: 5 },
     ];
     frames
-        .iter()
+        .into_iter()
         .map(|frame| {
             let mut bytes = Vec::new();
-            write_frame(&mut bytes, frame).expect("encodes");
-            bytes
+            write_frame(&mut bytes, &frame).expect("encodes");
+            (frame, bytes)
         })
         .collect()
 }
@@ -202,14 +209,47 @@ fn reseal_checkpoint(bytes: &mut [u8]) {
     }
 }
 
-fn check_frame(bytes: &[u8]) -> Result<(), TestCaseError> {
-    let mut stream = bytes;
-    if let Ok(Some((frame, read))) = read_frame(&mut stream) {
-        let mut again = Vec::new();
-        write_frame(&mut again, &frame).expect("a decoded frame re-encodes");
-        prop_assert_eq!(again.as_slice(), &bytes[..read as usize]);
+/// What a connection keeps between frames: the payload buffer and the
+/// row storage decoded relations return to, by relation name.
+#[derive(Default)]
+struct FrameReader {
+    payload: Vec<u8>,
+    spares: BTreeMap<String, Vec<Value>>,
+}
+
+impl FrameReader {
+    fn read(&mut self, bytes: &[u8]) -> Result<Option<(Frame, u64)>, FrameError> {
+        read_frame_into(&mut &bytes[..], &mut self.payload, &mut self.spares)
     }
-    Ok(())
+
+    /// Hand a decoded relation's row buffer back for the next frame.
+    fn recycle(&mut self, frame: Frame) {
+        if let Frame::Fragment { relation, .. } | Frame::Answer { relation, .. } = frame {
+            self.spares.insert(relation.name().to_string(), relation.into_values());
+        }
+    }
+}
+
+thread_local! {
+    static READER: RefCell<FrameReader> = RefCell::default();
+}
+
+fn check_frame(bytes: &[u8], clean: &(Frame, Vec<u8>)) -> Result<(), TestCaseError> {
+    READER.with_borrow_mut(|reader| {
+        if let Ok(Some((frame, read))) = reader.read(bytes) {
+            let mut again = Vec::new();
+            write_frame(&mut again, &frame).expect("a decoded frame re-encodes");
+            prop_assert_eq!(again.as_slice(), &bytes[..read as usize]);
+            reader.recycle(frame);
+        }
+        // Whatever the mangled frame left in the buffer and the spares, the
+        // clean frame after it decodes exactly.
+        let (frame, read) = reader.read(&clean.1).expect("clean frame").expect("a frame");
+        prop_assert_eq!(&frame, &clean.0);
+        prop_assert_eq!(read as usize, clean.1.len());
+        reader.recycle(frame);
+        Ok(())
+    })
 }
 
 fn check_record(bytes: &[u8]) -> Result<(), TestCaseError> {
@@ -249,9 +289,10 @@ proptest! {
         let (frames, records, checkpoint) = (frames(), records(), checkpoint());
         let path = scratch_dir().join("mangled.ckpt");
         for how in MANGLES {
-            let mut bytes = frames[which % frames.len()].clone();
+            let clean = &frames[which % frames.len()];
+            let mut bytes = clean.1.clone();
             mangle(&mut bytes, how, at, to, value);
-            check_frame(&bytes)?;
+            check_frame(&bytes, clean)?;
 
             let mut bytes = records[which % records.len()].clone();
             mangle(&mut bytes, how, at, to, value);
@@ -265,4 +306,21 @@ proptest! {
         }
         let _ = fs::remove_dir_all(scratch_dir());
     }
+}
+
+/// A header declaring the largest legal payload, then 10 bytes and EOF: a
+/// short read, with the buffer grown only by the bytes that arrived.
+#[test]
+fn a_hostile_length_commits_only_the_bytes_received() {
+    let mut bytes = b"PQW1".to_vec();
+    bytes.push(2);
+    bytes.extend_from_slice(&MAX_FRAME_LEN.to_le_bytes());
+    bytes.extend_from_slice(&[7; 10]);
+    let mut reader = FrameReader::default();
+    let err = reader.read(&bytes).unwrap_err();
+    assert_eq!(err, FrameError::ShortRead { context: "frame payload" });
+    assert!(reader.payload.capacity() < 1 << 20, "{}", reader.payload.capacity());
+    // The same buffer then reads a clean frame.
+    let (frame, clean) = &frames()[1];
+    assert_eq!(&reader.read(clean).unwrap().unwrap().0, frame);
 }
