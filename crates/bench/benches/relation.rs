@@ -1,6 +1,7 @@
 //! Criterion microbenchmark for the storage layer in isolation: binary and
 //! 3-way natural joins and hash partitioning over matching relations at
-//! m ∈ {10k, 100k}, and the local joins of one HyperCube round — the
+//! m ∈ {10k, 100k}, a selective binary join (≈ 1 % of probe keys match),
+//! and the local joins of one HyperCube round — the
 //! 64 servers of the 4×4×4 triangle grid as one block join against every
 //! server joining alone — and the HyperCube round's routing that feeds
 //! them, per logical server and folded onto two workers. Baselines live in
@@ -66,6 +67,19 @@ fn bench_relation(c: &mut Criterion) {
             },
         );
     }
+    // Two random matchings of 32 000 rows over a domain 100 times as wide:
+    // ≈ 1 % of the probe keys find a match, the shape of a worker's first
+    // join step on the triangle. Beside `binary_join`'s 1:1 hits it benches
+    // the other side of the probe's key-filter rule.
+    let m = 32_000;
+    let mut gen = DataGenerator::new(13, (m as u64) * 100);
+    let left = gen.matching_relation(Schema::from_strs("R", &["x", "y"]), m);
+    let right = gen.matching_relation(Schema::from_strs("S", &["y", "z"]), m);
+    group.bench_with_input(
+        BenchmarkId::new("selective_join", m),
+        &(left, right),
+        |b, (left, right)| b.iter(|| natural_join(left, right).len()),
+    );
     group.finish();
 }
 

@@ -323,6 +323,43 @@ mod tests {
     }
 
     #[test]
+    fn a_two_block_round_on_workers_does_not_wait_for_a_delayed_ack() {
+        // The 4-chain plans as a bushy plan whose first round joins two
+        // operators on two server blocks, so each worker answers that round
+        // with two frames back to back. Without TCP_NODELAY on the worker's
+        // socket the second one waits for the coordinator's delayed ACK
+        // (≥ 40 ms on Linux loopback); a run of this size takes ~1 ms.
+        let parsed = parse_query("Q(a, b, c, d, e) :- R(a, b), S(b, c), T(c, d), U(d, e)").unwrap();
+        let db = matching_db(&parsed.query, 200, 31);
+        let plan = plan_query(&parsed, &db, 64).unwrap();
+        let Strategy::MultiRound { plan: node, .. } = &plan.strategy else {
+            panic!("expected a bushy plan, got {}", plan.strategy.name());
+        };
+        assert_eq!(pq_core::multiround::plan::nodes_at_depth(node, 1).len(), 2);
+        let snapshot = Snapshot::new(db.clone());
+        let workers = pq_mpc::net::LocalWorkers::spawn(2).unwrap();
+        let backend = ExecBackend::cluster(pq_mpc::net::ClusterConfig::new(
+            workers.addresses().to_vec(),
+        ));
+        let run = run_plan_on(&plan, &snapshot, 5, &backend, None).unwrap();
+        assert_eq!(run.output.canonicalized(), oracle(&plan, &db));
+        let mut walls: Vec<Duration> = (0..9)
+            .map(|_| {
+                run_plan_on(&plan, &snapshot, 5, &backend, None)
+                    .unwrap()
+                    .wall
+            })
+            .collect();
+        walls.sort();
+        assert!(
+            walls[4] < Duration::from_millis(20),
+            "median of 9 warm runs {:?}: a worker's answers stall",
+            walls[4]
+        );
+        workers.shutdown();
+    }
+
+    #[test]
     fn an_unreachable_cluster_degrades_to_the_simulator_when_asked() {
         use pq_mpc::net::{ClusterConfig, RetryPolicy};
         let parsed = parse_query("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();

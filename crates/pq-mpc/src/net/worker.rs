@@ -345,6 +345,10 @@ pub fn serve_worker(
             return Ok(());
         }
         let stream = stream?;
+        // A round of several blocks is answered with frames back to back;
+        // with Nagle on, each one after the first would wait for the
+        // coordinator's delayed ACK.
+        let _ = stream.set_nodelay(true);
         let peer = stream
             .peer_addr()
             .map(|a| a.to_string())
