@@ -10,7 +10,8 @@
 //!    construction behave exactly as they did pre-crash), without
 //!    re-logging them;
 //! 3. **attach** — reopen the log for appending (truncating the torn
-//!    tail), wire its metrics into the engine's registry and arm the
+//!    tail; [`pq_wal::Wal::open_recovered`] reuses step 1's read of the
+//!    log), wire its metrics into the engine's registry and arm the
 //!    auto-checkpointer;
 //! 4. **checkpoint** — when the directory was fresh, or when replay did
 //!    work, write a checkpoint immediately so the next startup replays
@@ -122,7 +123,11 @@ pub fn open_durable(
         })?;
     }
 
-    let wal = Arc::new(Wal::open(dir, WalOptions::with_sync(options.sync))?);
+    let wal = Arc::new(Wal::open_recovered(
+        dir,
+        WalOptions::with_sync(options.sync),
+        &recovery,
+    )?);
     let registry = engine.metrics();
     wal.set_registry(&registry);
     registry

@@ -264,9 +264,14 @@ impl<'a> Reader<'a> {
 
     /// A length-prefixed UTF-8 string ([`put_str`]).
     pub fn str(&mut self, prefix: Prefix, field: &'static str) -> Result<String, ReadError> {
+        self.str_ref(prefix, field).map(str::to_owned)
+    }
+
+    /// [`Reader::str`], borrowed from the payload instead of copied.
+    pub fn str_ref(&mut self, prefix: Prefix, field: &'static str) -> Result<&'a str, ReadError> {
         let len = self.count(prefix, field)?;
-        let bytes = self.take(len, field)?.to_vec();
-        String::from_utf8(bytes).map_err(|_| ReadError { field, reason: "not UTF-8".into() })
+        std::str::from_utf8(self.take(len, field)?)
+            .map_err(|_| ReadError { field, reason: "not UTF-8".into() })
     }
 
     /// A string list ([`put_strs`]).
@@ -284,6 +289,18 @@ impl<'a> Reader<'a> {
         field: &'static str,
         mut values: Vec<Value>,
     ) -> Result<(usize, Vec<Value>), ReadError> {
+        let (rows, block) = self.row_block(arity, field)?;
+        decode_le_into(block, &mut values);
+        Ok((rows, values))
+    }
+
+    /// [`Reader::rows`] without the decode: the row count and the block's
+    /// `rows · arity · 8` little-endian bytes, borrowed from the payload.
+    pub fn row_block(
+        &mut self,
+        arity: usize,
+        field: &'static str,
+    ) -> Result<(usize, &'a [u8]), ReadError> {
         let declared = self.u64(field)?;
         let rows = usize::try_from(declared).ok();
         let len = rows.and_then(|r| r.checked_mul(arity)?.checked_mul(8));
@@ -291,8 +308,7 @@ impl<'a> Reader<'a> {
             let reason = format!("{declared} row(s) of arity {arity} overflow");
             return Err(ReadError { field, reason });
         };
-        decode_le_into(self.take(len, field)?, &mut values);
-        Ok((rows, values))
+        Ok((rows, self.take(len, field)?))
     }
 
     /// A relation: its schema ([`put_schema`]), then its row block decoded

@@ -21,6 +21,7 @@
 
 use crate::checkpoint::{self, latest_checkpoint_lsn};
 use crate::record::{encode_record, Lsn, RecordError, RecordReader, WalRecord};
+use crate::recovery::Recovery;
 use pq_obs::{Counter, Histogram, MetricsRegistry};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -106,8 +107,8 @@ pub(crate) fn parse_segment_name(name: &str) -> Option<Lsn> {
     Lsn::from_str_radix(hex, 16).ok()
 }
 
-/// One scanned segment: its records (valid prefix) and where that prefix
-/// ends.
+/// One scanned segment: the records of its valid prefix the scan was asked
+/// to keep, and where that prefix ends.
 #[derive(Debug)]
 pub(crate) struct ScannedSegment {
     pub path: PathBuf,
@@ -120,8 +121,10 @@ pub(crate) struct ScannedSegment {
 }
 
 /// The result of scanning a WAL directory: every decodable record in LSN
-/// order, stopping at the first framing error or LSN discontinuity (the
-/// torn tail — everything after it is unreachable).
+/// order from the scan's `keep_from` on, stopping at the first framing
+/// error or LSN discontinuity (the torn tail — everything after it is
+/// unreachable). Records before `keep_from` are validated all the same;
+/// they only count toward `records` and `bytes`.
 #[derive(Debug)]
 pub(crate) struct Scan {
     pub segments: Vec<ScannedSegment>,
@@ -135,17 +138,18 @@ pub(crate) struct Scan {
     pub torn: bool,
 }
 
+#[cfg(test)]
 impl Scan {
-    /// Iterate over all valid records in LSN order.
+    /// Iterate over the kept valid records in LSN order.
     pub fn records(&self) -> impl Iterator<Item = &(Lsn, WalRecord)> {
         self.segments.iter().flat_map(|s| s.records.iter())
     }
 }
 
-/// Scan every segment of `dir` in LSN order. Never modifies anything —
-/// [`Wal::open`] is the destructive counterpart that truncates what this
-/// scan rejects.
-pub(crate) fn scan_dir(dir: &Path) -> io::Result<Scan> {
+/// Scan every segment of `dir` in LSN order, keeping the records from LSN
+/// `keep_from` on. Never modifies anything — [`Wal::open`] is the
+/// destructive counterpart that truncates what this scan rejects.
+pub(crate) fn scan_dir(dir: &Path, keep_from: Lsn) -> io::Result<Scan> {
     let mut starts: Vec<(Lsn, PathBuf)> = Vec::new();
     if dir.is_dir() {
         for entry in fs::read_dir(dir)? {
@@ -180,7 +184,7 @@ pub(crate) fn scan_dir(dir: &Path) -> io::Result<Scan> {
             error: None,
         };
         loop {
-            match reader.next() {
+            match reader.next_from(keep_from) {
                 Ok(Some((lsn, record))) => {
                     if scan.last_lsn != 0 && lsn != scan.last_lsn + 1 {
                         // An LSN discontinuity is as terminal as a bad CRC:
@@ -194,7 +198,7 @@ pub(crate) fn scan_dir(dir: &Path) -> io::Result<Scan> {
                     }
                     scan.last_lsn = lsn;
                     scan.records += 1;
-                    segment.records.push((lsn, record));
+                    segment.records.extend(record.map(|record| (lsn, record)));
                     segment.valid_bytes = reader.offset();
                 }
                 Ok(None) => break,
@@ -209,6 +213,14 @@ pub(crate) fn scan_dir(dir: &Path) -> io::Result<Scan> {
         scan.segments.push(segment);
     }
     Ok(scan)
+}
+
+/// Create `dir` if needed and sweep the `.tmp` files of checkpoints
+/// interrupted mid-write: the first step of opening a log for appending.
+fn prepare_dir(dir: &Path) -> io::Result<()> {
+    fs::create_dir_all(dir)?;
+    checkpoint::remove_stale_tmp_files(dir);
+    Ok(())
 }
 
 /// Best-effort directory fsync (makes file creations/renames durable on
@@ -268,9 +280,27 @@ impl Wal {
     /// newest checkpoint when the log is empty.
     pub fn open(dir: impl Into<PathBuf>, options: WalOptions) -> io::Result<Wal> {
         let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        checkpoint::remove_stale_tmp_files(&dir);
-        let scan = scan_dir(&dir)?;
+        prepare_dir(&dir)?;
+        // Opening needs where the valid log ends, not its records.
+        let scan = scan_dir(&dir, Lsn::MAX)?;
+        Wal::open_scanned(dir, options, &scan)
+    }
+
+    /// [`Wal::open`] for the directory `recovery` was just read from by
+    /// [`crate::recover`]: the log is truncated and positioned from the
+    /// scan recovery already made, so a restart reads the log once. The
+    /// directory must not have changed in between.
+    pub fn open_recovered(
+        dir: impl Into<PathBuf>,
+        options: WalOptions,
+        recovery: &Recovery,
+    ) -> io::Result<Wal> {
+        let dir = dir.into();
+        prepare_dir(&dir)?;
+        Wal::open_scanned(dir, options, &recovery.log)
+    }
+
+    fn open_scanned(dir: PathBuf, options: WalOptions, scan: &Scan) -> io::Result<Wal> {
         // Truncate the invalid tail so re-appended LSNs can never collide
         // with unreadable leftovers.
         let mut torn_seen = false;
@@ -282,7 +312,7 @@ impl Wal {
             }
             if segment.error.is_some() {
                 torn_seen = true;
-                if segment.records.is_empty() {
+                if segment.valid_bytes == 0 {
                     fs::remove_file(&segment.path)?;
                     continue;
                 }
@@ -573,7 +603,7 @@ mod tests {
             }
             assert_eq!(wal.last_lsn(), 10);
         }
-        let scan = scan_dir(dir.path()).unwrap();
+        let scan = scan_dir(dir.path(), 0).unwrap();
         assert_eq!(scan.records, 10);
         assert!(!scan.torn);
         // Reopen appends after the existing records.
@@ -590,7 +620,7 @@ mod tests {
             wal.append(&delta(i)).unwrap();
         }
         drop(wal);
-        let scan = scan_dir(dir.path()).unwrap();
+        let scan = scan_dir(dir.path(), 0).unwrap();
         assert!(scan.segments.len() > 1, "expected several segments");
         assert_eq!(scan.records, 20);
         assert_eq!(scan.last_lsn, 20);
@@ -633,7 +663,7 @@ mod tests {
                 wal.append(&delta(i)).unwrap();
             }
         }
-        let scan = scan_dir(dir.path()).unwrap();
+        let scan = scan_dir(dir.path(), 0).unwrap();
         assert!(scan.segments.len() >= 3, "need a middle segment to corrupt");
         // Chop the middle segment mid-record: everything after is dead.
         let middle = &scan.segments[1];
@@ -644,7 +674,7 @@ mod tests {
         let survivors = scan.segments[0].records.len() + middle.records.len() - 1;
 
         let wal = Wal::open(dir.path(), options).unwrap();
-        let rescan = scan_dir(dir.path()).unwrap();
+        let rescan = scan_dir(dir.path(), 0).unwrap();
         assert!(!rescan.torn, "open() removed the torn tail");
         assert_eq!(rescan.records as usize, survivors);
         assert_eq!(wal.last_lsn(), survivors as Lsn);

@@ -21,7 +21,7 @@
 
 use crate::crc::crc32;
 use pq_relation::wire::{put_count, put_rows, put_str, put_strs, put_u32, put_u64, Prefix};
-use pq_relation::wire::{ReadError, Reader};
+use pq_relation::wire::{values_from_le_bytes, ReadError, Reader};
 use pq_relation::Value;
 use std::fmt;
 
@@ -197,33 +197,50 @@ fn encode_body(record: &WalRecord, out: &mut Vec<u8>) -> std::io::Result<()> {
     Ok(())
 }
 
-fn decode_payload(payload: &[u8]) -> Result<(Lsn, WalRecord), RecordError> {
+/// Decode one frame's payload. A record whose LSN is below `keep_from`
+/// passes exactly the checks a kept one does (every count and row block in
+/// bounds, every string UTF-8, no trailing bytes) but nothing is copied out
+/// of the payload and it comes back as `None`: recovery reads the records a
+/// checkpoint covers only to learn where the valid log ends.
+fn decode_payload(payload: &[u8], keep_from: Lsn) -> Result<(Lsn, Option<WalRecord>), RecordError> {
     let mut r = Reader::new(payload);
     let type_byte = r.u8("record.type")?;
     let lsn = r.u64("record.lsn")?;
+    let keep = lsn >= keep_from;
     let record = match type_byte {
         1 => {
             let count = r.count(Prefix::U32, "delta.relations")?;
-            let mut inserts = Vec::with_capacity(count.min(1024));
+            let mut inserts = Vec::with_capacity(if keep { count.min(1024) } else { 0 });
             for _ in 0..count {
-                let relation = r.str(Prefix::U32, "delta.relation")?;
+                let relation = r.str_ref(Prefix::U32, "delta.relation")?;
                 let arity = r.count(Prefix::U32, "delta.arity")?;
-                let (rows, values) = r.rows(arity, "delta.rows", Vec::new())?;
-                inserts.push(RelationInserts { relation, arity, rows, values });
+                let (rows, block) = r.row_block(arity, "delta.rows")?;
+                if keep {
+                    let values = values_from_le_bytes(block)
+                        .map_err(|e| RecordError::Malformed(e.to_string()))?;
+                    inserts.push(RelationInserts { relation: relation.to_owned(), arity, rows, values });
+                }
             }
             WalRecord::DeltaApplied { inserts }
         }
         2 => WalRecord::CheckpointStart,
         3 => WalRecord::SnapshotWritten { checkpoint_lsn: r.u64("snapshot.lsn")? },
         4 => WalRecord::CheckpointEnd { checkpoint_lsn: r.u64("checkpoint_end.lsn")? },
-        5 => WalRecord::DictExtend {
-            first_id: r.u64("dict.first_id")?,
-            tokens: r.strs(Prefix::U32, "dict.tokens")?,
-        },
+        5 => {
+            let first_id = r.u64("dict.first_id")?;
+            let mut tokens = Vec::new();
+            for _ in 0..r.count(Prefix::U32, "dict.tokens")? {
+                let token = r.str_ref(Prefix::U32, "dict.tokens")?;
+                if keep {
+                    tokens.push(token.to_owned());
+                }
+            }
+            WalRecord::DictExtend { first_id, tokens }
+        }
         other => return Err(RecordError::UnknownType(other)),
     };
     r.finish("record.body")?;
-    Ok((lsn, record))
+    Ok((lsn, keep.then_some(record)))
 }
 
 /// A sequential reader over the framed records of one in-memory segment
@@ -249,6 +266,19 @@ impl<'a> RecordReader<'a> {
     /// The next record, `Ok(None)` at a clean end of the buffer.
     #[allow(clippy::should_implement_trait)] // fallible, not an Iterator
     pub fn next(&mut self) -> Result<Option<(Lsn, WalRecord)>, RecordError> {
+        Ok(self
+            .next_from(0)?
+            .map(|(lsn, record)| (lsn, record.expect("no LSN is below 0"))))
+    }
+
+    /// [`RecordReader::next`] for a reader that wants only the records from
+    /// LSN `keep_from` on: an earlier record is checked as thoroughly and
+    /// the reader advances past it, but it comes back as `(lsn, None)`
+    /// without a byte of it copied.
+    pub fn next_from(
+        &mut self,
+        keep_from: Lsn,
+    ) -> Result<Option<(Lsn, Option<WalRecord>)>, RecordError> {
         let remaining = &self.bytes[self.offset..];
         if remaining.is_empty() {
             return Ok(None);
@@ -270,7 +300,7 @@ impl<'a> RecordReader<'a> {
         if computed != stored {
             return Err(RecordError::BadCrc { stored, computed });
         }
-        let decoded = decode_payload(payload)?;
+        let decoded = decode_payload(payload, keep_from)?;
         self.offset += needed;
         Ok(Some(decoded))
     }
@@ -354,6 +384,54 @@ mod tests {
             // field may shift framing, flips in a payload must fail the CRC.
             while let Ok(Some(_)) = reader.next() {}
         }
+    }
+
+    #[test]
+    fn skipped_records_pass_the_same_checks_as_decoded_ones() {
+        let reframe = |payload: &[u8]| {
+            let mut bytes = Vec::new();
+            put_u32(&mut bytes, payload.len() as u32);
+            put_u32(&mut bytes, crc32(payload));
+            bytes.extend_from_slice(payload);
+            bytes
+        };
+        // Each record's payload, cut short or padded by one byte and then
+        // framed with a valid CRC, so only the payload decode can object.
+        for (lsn, record) in (1..).zip(sample_records()) {
+            let mut framed = Vec::new();
+            encode_record(&record, lsn, &mut framed);
+            let payload = &framed[8..];
+            let mut variants = vec![payload.to_vec(), [payload, &[0]].concat()];
+            variants.extend((0..payload.len()).map(|cut| payload[..cut].to_vec()));
+            // A string that is not UTF-8: the relation name of the delta.
+            if matches!(record, WalRecord::DeltaApplied { .. }) {
+                let mut bad = payload.to_vec();
+                bad[1 + 8 + 4 + 4] = 0xFF;
+                variants.push(bad);
+            }
+            for variant in variants {
+                let bytes = reframe(&variant);
+                let decoded = RecordReader::new(&bytes).next();
+                let mut skipper = RecordReader::new(&bytes);
+                let skipped = skipper.next_from(Lsn::MAX);
+                match (&decoded, &skipped) {
+                    (Ok(Some((a, _))), Ok(Some((b, None)))) => assert_eq!(a, b),
+                    (Ok(None), Ok(None)) => {}
+                    (Err(a), Err(b)) => assert_eq!(a, b),
+                    _ => panic!("decode {decoded:?} but skip {skipped:?}"),
+                }
+            }
+        }
+        // Kept from their own LSN on, the records come back whole.
+        let records = sample_records();
+        let bytes = encode_all(&records);
+        let mut reader = RecordReader::new(&bytes);
+        let mut kept = Vec::new();
+        while let Some((lsn, record)) = reader.next_from(3).unwrap() {
+            assert_eq!(record.is_some(), lsn >= 3);
+            kept.extend(record);
+        }
+        assert_eq!(kept, records[2..]);
     }
 
     #[test]

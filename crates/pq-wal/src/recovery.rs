@@ -7,7 +7,8 @@
 //!    keeps exactly for this case);
 //! 2. scan the segment log and collect every record with an LSN **after**
 //!    the checkpoint, stopping at the first framing error or LSN
-//!    discontinuity (the torn tail of an interrupted write);
+//!    discontinuity (the torn tail of an interrupted write); the records
+//!    the checkpoint covers are checked just as strictly but not copied;
 //! 3. hand the caller the checkpointed state plus the ordered delta and
 //!    dictionary-extension payloads to replay.
 //!
@@ -17,7 +18,7 @@
 //! so the engine's durability layer drives the replay from this data.
 
 use crate::checkpoint::{load_latest_checkpoint, Checkpoint};
-use crate::log::scan_dir;
+use crate::log::{scan_dir, Scan};
 use crate::record::{Lsn, RelationInserts, WalRecord};
 use pq_relation::ValueDictionary;
 use std::io;
@@ -54,6 +55,8 @@ pub struct Recovery {
     pub torn_tail: bool,
     /// Corrupt checkpoint files skipped while looking for a valid one.
     pub checkpoints_discarded: u64,
+    /// Where each segment's valid prefix ends, for [`crate::Wal::open_recovered`].
+    pub(crate) log: Scan,
 }
 
 impl Recovery {
@@ -70,20 +73,14 @@ impl Recovery {
 pub fn recover(dir: &Path) -> io::Result<Recovery> {
     let (checkpoint, checkpoints_discarded) = load_latest_checkpoint(dir)?;
     let checkpoint_lsn = checkpoint.as_ref().map_or(0, |c| c.covered_lsn);
-    let scan = scan_dir(dir)?;
+    // The records the checkpoint covers are checked, not kept.
+    let mut log = scan_dir(dir, checkpoint_lsn.saturating_add(1))?;
     let mut deltas = Vec::new();
     let mut dict_extensions = Vec::new();
-    for (lsn, record) in scan.records() {
-        if *lsn <= checkpoint_lsn {
-            continue;
-        }
+    for (lsn, record) in log.segments.iter_mut().flat_map(|s| s.records.drain(..)) {
         match record {
-            WalRecord::DeltaApplied { inserts } => {
-                deltas.push(RecoveredDelta { lsn: *lsn, inserts: inserts.clone() });
-            }
-            WalRecord::DictExtend { first_id, tokens } => {
-                dict_extensions.push((*first_id, tokens.clone()));
-            }
+            WalRecord::DeltaApplied { inserts } => deltas.push(RecoveredDelta { lsn, inserts }),
+            WalRecord::DictExtend { first_id, tokens } => dict_extensions.push((first_id, tokens)),
             // Checkpoint markers carry no redo state; the files they
             // describe were already considered above.
             WalRecord::CheckpointStart
@@ -96,10 +93,11 @@ pub fn recover(dir: &Path) -> io::Result<Recovery> {
         checkpoint,
         deltas,
         dict_extensions,
-        last_lsn: scan.last_lsn.max(checkpoint_lsn),
-        bytes_scanned: scan.bytes,
-        torn_tail: scan.torn,
+        last_lsn: log.last_lsn.max(checkpoint_lsn),
+        bytes_scanned: log.bytes,
+        torn_tail: log.torn,
         checkpoints_discarded,
+        log,
     })
 }
 
@@ -218,7 +216,7 @@ mod tests {
             wal.append(&delta_record(i)).unwrap();
         }
         drop(wal);
-        let scan = scan_dir(dir.path()).unwrap();
+        let scan = scan_dir(dir.path(), 0).unwrap();
         let segment = scan.segments.last().unwrap();
         let path = segment.path.clone();
         let bytes = fs::read(&path).unwrap();
@@ -227,6 +225,51 @@ mod tests {
         assert!(recovery.torn_tail);
         assert_eq!(recovery.deltas.len(), 4, "the torn fifth record is dropped");
         assert_eq!(recovery.last_lsn, 4);
+    }
+
+    #[test]
+    fn open_recovered_positions_the_log_as_open_does() {
+        // A checkpoint, a suffix past it, and a torn last record: opening
+        // from the recovery's scan must truncate and continue exactly as a
+        // second scan by Wal::open does.
+        let build = |tag: &str| {
+            let dir = TempDir::new(tag);
+            let (database, dictionary) = state();
+            let wal = Wal::open(dir.path(), WalOptions::with_sync(SyncPolicy::Always)).unwrap();
+            wal.append(&delta_record(1)).unwrap();
+            wal.checkpoint(&database, &dictionary).unwrap();
+            for i in 2..=5 {
+                wal.append(&delta_record(i)).unwrap();
+            }
+            drop(wal);
+            let path = scan_dir(dir.path(), 0).unwrap().segments.last().unwrap().path.clone();
+            let bytes = fs::read(&path).unwrap();
+            fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+            (dir, path)
+        };
+        let (apart, apart_segment) = build("rec-apart");
+        let reopened = Wal::open(apart.path(), WalOptions::default()).unwrap();
+        let (together, together_segment) = build("rec-together");
+        let recovery = recover(together.path()).unwrap();
+        assert!(recovery.torn_tail);
+        assert_eq!(recovery.deltas.len(), 3, "LSNs 5-7 survive, the torn 8th does not");
+        let wal = Wal::open_recovered(together.path(), WalOptions::default(), &recovery).unwrap();
+        assert_eq!(
+            wal.append(&delta_record(9)).unwrap(),
+            reopened.append(&delta_record(9)).unwrap()
+        );
+        drop((wal, reopened));
+        assert_eq!(fs::read(together_segment).unwrap(), fs::read(apart_segment).unwrap());
+    }
+
+    #[test]
+    fn open_recovered_creates_a_fresh_directory() {
+        let dir = TempDir::new("rec-open-fresh");
+        let path = dir.path().join("wal");
+        let recovery = recover(&path).unwrap();
+        assert!(!path.exists(), "recovery never writes");
+        let wal = Wal::open_recovered(&path, WalOptions::default(), &recovery).unwrap();
+        assert_eq!(wal.append(&delta_record(1)).unwrap(), 1);
     }
 
     #[test]
