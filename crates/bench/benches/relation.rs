@@ -4,7 +4,8 @@
 //! and the local joins of one HyperCube round — the
 //! 64 servers of the 4×4×4 triangle grid as one block join against every
 //! server joining alone — and the HyperCube round's routing that feeds
-//! them, per logical server and folded onto two workers. Baselines live in
+//! them, per logical server and folded onto two workers; and the CSV load
+//! that builds the value dictionary of `pqd`'s cold start. Baselines live in
 //! `BENCH_relation.json`, so
 //! regressions in `pq-relation`'s flat row storage or the join/shuffle hot
 //! path show up independently of planning and the end-to-end engine
@@ -15,8 +16,8 @@ use pq_core::hypercube::HyperCubeRouter;
 use pq_mpc::{map_servers_parallel, partition_by_hash, Cluster};
 use pq_query::{instantiate, ConjunctiveQuery};
 use pq_relation::{
-    natural_join, natural_join_all, natural_join_block, DataGenerator, MultiplyShiftHash, Relation,
-    Schema,
+    load_database_files, natural_join, natural_join_all, natural_join_block, DataGenerator,
+    MultiplyShiftHash, Relation, Schema,
 };
 use std::collections::BTreeMap;
 
@@ -158,5 +159,37 @@ fn bench_hypercube_route(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_relation, bench_block_join, bench_hypercube_route);
+/// `load_database_files` over the triangle's three random matchings of
+/// 64 000 rows written as CSV, each value a `v` + 7 hex-digit token (the
+/// `tri_sim` input shape: 384 000 fields, ≈ 97 % of them distinct tokens).
+fn bench_csv_load(c: &mut Criterion) {
+    let mut group = c.benchmark_group("relation");
+    group.sample_size(10);
+    let m = 64_000;
+    let dir = std::env::temp_dir().join(format!("pq-bench-csv-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("creates the input dir");
+    let mut gen = DataGenerator::new(17, (m as u64) * 64);
+    for (name, columns) in [("S1", ["x", "y"]), ("S2", ["y", "z"]), ("S3", ["z", "x"])] {
+        let relation = gen.matching_relation(Schema::from_strs(name, &columns), m);
+        let mut text = format!("{},{}\n", columns[0], columns[1]);
+        for row in relation.iter() {
+            text.push_str(&format!("v{:07x},v{:07x}\n", row[0], row[1]));
+        }
+        std::fs::write(dir.join(format!("{name}.csv")), text).expect("writes an input file");
+    }
+    let paths = [dir.clone()];
+    group.bench_with_input(BenchmarkId::new("csv_load", m), &paths, |b, paths| {
+        b.iter(|| load_database_files(paths).expect("loads").1.len())
+    });
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+criterion_group!(
+    benches,
+    bench_relation,
+    bench_block_join,
+    bench_hypercube_route,
+    bench_csv_load
+);
 criterion_main!(benches);

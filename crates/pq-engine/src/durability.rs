@@ -237,7 +237,7 @@ mod tests {
         assert_eq!(e.database().expect_relation("E").len(), 2);
         // The dictionary growth survived (DictExtend replay).
         let dict = reopened.dictionary.read().unwrap();
-        assert_eq!(dict.tokens(), ["a0", "b0", "c1", "c2"]);
+        assert_eq!(dict.tokens().collect::<Vec<_>>(), ["a0", "b0", "c1", "c2"]);
     }
 
     #[test]

@@ -377,7 +377,7 @@ impl Engine {
         if dictionary.len() > *tokens_logged {
             records.push(WalRecord::DictExtend {
                 first_id: *tokens_logged as u64,
-                tokens: dictionary.tokens()[*tokens_logged..].to_vec(),
+                tokens: dictionary.tokens_from(*tokens_logged).map(str::to_owned).collect(),
             });
         }
         let dictionary_len = dictionary.len();

@@ -12,81 +12,13 @@
 //! freely in one load.
 
 use crate::database::Database;
+use crate::dictionary::ValueDictionary;
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::Value;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-
-/// Bidirectional mapping between the raw string tokens of loaded files and
-/// the `u64` domain values the algorithms operate on.
-///
-/// Every distinct token — numeric or not — receives the next fresh id, so a
-/// dictionary shared across the relations of one database makes the encoded
-/// values join exactly where the original tokens were equal.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ValueDictionary {
-    by_token: HashMap<String, Value>,
-    tokens: Vec<String>,
-}
-
-impl ValueDictionary {
-    /// An empty dictionary.
-    pub fn new() -> Self {
-        ValueDictionary::default()
-    }
-
-    /// The id of `token`, assigning the next fresh id on first sight.
-    pub fn encode(&mut self, token: &str) -> Value {
-        if let Some(&v) = self.by_token.get(token) {
-            return v;
-        }
-        let v = self.tokens.len() as Value;
-        self.tokens.push(token.to_string());
-        self.by_token.insert(token.to_string(), v);
-        v
-    }
-
-    /// The token of an id, if the id was ever assigned.
-    pub fn decode(&self, value: Value) -> Option<&str> {
-        self.tokens.get(value as usize).map(String::as_str)
-    }
-
-    /// The token of an id, falling back to the numeric form of the id
-    /// itself for values outside the dictionary (e.g. synthetic data).
-    pub fn decode_or_number(&self, value: Value) -> String {
-        self.decode(value)
-            .map(str::to_string)
-            .unwrap_or_else(|| value.to_string())
-    }
-
-    /// Number of distinct tokens seen so far (the encoded domain size).
-    pub fn len(&self) -> usize {
-        self.tokens.len()
-    }
-
-    /// True when no token has been encoded yet.
-    pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
-    }
-
-    /// The interned tokens in id order (`tokens()[v]` is the token of `v`).
-    pub fn tokens(&self) -> &[String] {
-        &self.tokens
-    }
-
-    /// Rebuild a dictionary from tokens in id order (e.g. read back from a
-    /// checkpoint). Inverse of [`ValueDictionary::tokens`].
-    pub fn from_tokens(tokens: Vec<String>) -> Self {
-        let by_token = tokens
-            .iter()
-            .enumerate()
-            .map(|(v, t)| (t.clone(), v as Value))
-            .collect();
-        ValueDictionary { by_token, tokens }
-    }
-}
 
 /// Errors raised while loading delimited files.
 #[derive(Debug)]
@@ -156,7 +88,7 @@ pub fn parse_relation_text(
     let (header_line, header) = lines
         .next()
         .ok_or_else(|| malformed(1, "empty file: expected a header row".to_string()))?;
-    let delimiter = if header.contains('\t') { '\t' } else { ',' };
+    let delimiter = delimiter_of(header);
     let columns: Vec<String> = header
         .split(delimiter)
         .map(|c| c.trim().to_string())
@@ -200,12 +132,29 @@ pub fn parse_relation_text(
     Ok(relation)
 }
 
-/// Load one CSV/TSV file as a relation named after the file stem, encoding
-/// values through `dictionary`.
-pub fn load_relation_csv(
-    path: &Path,
-    dictionary: &mut ValueDictionary,
-) -> Result<Relation, CsvError> {
+/// The delimiter a header line announces: a tab when it holds one, a comma
+/// otherwise.
+fn delimiter_of(header: &str) -> char {
+    if header.contains('\t') {
+        '\t'
+    } else {
+        ','
+    }
+}
+
+/// An upper bound on the fields of delimited `text`: every line, the header
+/// included, counted as wide as the header.
+fn field_bound(text: &str) -> usize {
+    let Some(header) = text.lines().find(|l| !l.trim().is_empty()) else {
+        return 0;
+    };
+    let arity = header.matches(delimiter_of(header)).count() + 1;
+    let lines = text.bytes().filter(|&b| b == b'\n').count() + 1;
+    lines.saturating_mul(arity)
+}
+
+/// Read one CSV/TSV file: the relation name its stem gives, and its text.
+fn read_relation_file(path: &Path) -> Result<(String, String), CsvError> {
     let text = std::fs::read_to_string(path).map_err(|source| CsvError::Io {
         path: path.to_path_buf(),
         source,
@@ -220,12 +169,26 @@ pub fn load_relation_csv(
             message: "cannot derive a relation name from the file name".to_string(),
         })?
         .to_string();
+    Ok((name, text))
+}
+
+/// Load one CSV/TSV file as a relation named after the file stem, encoding
+/// values through `dictionary`.
+pub fn load_relation_csv(
+    path: &Path,
+    dictionary: &mut ValueDictionary,
+) -> Result<Relation, CsvError> {
+    let (name, text) = read_relation_file(path)?;
     parse_relation_text(&name, &text, path, dictionary)
 }
 
 /// Load a set of CSV/TSV files into one database over a shared dictionary.
 /// Directory entries are expanded to their `.csv`/`.tsv` children (sorted by
 /// name, so loads are deterministic); plain files are taken as given.
+///
+/// Every file is read before the first field is encoded, so the dictionary
+/// is sized once, as if every field were a new token: the load never grows
+/// its table, and ids still follow first sight in file order.
 pub fn load_database_files(
     paths: &[PathBuf],
 ) -> Result<(Database, ValueDictionary), CsvError> {
@@ -251,26 +214,33 @@ pub fn load_database_files(
             files.push(path.clone());
         }
     }
-    let mut dictionary = ValueDictionary::new();
-    let mut relations = Vec::with_capacity(files.len());
-    let mut sources: HashMap<String, PathBuf> = HashMap::new();
+    let mut texts = Vec::with_capacity(files.len());
+    let mut sources: HashMap<String, &PathBuf> = HashMap::new();
     for file in &files {
-        let relation = load_relation_csv(file, &mut dictionary)?;
-        if let Some(first) = sources.get(relation.name()) {
+        let (name, text) = read_relation_file(file)?;
+        if let Some(first) = sources.get(&name) {
             // Database::insert replaces by name; loading two files with the
             // same stem would silently drop one, so reject it instead.
             return Err(CsvError::Malformed {
                 path: file.clone(),
                 line: 0,
                 message: format!(
-                    "relation `{}` was already loaded from `{}`; rename one file",
-                    relation.name(),
+                    "relation `{name}` was already loaded from `{}`; rename one file",
                     first.display()
                 ),
             });
         }
-        sources.insert(relation.name().to_string(), file.clone());
-        relations.push(relation);
+        sources.insert(name.clone(), file);
+        texts.push((name, text));
+    }
+    let mut dictionary = ValueDictionary::new();
+    dictionary.reserve(
+        texts.iter().map(|(_, text)| field_bound(text)).sum(),
+        texts.iter().map(|(_, text)| text.len()).sum(),
+    );
+    let mut relations = Vec::with_capacity(files.len());
+    for ((name, text), file) in texts.into_iter().zip(&files) {
+        relations.push(parse_relation_text(&name, &text, file, &mut dictionary)?);
     }
     let mut db = Database::new((dictionary.len() as u64).max(2));
     for r in relations {
@@ -300,8 +270,7 @@ mod tests {
         assert_eq!(r.name(), "R");
         assert_eq!(r.schema().attributes(), &["x".to_string(), "y".to_string()]);
         assert_eq!(r.len(), 2);
-        assert_eq!(dict.len(), 3); // a, b, c
-        assert_eq!(dict.decode(dict.by_token["b"]), Some("b"));
+        assert_eq!(dict.tokens().collect::<Vec<_>>(), ["a", "b", "c"]);
     }
 
     #[test]
@@ -380,6 +349,32 @@ mod tests {
         assert_eq!(r.row(0)[1], s.row(0)[0]);
         assert_eq!(dict.len(), 3);
         assert!(db.domain_size() >= dict.len() as u64);
+    }
+
+    #[test]
+    fn the_presized_bulk_load_equals_file_by_file_encoding() {
+        let dir = std::env::temp_dir().join(format!("pq_csv_bulk_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let rows = |seed: u64| -> String {
+            let mut text = String::from("x,y\n");
+            for i in 0..500u64 {
+                text.push_str(&format!("v{:07x},v{:07x}\n", i * seed % 701, i % 97));
+            }
+            text
+        };
+        for (name, seed) in [("A.csv", 3), ("B.csv", 7), ("C.csv", 11)] {
+            std::fs::write(dir.join(name), rows(seed)).unwrap();
+        }
+        let (db, bulk) = load_database_dir(&dir).expect("loads");
+        let mut incremental = ValueDictionary::new();
+        for name in ["A.csv", "B.csv", "C.csv"] {
+            let relation = load_relation_csv(&dir.join(name), &mut incremental).unwrap();
+            assert_eq!(db.expect_relation(relation.name()).values(), relation.values());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(bulk, incremental);
+        assert_eq!(field_bound(&rows(3)), 502 * 2);
+        assert_eq!(field_bound("  \n"), 0);
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //!   bit-size accounting (`M_j = a_j · m_j · log n`) the MPC model charges,
 //! * [`csv`](mod@csv) — loading relations from delimited text files through
 //!   a shared [`ValueDictionary`] (the `pqsh` ingestion path),
+//! * [`dictionary`] — that token ↔ id map as three flat arrays: the tokens
+//!   back to back, one offset per id, and an open-addressing table,
 //! * [`statistics`] — cardinality statistics, per-value frequencies
 //!   (degree sequences) and heavy-hitter detection,
 //! * [`hash`] — seeded strongly-universal-style hash families used by the
@@ -39,6 +41,7 @@
 
 pub mod csv;
 pub mod database;
+pub mod dictionary;
 pub mod generator;
 pub mod hash;
 pub mod join;
@@ -50,10 +53,9 @@ pub mod statistics;
 pub mod tuple;
 pub mod wire;
 
-pub use csv::{
-    load_database_dir, load_database_files, load_relation_csv, CsvError, ValueDictionary,
-};
+pub use csv::{load_database_dir, load_database_files, load_relation_csv, CsvError};
 pub use database::Database;
+pub use dictionary::{RepeatedToken, ValueDictionary};
 pub use generator::{DataGenerator, SkewSpec};
 pub use hash::{
     hash_key, hash_values, mix64, BucketHasher, HashFamily, MultiplyShiftHash, TabulationHash,

@@ -29,15 +29,23 @@ use std::sync::Arc;
 /// [`RelationStatistics::degrees`], so a renamed view of a relation can
 /// share it (see [`RelationStatistics::renamed`]).
 ///
-/// The maximum frequency is cached alongside the map so that fingerprints
-/// (and the skew checks reading them) stay O(1) per attribute even as
-/// degree maps are maintained incrementally; treat the `frequencies` field
-/// as read-only and mutate only through [`DegreeStatistics::apply_insert`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The histogram is kept in two parts so that counting an insert into
+/// statistics a snapshot still shares copies little: `base`, the
+/// frequencies as of the last fold, behind an [`Arc`] every clone shares,
+/// and `recent`, the current frequencies of the values counted since. A
+/// clone copies `recent` only, which is folded into a fresh `base` once it
+/// holds more than about √distinct values. The distinct count, total and
+/// maximum frequency are cached, so fingerprints (and the skew checks
+/// reading them) stay O(1) per attribute.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DegreeStatistics {
-    /// Frequency of every distinct value of the column.
-    pub frequencies: BTreeMap<Value, usize>,
-    /// Cached maximum of `frequencies` (inserts can only raise it).
+    /// Frequencies as of the last fold.
+    base: Arc<BTreeMap<Value, usize>>,
+    /// Current frequencies of the values counted since the last fold.
+    recent: BTreeMap<Value, usize>,
+    distinct: usize,
+    total: usize,
+    /// Maximum frequency (inserts can only raise it).
     max_frequency: usize,
 }
 
@@ -66,22 +74,39 @@ impl DegreeStatistics {
         let max_frequency = runs.iter().map(|&(_, count)| count).max().unwrap_or(0);
         let frequencies: BTreeMap<Value, usize> = runs.into_iter().collect();
         DegreeStatistics {
-            frequencies,
+            distinct: frequencies.len(),
+            total: relation.len(),
+            base: Arc::new(frequencies),
+            recent: BTreeMap::new(),
             max_frequency,
         }
     }
 
     /// Count one inserted value: bump its frequency and the cached maximum.
-    /// O(log distinct) — the insert-only incremental maintenance path.
+    /// O(log distinct) amortised — the insert-only incremental path.
     pub fn apply_insert(&mut self, value: Value) {
-        let frequency = self.frequencies.entry(value).or_insert(0);
+        let frequency = self.recent.entry(value).or_insert_with(|| {
+            let counted = self.base.get(&value).copied().unwrap_or(0);
+            self.distinct += usize::from(counted == 0);
+            counted
+        });
         *frequency += 1;
         self.max_frequency = self.max_frequency.max(*frequency);
+        self.total += 1;
+        if self.recent.len().pow(2) > self.base.len().max(1 << 10) {
+            // Copies `base` when a snapshot still shares it: O(distinct)
+            // once per √distinct counted values.
+            Arc::make_mut(&mut self.base).append(&mut self.recent);
+        }
     }
 
     /// Frequency of a specific value (zero when absent).
     pub fn frequency(&self, value: Value) -> usize {
-        self.frequencies.get(&value).copied().unwrap_or(0)
+        self.recent
+            .get(&value)
+            .or_else(|| self.base.get(&value))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Maximum frequency over all values (cached; O(1)).
@@ -89,26 +114,58 @@ impl DegreeStatistics {
         self.max_frequency
     }
 
-    /// Number of distinct values.
+    /// Number of distinct values (cached; O(1)).
     pub fn distinct(&self) -> usize {
-        self.frequencies.len()
+        self.distinct
     }
 
-    /// Total number of tuples counted.
+    /// Total number of tuples counted (cached; O(1)).
     pub fn total(&self) -> usize {
-        self.frequencies.values().sum()
+        self.total
+    }
+
+    /// Every value with its frequency, in value order.
+    fn iter(&self) -> impl Iterator<Item = (Value, usize)> + '_ {
+        let mut base = self.base.iter().peekable();
+        let mut recent = self.recent.iter().peekable();
+        std::iter::from_fn(move || {
+            // `recent` holds the current count of every value it has.
+            let next_base = base.peek().map(|&(&b, _)| b);
+            let next_recent = recent.peek().map(|&(&r, _)| r);
+            let take_recent = match (next_base, next_recent) {
+                (Some(b), Some(r)) => {
+                    if r == b {
+                        base.next();
+                    }
+                    r <= b
+                }
+                (None, _) => true,
+                (Some(_), None) => false,
+            };
+            let (&value, &frequency) = if take_recent { recent.next() } else { base.next() }?;
+            Some((value, frequency))
+        })
     }
 
     /// The values whose frequency is strictly above `threshold` (the
     /// paper's `m_j / p`, or any other cut), with their frequencies, in
     /// value order. O(1) when nothing is that frequent.
     pub fn heavy_hitters(&self, threshold: f64) -> impl Iterator<Item = (Value, usize)> + '_ {
-        let frequent = (self.max_frequency as f64 > threshold).then(|| self.frequencies.iter());
+        let frequent = (self.max_frequency as f64 > threshold).then(|| self.iter());
         frequent
             .into_iter()
             .flatten()
-            .filter(move |(_, &f)| f as f64 > threshold)
-            .map(|(&value, &frequency)| (value, frequency))
+            .filter(move |&(_, f)| f as f64 > threshold)
+    }
+}
+
+/// Equal histograms, however each side splits them between its two parts.
+impl PartialEq for DegreeStatistics {
+    fn eq(&self, other: &Self) -> bool {
+        self.distinct == other.distinct
+            && self.total == other.total
+            && self.max_frequency == other.max_frequency
+            && self.iter().eq(other.iter())
     }
 }
 
@@ -590,6 +647,30 @@ mod tests {
         d.apply_insert(777);
         assert_eq!(d.frequency(777), 1);
         assert_eq!(d.distinct(), 7);
+    }
+
+    #[test]
+    fn counted_inserts_equal_a_recount_across_folds_and_leave_clones_alone() {
+        let mut r = skewed_relation();
+        let mut d = DegreeStatistics::compute(&r, "x");
+        let mut snapshots = vec![(d.clone(), r.clone())];
+        for i in 0..600u64 {
+            // Old values, new values and a few hot ones, past several folds.
+            let x = [i % 7, 1_000 + i, 3, 2_000 + i / 3][(i % 4) as usize];
+            r.push_row(&[x, i]);
+            d.apply_insert(x);
+            if i % 97 == 0 {
+                snapshots.push((d.clone(), r.clone()));
+            }
+        }
+        assert!(d.recent.len() < 600, "the recent values were folded");
+        assert_eq!(d, DegreeStatistics::compute(&r, "x"));
+        assert_eq!(d.total(), r.len());
+        assert_eq!(d.heavy_hitters(50.0).collect::<Vec<_>>(), vec![(3, d.frequency(3))]);
+        // Every clone still describes the relation it was taken with.
+        for (degrees, relation) in &snapshots {
+            assert_eq!(degrees, &DegreeStatistics::compute(relation, "x"));
+        }
     }
 
     #[test]

@@ -331,9 +331,14 @@ impl<'a> Reader<'a> {
         Ok(Relation::from_values(Schema::new(name, attributes), rows, values))
     }
 
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     /// Succeed only if every byte was read.
     pub fn finish(self, field: &'static str) -> Result<(), ReadError> {
-        match self.bytes.len() - self.pos {
+        match self.remaining() {
             0 => Ok(()),
             left => Err(ReadError { field, reason: format!("{left} trailing byte(s)") }),
         }

@@ -177,11 +177,19 @@ pub fn load_checkpoint_file(path: &Path) -> Result<Checkpoint, CheckpointError> 
     for _ in 0..r.count(Prefix::U32, "checkpoint.relations")? {
         database.insert(r.relation(Prefix::U32, "checkpoint.relation", |_| Vec::new())?);
     }
-    let tokens = (0..r.u64("checkpoint.tokens")?)
-        .map(|_| r.str(Prefix::U32, "checkpoint.token"))
-        .collect::<Result<_, _>>()?;
+    // Each token is appended from the file's bytes straight into the
+    // dictionary's arena. A token takes at least its 4-byte length, which
+    // bounds the reservation a hostile count can ask for.
+    let tokens = r.u64("checkpoint.tokens")?;
+    let mut dictionary = ValueDictionary::new();
+    let bound = usize::try_from(tokens).unwrap_or(usize::MAX).min(r.remaining() / 4);
+    dictionary.reserve(bound, r.remaining() - 4 * bound);
+    for _ in 0..tokens {
+        let token = r.str_ref(Prefix::U32, "checkpoint.token")?;
+        dictionary.push_new(token).map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
+    }
     r.finish("checkpoint.body")?;
-    Ok(Checkpoint { covered_lsn, database, dictionary: ValueDictionary::from_tokens(tokens) })
+    Ok(Checkpoint { covered_lsn, database, dictionary })
 }
 
 /// Load the newest checkpoint of `dir` that verifies, discarding corrupt

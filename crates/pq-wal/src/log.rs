@@ -500,7 +500,8 @@ impl Wal {
     /// the previous checkpoint until the new one is durably renamed:
     ///
     /// 1. append `CheckpointStart` (its LSN `C` is what the snapshot
-    ///    covers) and flush the log up to `C`;
+    ///    covers), then close the segment there (fsynced) and start the
+    ///    next at `C + 1`;
     /// 2. serialise the snapshot to `ckpt-C.tmp`, fsync, rename to its
     ///    final name, fsync the directory;
     /// 3. append `SnapshotWritten(C)` + `CheckpointEnd(C)`;
@@ -508,6 +509,11 @@ impl Wal {
     ///    segment fully covered by the **older retained** checkpoint — so
     ///    even losing the newest checkpoint file entirely still recovers
     ///    the full state from the older one plus the retained log.
+    ///
+    /// Because every checkpoint ends a segment at its `C`, the segment it
+    /// closed is dead as soon as a later checkpoint lands: after two or
+    /// more checkpoints the directory holds the two segments written since
+    /// the older retained one, and a restart reads no record older than it.
     ///
     /// The caller must guarantee `database`/`dictionary` reflect every
     /// record up to `C` and that no concurrent append interleaves (the
@@ -518,7 +524,7 @@ impl Wal {
         dictionary: &pq_relation::ValueDictionary,
     ) -> io::Result<Lsn> {
         let covered = self.append(&WalRecord::CheckpointStart)?;
-        self.flush_up_to(covered)?;
+        self.rotate(&mut lock(&self.state))?;
         checkpoint::write_checkpoint_file(&self.dir, covered, database, dictionary)?;
         self.append(&WalRecord::SnapshotWritten { checkpoint_lsn: covered })?;
         let end = self.append(&WalRecord::CheckpointEnd { checkpoint_lsn: covered })?;
@@ -533,8 +539,9 @@ impl Wal {
 
     /// Retention after a checkpoint at `covered`: keep the two newest
     /// checkpoint files, then delete every segment whose records are all
-    /// covered by the **older** retained checkpoint. Returns the number of
-    /// removed segments.
+    /// covered by the **older** one. With a single checkpoint nothing is
+    /// deleted: should it be lost, the whole log is what is left to replay.
+    /// Returns the number of removed segments.
     fn truncate_dead(&self, covered: Lsn) -> io::Result<u64> {
         let mut checkpoints = checkpoint::list_checkpoints(&self.dir)?;
         checkpoints.retain(|&(lsn, _)| lsn <= covered);
@@ -543,10 +550,10 @@ impl Wal {
         for (_, path) in checkpoints.drain(..keep_from) {
             let _ = fs::remove_file(path);
         }
-        let horizon = checkpoints.first().map_or(0, |&(lsn, _)| lsn);
-        if horizon == 0 {
-            return Ok(0);
-        }
+        let horizon = match checkpoints[..] {
+            [(older, _), _] => older,
+            _ => return Ok(0),
+        };
         // A segment is dead when the *next* segment starts at or before
         // horizon + 1 — then every record in it has LSN ≤ horizon. The
         // active segment is never dead (there is no next one).
@@ -691,5 +698,30 @@ mod tests {
         assert_eq!(wal.append_all(&records).unwrap(), 3);
         assert_eq!(wal.synced_lsn(), 3, "one fsync for the whole batch");
         assert_eq!(wal.append_all(&[]).unwrap(), 3, "empty batch is a no-op");
+    }
+
+    #[test]
+    fn checkpoints_end_segments_and_retire_them() {
+        let dir = TempDir::new("log-ckpt-rotate");
+        let wal = Wal::open(dir.path(), WalOptions::default()).unwrap();
+        let (database, dictionary) = (pq_relation::Database::new(4), Default::default());
+        let segments = || scan_dir(dir.path(), Lsn::MAX).unwrap().segments.len();
+        let mut covered = Vec::new();
+        for round in 0..5 {
+            for i in 0..3 {
+                wal.append(&delta(round * 10 + i)).unwrap();
+            }
+            covered.push(wal.checkpoint(&database, &dictionary).unwrap());
+            // The segment the checkpoint closed, and the fresh one after it:
+            // every older segment is dead once a second checkpoint lands.
+            assert_eq!(segments(), 2, "after checkpoint {round}");
+        }
+        // The retained log starts right after the older retained checkpoint,
+        // so a restart from it scans nothing older.
+        let scan = scan_dir(dir.path(), 0).unwrap();
+        let older = covered[covered.len() - 2];
+        assert_eq!(scan.segments.len(), 2);
+        assert_eq!(scan.records().next().unwrap().0, older + 1);
+        assert_eq!(scan.last_lsn, wal.last_lsn());
     }
 }

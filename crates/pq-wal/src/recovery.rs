@@ -101,11 +101,12 @@ pub fn recover(dir: &Path) -> io::Result<Recovery> {
     })
 }
 
-/// Replay recovered dictionary extensions onto `dictionary`. Tolerates
-/// overlap (extensions the base dictionary already contains re-encode to
-/// their existing ids); a **gap** — an extension starting past the end of
-/// the dictionary — means the log and the base state disagree and is an
-/// error.
+/// Replay recovered dictionary extensions onto `dictionary`: the `k`-th
+/// token of an extension starting at `first_id` is id `first_id + k`.
+/// Tolerates overlap (tokens the base dictionary already holds at exactly
+/// those ids). A **gap** — an extension starting past the end of the
+/// dictionary — or a token that would land on any other id means the log
+/// and the base state disagree, and is an error.
 pub fn apply_dict_extensions(
     dictionary: &mut ValueDictionary,
     extensions: &[(u64, Vec<String>)],
@@ -117,9 +118,20 @@ pub fn apply_dict_extensions(
                 "dictionary extension starts at id {first_id} but only {len} token(s) exist"
             ));
         }
-        let skip = (len - first_id) as usize;
-        for token in tokens.iter().skip(skip) {
-            dictionary.encode(token);
+        for (id, token) in (*first_id..).zip(tokens) {
+            if id < len {
+                if dictionary.decode(id) != Some(token) {
+                    return Err(format!(
+                        "dictionary extension gives id {id} to `{token}`, the dictionary \
+                         to `{}`",
+                        dictionary.decode_or_number(id)
+                    ));
+                }
+            } else {
+                dictionary
+                    .push_new(token)
+                    .map_err(|repeated| format!("dictionary extension id {id}: {repeated}"))?;
+            }
         }
     }
     Ok(())
@@ -279,9 +291,22 @@ mod tests {
         dictionary.encode("b");
         // Overlap: extension re-states "b" then adds "c".
         apply_dict_extensions(&mut dictionary, &[(1, vec!["b".into(), "c".into()])]).unwrap();
-        assert_eq!(dictionary.tokens(), ["a", "b", "c"]);
+        assert_eq!(dictionary.tokens().collect::<Vec<_>>(), ["a", "b", "c"]);
         // Gap: starts past the end.
         let err = apply_dict_extensions(&mut dictionary, &[(5, vec!["z".into()])]);
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn dict_extensions_must_give_each_token_its_stated_id() {
+        let mut dictionary = ValueDictionary::new();
+        dictionary.encode("a");
+        dictionary.encode("b");
+        // A repeated token would take no id and shift every later one.
+        let err = apply_dict_extensions(&mut dictionary, &[(2, vec!["c".into(), "a".into()])]);
+        assert!(err.unwrap_err().contains("`a` repeats id 0"));
+        // An overlap must restate the tokens at exactly those ids.
+        let err = apply_dict_extensions(&mut dictionary, &[(1, vec!["a".into()])]);
+        assert!(err.unwrap_err().contains("gives id 1 to `a`"));
     }
 }

@@ -10,16 +10,21 @@
 //! decode; it must never panic. A clean frame or WAL decode must also
 //! re-encode to exactly the bytes it consumed.
 //!
+//! Two resealed cases pin what the decoders cannot see on their own: a
+//! token listed twice, in a checkpoint or in a logged dictionary
+//! extension, would shift every later id, so it is rejected.
+//!
 //! Frames are read the way a connection reads them: every case goes through
 //! one reused payload buffer and one spare-storage map that decoded
 //! relations hand their row buffers back to, and each mangled frame is
 //! followed by its clean original, which must then decode exactly.
 
 use pq_mpc::net::{read_frame_into, write_frame, Frame, FrameError, MAX_FRAME_LEN};
+use pq_engine::{open_durable, Delta, DurabilityOptions};
 use pq_relation::{Database, Relation, Schema, Value, ValueDictionary};
 use pq_wal::{
-    crc32, encode_record, load_checkpoint_file, write_checkpoint_file, CheckpointError,
-    RecordReader, RelationInserts, WalRecord,
+    crc32, encode_record, load_checkpoint_file, load_latest_checkpoint, write_checkpoint_file,
+    CheckpointError, RecordReader, RelationInserts, SyncPolicy, WalRecord,
 };
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -323,4 +328,89 @@ fn a_hostile_length_commits_only_the_bytes_received() {
     // The same buffer then reads a clean frame.
     let (frame, clean) = &frames()[1];
     assert_eq!(&reader.read(clean).unwrap().unwrap().0, frame);
+}
+
+/// A directory of its own: the fuzz property clears [`scratch_dir`].
+fn own_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("pq-codec-{tag}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).expect("own dir");
+    dir
+}
+
+/// A checkpoint that lists a token twice, CRC resealed, is corrupt — its
+/// `encode` and `decode` would disagree — so recovery falls back to the
+/// older checkpoint.
+#[test]
+fn a_resealed_repeated_checkpoint_token_is_corrupt() {
+    let dir = own_dir("repeated-token");
+    let mut dictionary = ValueDictionary::new();
+    let (a, b) = (dictionary.encode("a"), dictionary.encode("b"));
+    let mut database = Database::new(8);
+    database.insert(Relation::from_rows(Schema::from_strs("E", &["x", "y"]), vec![vec![a, b]]));
+    write_checkpoint_file(&dir, 5, &database, &dictionary).expect("writes");
+    let newest = write_checkpoint_file(&dir, 9, &database, &dictionary).expect("writes");
+    // The file ends `[1u32]"a" [1u32]"b" [crc u32]`: make the last token `a`.
+    let mut bytes = fs::read(&newest).expect("reads");
+    let last = bytes.len() - 5;
+    assert_eq!(bytes[last - 9..=last], [1, 0, 0, 0, b'a', 1, 0, 0, 0, b'b']);
+    bytes[last] = b'a';
+    reseal_checkpoint(&mut bytes);
+    fs::write(&newest, &bytes).expect("writes back");
+
+    let err = load_checkpoint_file(&newest).unwrap_err();
+    assert!(matches!(&err, CheckpointError::Corrupt(why) if why.contains("`a` repeats id 0")));
+    let (loaded, discarded) = load_latest_checkpoint(&dir).expect("reads the dir");
+    assert_eq!(loaded.expect("the older checkpoint").covered_lsn, 5);
+    assert_eq!(discarded, 1);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A logged dictionary extension that repeats a token, CRC resealed, would
+/// give no id to it and shift every later id: the restart fails with
+/// `InvalidData` instead.
+#[test]
+fn a_resealed_repeated_dict_extend_token_is_invalid_data() {
+    let dir = own_dir("repeated-extend");
+    let options = DurabilityOptions { sync: SyncPolicy::Never, checkpoint_every: 0 };
+    let mut database = Database::new(8);
+    database.insert(Relation::from_rows(Schema::from_strs("E", &["x", "y"]), vec![vec![7, 7]]));
+    let opened = open_durable(&dir, options.clone(), 4, Some((database, ValueDictionary::new())))
+        .expect("opens");
+    let row = {
+        let mut dictionary = opened.dictionary.write().unwrap();
+        vec![dictionary.encode("c"), dictionary.encode("d")]
+    };
+    opened.engine.apply(Delta::insert("E", vec![row])).expect("applies");
+    drop(opened);
+
+    let mut segments: Vec<PathBuf> = fs::read_dir(&dir)
+        .expect("lists")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+        .collect();
+    segments.sort();
+    let segment = segments.pop().expect("a segment");
+    let mut bytes = fs::read(&segment).expect("reads");
+    let (start, end) = {
+        let mut reader = RecordReader::new(&bytes);
+        let mut start = 0;
+        loop {
+            let (_, record) = reader.next().expect("decodes").expect("a dict-extend record");
+            if matches!(record, WalRecord::DictExtend { .. }) {
+                break (start, reader.offset());
+            }
+            start = reader.offset();
+        }
+    };
+    // The record's tokens end `[1u32]"c" [1u32]"d"`: make the second `c`.
+    assert_eq!(bytes[end - 10..end], [1, 0, 0, 0, b'c', 1, 0, 0, 0, b'd']);
+    bytes[end - 1] = b'c';
+    reseal_record(&mut bytes[start..end]);
+    fs::write(&segment, &bytes).expect("writes back");
+
+    let err = open_durable(&dir, options, 4, None).expect_err("the restart fails");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("`c` repeats id 0"), "{err}");
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -240,6 +240,32 @@ fn deleting_the_newest_checkpoint_falls_back_to_the_previous_one() {
 }
 
 #[test]
+fn checkpoints_retire_segments_and_the_older_one_still_recovers_everything() {
+    let dir = TempDir::new("rotate");
+    let opened = open_durable(&dir.0, options(), 4, Some(base())).unwrap();
+    for round in 0..4u64 {
+        for i in 0..3 {
+            // Grow the dictionary the way an INSERT does, then log the row.
+            let value = opened.dictionary.write().unwrap().encode(&format!("t{round}-{i}"));
+            opened.engine.apply(Delta::insert("E", vec![vec![value, 500 + round]])).unwrap();
+        }
+        opened.engine.checkpoint().unwrap();
+        assert!(segments(&dir.0).len() <= 3, "{:?}", segments(&dir.0));
+    }
+    opened.engine.apply(Delta::insert("E", vec![vec![50, 60]])).unwrap();
+    let expected = rows_of(opened.engine.snapshot().database());
+    let tokens: Vec<String> = opened.dictionary.read().unwrap().tokens().map(String::from).collect();
+    drop(opened);
+
+    let newest = checkpoints(&dir.0).pop().expect("two checkpoints are retained");
+    fs::remove_file(&newest).unwrap();
+    let reopened = open_durable(&dir.0, options(), 4, None).unwrap();
+    assert_eq!(rows_of(reopened.engine.snapshot().database()), expected);
+    let recovered = reopened.dictionary.read().unwrap();
+    assert!(recovered.tokens().eq(tokens.iter().map(String::as_str)));
+}
+
+#[test]
 fn corrupt_newest_checkpoint_is_skipped_and_counted() {
     let dir = TempDir::new("badckpt");
     let opened = open_durable(&dir.0, options(), 4, Some(base())).unwrap();
