@@ -4,8 +4,10 @@
 //! and the local joins of one HyperCube round — the
 //! 64 servers of the 4×4×4 triangle grid as one block join against every
 //! server joining alone — and the HyperCube round's routing that feeds
-//! them, per logical server and folded onto two workers; and the CSV load
-//! that builds the value dictionary of `pqd`'s cold start. Baselines live in
+//! them, per logical server and folded onto two workers; the merge of a
+//! round's 128 star-join answers into one set, against appending them and
+//! deduplicating; and the CSV load that builds the value dictionary of
+//! `pqd`'s cold start. Baselines live in
 //! `BENCH_relation.json`, so
 //! regressions in `pq-relation`'s flat row storage or the join/shuffle hot
 //! path show up independently of planning and the end-to-end engine
@@ -16,7 +18,7 @@ use pq_core::hypercube::HyperCubeRouter;
 use pq_mpc::{map_servers_parallel, partition_by_hash, Cluster};
 use pq_query::{instantiate, ConjunctiveQuery};
 use pq_relation::{
-    load_database_files, natural_join, natural_join_all, natural_join_block, DataGenerator,
+    load_database_files, mix64, natural_join, natural_join_all, natural_join_block, DataGenerator,
     MultiplyShiftHash, Relation, Schema,
 };
 use std::collections::BTreeMap;
@@ -159,6 +161,52 @@ fn bench_hypercube_route(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `star_skew_wide` answer Q(x, a, b) as `servers` answers: a heavy
+/// hitter's 160 × 160 cross product plus 15 840 one-to-one matches, 41 440
+/// rows, each on the one server a hash of the row picks — disjoint parts,
+/// as the skew-aware star's servers produce them.
+fn star_answer_parts(servers: usize) -> Vec<Relation> {
+    let (degree, light) = (160u64, 15_840u64);
+    let heavy = (0..degree * degree).map(|i| [0, 1 + i / degree, 1_000 + i % degree]);
+    let matches = (0..light).map(|i| [10_000 + i, 100_000 + i, 200_000 + i]);
+    let mut parts = vec![Vec::new(); servers];
+    for row in heavy.chain(matches) {
+        let server = mix64(row[1] ^ row[2].rotate_left(32)) % servers as u64;
+        parts[server as usize].extend_from_slice(&row);
+    }
+    parts
+        .into_iter()
+        .map(|values| {
+            let schema = Schema::from_strs("Q", &["x", "a", "b"]);
+            Relation::from_values(schema, values.len() / 3, values)
+        })
+        .collect()
+}
+
+/// One round's merge on the `star_skew_wide` shape: `union_distinct` over
+/// the 128 servers' answers, and the append-all-then-`dedup` it replaced.
+fn bench_merge(c: &mut Criterion) {
+    let mut group = c.benchmark_group("relation");
+    group.sample_size(10);
+    let parts = star_answer_parts(128);
+    let rows: usize = parts.iter().map(Relation::len).sum();
+    let schema = Schema::from_strs("Q", &["x", "a", "b"]);
+    group.bench_with_input(BenchmarkId::new("union_distinct", rows), &parts, |b, parts| {
+        b.iter(|| Relation::union_distinct(schema.clone(), parts).len())
+    });
+    group.bench_with_input(BenchmarkId::new("append_dedup", rows), &parts, |b, parts| {
+        b.iter(|| {
+            let mut all = Relation::empty(schema.clone());
+            for part in parts {
+                all.append(part);
+            }
+            all.dedup();
+            all.len()
+        })
+    });
+    group.finish();
+}
+
 /// `load_database_files` over the triangle's three random matchings of
 /// 64 000 rows written as CSV, each value a `v` + 7 hex-digit token (the
 /// `tri_sim` input shape: 384 000 fields, ≈ 97 % of them distinct tokens).
@@ -190,6 +238,7 @@ criterion_group!(
     bench_relation,
     bench_block_join,
     bench_hypercube_route,
+    bench_merge,
     bench_csv_load
 );
 criterion_main!(benches);

@@ -96,8 +96,12 @@ pub fn sequential_plan_join(
         round += 1;
     }
 
+    // Each round's answer is a set over the variables joined so far, so
+    // only a one-atom query, which ran no round, can answer a bag.
     let mut output = acc.project(&query.variables(), query.name());
-    output.dedup();
+    if round == 0 {
+        output.dedup();
+    }
     BaselineRun {
         output,
         metrics: transport.metrics().clone(),
@@ -186,8 +190,7 @@ pub fn shuffle_hash_join(
     let mut transport = InProcess::new(p, database);
     let family = MultiplyShiftHash::new(seed);
     let joined = shuffle_binary_join(&mut transport, &bound[0], &bound[1], &family, 0);
-    let mut output = joined.project(&query.variables(), query.name());
-    output.dedup();
+    let output = joined.project(&query.variables(), query.name());
     BaselineRun {
         output,
         metrics: transport.metrics().clone(),

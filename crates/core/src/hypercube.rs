@@ -27,10 +27,11 @@ use crate::round::{in_process, run_single, InProcess, Routing};
 use crate::shares::{self, ShareRounding};
 use pq_mpc::net::Shipment;
 use pq_mpc::{Message, RunMetrics, Server};
-use pq_query::{evaluate_block, instantiate, ConjunctiveQuery};
+use pq_query::{instantiate, ConjunctiveQuery};
 use pq_relation::hash::MultiplyShiftHasher;
 use pq_relation::{
-    BucketHasher, Database, HashFamily, MultiplyShiftHash, Relation, Scatter, Schema, Value,
+    natural_join_block, BucketHasher, Database, HashFamily, MultiplyShiftHash, Relation, Scatter,
+    Schema, Value,
 };
 use std::collections::BTreeMap;
 
@@ -383,11 +384,22 @@ pub fn local_join(query: &ConjunctiveQuery, server: &Server) -> Relation {
 }
 
 /// Evaluate the query locally at every server of a block, in server order:
-/// one [`evaluate_block`] over the servers that hold a fragment of every
-/// atom — the servers of one destination subcube share a fragment's buffer,
-/// and its index is built once for all of them — and the empty answer at
-/// the others.
+/// one block join over the servers that hold a fragment of every atom —
+/// the servers of one destination subcube share a fragment's buffer, and
+/// its index is built once for all of them — and the empty answer at the
+/// others. Each answer is projected onto the query's variables with set
+/// semantics, as [`pq_query::evaluate_block`] returns it.
 pub fn local_join_block(query: &ConjunctiveQuery, servers: &[Server]) -> Vec<Relation> {
+    let mut answers = project_block(query, servers);
+    answers.iter_mut().for_each(Relation::dedup);
+    answers
+}
+
+/// [`local_join_block`] without its per-server deduplication: each answer
+/// is the server's join projected onto the query's variables, a bag only
+/// where the server's fragments are bags. The simulator's round takes the
+/// set union of these once, at its merge.
+pub(crate) fn project_block(query: &ConjunctiveQuery, servers: &[Server]) -> Vec<Relation> {
     let fragments: Vec<Option<Vec<&Relation>>> = servers
         .iter()
         .map(|server| {
@@ -399,12 +411,14 @@ pub fn local_join_block(query: &ConjunctiveQuery, servers: &[Server]) -> Vec<Rel
         })
         .collect();
     let complete: Vec<Vec<&Relation>> = fragments.iter().flatten().cloned().collect();
-    let mut answers = evaluate_block(query, &complete).into_iter();
+    let head = query.variables();
+    let mut answers =
+        natural_join_block(&complete, |joined| joined.project(&head, query.name())).into_iter();
     fragments
         .iter()
         .map(|held| match held {
             Some(_) => answers.next().expect("one answer per complete server"),
-            None => Relation::empty(Schema::new(query.name(), query.variables())),
+            None => Relation::empty(Schema::new(query.name(), head.clone())),
         })
         .collect()
 }
@@ -412,7 +426,7 @@ pub fn local_join_block(query: &ConjunctiveQuery, servers: &[Server]) -> Vec<Rel
 /// Run one communication round in process — what every one-round
 /// algorithm shares once it has decided where each tuple goes: deliver
 /// `messages` to `p` simulated servers (the model's cost account), join
-/// locally at every server, merge the answers and deduplicate.
+/// locally at every server, and take the set union of the answers.
 pub fn run_one_round(
     query: &ConjunctiveQuery,
     database: &Database,

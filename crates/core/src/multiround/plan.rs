@@ -181,8 +181,9 @@ pub fn execute_plan(
 /// Every node at depth `d` is evaluated in round `d` by the HyperCube
 /// algorithm for its induced join, on its own block of servers
 /// (`p / #nodes-at-that-depth` servers each). Between rounds the caller's
-/// side holds every view: each block's answer is merged and deduplicated,
-/// then routed as an input of the next round.
+/// side holds every view: each block's answer, the set union of its
+/// servers' answers ([`Transport::round`]), is routed as an input of the
+/// next round.
 ///
 /// # Errors
 /// As [`Transport::round`].
@@ -263,8 +264,15 @@ pub fn execute_plan_on<T: Transport>(
         round_views.push(produced);
     }
 
-    let mut output = views[plan.output_name()].project(&query.variables(), query.name());
-    output.dedup();
+    // The root's view is a set (a round's merge) over exactly the query's
+    // variables, so reordering its columns keeps it one; a plan with no
+    // join ran no round, and its lone atom may be a bag.
+    let root = &views[plan.output_name()];
+    debug_assert_eq!(root.arity(), query.num_variables(), "the root binds every variable");
+    let mut output = root.project(&query.variables(), query.name());
+    if depth == 0 {
+        output.dedup();
+    }
     Ok(PlanRun {
         output,
         metrics: transport.metrics().clone(),

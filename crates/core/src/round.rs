@@ -10,14 +10,17 @@
 //!
 //! * [`InProcess`] — the MPC simulator: [`Cluster::communicate`] keeps the
 //!   model's cost account, the servers of a block join their fragments
-//!   locally in one block join ([`local_join_block`]: fanned out over the
-//!   `pq-exec` pool, each fragment buffer a subcube shares indexed once),
-//!   and each block's answers are merged and deduplicated;
+//!   locally in one block join (as [`crate::hypercube::local_join_block`]
+//!   does: fanned out over the `pq-exec` pool, each fragment buffer a
+//!   subcube shares indexed once) and project without deduplicating, and
+//!   each block's answers are merged by one [`Relation::union_distinct`] —
+//!   the only place the simulator enforces set semantics;
 //! * [`Workers`] — real worker processes behind a [`WorkerPool`], one pool
 //!   run per round: the shipment is folded per worker (a grid folds
 //!   *while* it routes, [`HyperCubeRouter::route_folded`]), every worker
-//!   gets one `Execute` per block and sends one `Answer` per block, and
-//!   the coordinator merges and deduplicates them block by block. The
+//!   gets one `Execute` per block and sends one `Answer` per block — a
+//!   set, so the answer bytes on the wire are exact — and the coordinator
+//!   merges them block by block with [`Relation::union_distinct`]. The
 //!   model account is the simulator's for the same round, bit for bit;
 //!   the measured account is what the sockets carried.
 //!
@@ -27,7 +30,7 @@
 //! self-contained pool run opening with a fresh `Hello`, and a retry
 //! replays only the round that failed (see [`pq_mpc::net::pool`]).
 
-use crate::hypercube::{local_join_block, HyperCubeRouter};
+use crate::hypercube::{project_block, HyperCubeRouter};
 use pq_mpc::net::{AtomSpec, ClusterError, RoundProgram, Shipment, WorkerPool};
 use pq_mpc::{Cluster, Message, RunMetrics};
 use pq_obs::MetricsRegistry;
@@ -123,8 +126,11 @@ pub trait Transport {
     fn p(&self) -> usize;
 
     /// Run `round`: deliver its tuples, join locally per block, and return
-    /// each block's answer (merged over its servers, deduplicated) in
-    /// block order. The round's statistics join [`Transport::metrics`].
+    /// each block's answer in block order. An answer is a set even when
+    /// the round's inputs are bags: the set union of its servers'
+    /// answers, rows in first-occurrence order over the servers (or
+    /// workers) taken in order. The round's statistics join
+    /// [`Transport::metrics`].
     ///
     /// # Errors
     /// Whatever the transport's [`Transport::Error`] says can fail.
@@ -187,13 +193,8 @@ impl Transport for InProcess {
             .iter()
             .map(|block| {
                 let query = &block.query;
-                let outputs = local_join_block(query, &servers[block.servers.clone()]);
-                let mut answer = Relation::empty(Schema::new(query.name(), query.variables()));
-                for output in &outputs {
-                    answer.append(output);
-                }
-                answer.dedup();
-                answer
+                let outputs = project_block(query, &servers[block.servers.clone()]);
+                Relation::union_distinct(Schema::new(query.name(), query.variables()), &outputs)
             })
             .collect())
     }

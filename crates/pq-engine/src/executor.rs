@@ -39,7 +39,9 @@ use std::time::{Duration, Instant};
 /// The result of executing a plan.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
-    /// The query answer, columns in head order, set semantics.
+    /// The query answer, columns in head order, set semantics: the set
+    /// union of the last round's server answers (enforced once, at that
+    /// round's merge), with its columns reordered to the head.
     pub output: Relation,
     /// The MPC communication metrics of the run (rounds, loads, bits).
     pub metrics: RunMetrics,
@@ -58,7 +60,7 @@ pub struct RunOutcome {
 /// or re-shaped since planning); the engine re-plans on any statistics
 /// change, so this indicates misuse of the raw executor API.
 pub fn run_plan(plan: &Plan, snapshot: &Snapshot, seed: u64) -> RunOutcome {
-    in_process(execute(plan, snapshot, seed, |data| InProcess::new(plan.p, data)))
+    in_process(run_plan_with(plan, snapshot, seed, |data| InProcess::new(plan.p, data)))
 }
 
 /// Execute `plan` on the chosen backend: [`run_plan`] on the simulator, or
@@ -88,7 +90,7 @@ pub fn run_plan_on(
         return Ok(run_plan(plan, snapshot, seed));
     };
     let workers = |data: &Database| Workers::new(pool, registry, plan.p, data);
-    match (execute(plan, snapshot, seed, workers), fallback) {
+    match (run_plan_with(plan, snapshot, seed, workers), fallback) {
         (Err(_), FallbackPolicy::Simulator) => {
             // Graceful degradation: the cluster stayed unhealthy past its
             // whole retry budget, so serve the exact answer from the
@@ -113,14 +115,21 @@ pub fn run_plan_on(
 }
 
 /// Run `plan` on the transport `transport` opens over the database the
-/// rounds read. The one `match` on the strategy builds the rounds: the
-/// query every server joins locally, the database it reads and where each
-/// tuple goes. On the wire every round is asked for its shipment again per
-/// retry attempt, over the immutable snapshot (and the views the
-/// coordinator holds) for that attempt's live worker count — which is what
-/// makes the pool's automatic retry of a failed round on a reduced
-/// topology safe (see [`pq_mpc::net::pool`]).
-fn execute<T: Transport>(
+/// rounds read: what [`run_plan`] and [`run_plan_on`] do with their own
+/// transports, open to any other [`Transport`]. The one `match` on the
+/// strategy builds the rounds: the query every server joins locally, the
+/// database it reads and where each tuple goes. On the wire every round is
+/// asked for its shipment again per retry attempt, over the immutable
+/// snapshot (and the views the coordinator holds) for that attempt's live
+/// worker count — which is what makes the pool's automatic retry of a
+/// failed round on a reduced topology safe (see [`pq_mpc::net::pool`]).
+///
+/// # Errors
+/// Whatever the transport's rounds fail with.
+///
+/// # Panics
+/// As [`run_plan`], when the snapshot no longer matches the plan.
+pub fn run_plan_with<T: Transport>(
     plan: &Plan,
     snapshot: &Snapshot,
     seed: u64,
@@ -160,8 +169,12 @@ fn execute<T: Transport>(
             (run.output, run.metrics)
         }
     };
-    let mut output = raw.project(&plan.parsed.head, query.name());
-    output.dedup();
+    // A round's answer is a set over the query's variables, and a full
+    // query's head is a permutation of them (the parser rejects a head that
+    // drops or repeats one; `project` panics on one it does not bind):
+    // projecting onto it reorders columns, so the output is a set as is.
+    debug_assert_eq!(plan.parsed.head.len(), raw.arity(), "the head binds every variable");
+    let output = raw.project(&plan.parsed.head, query.name());
     Ok(RunOutcome {
         output,
         metrics,

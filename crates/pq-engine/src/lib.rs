@@ -71,7 +71,7 @@ pub use cache::{CacheStats, PlanCache, PlanKey};
 pub use delta::{Delta, DeltaError};
 pub use durability::{open_durable, DurabilityOptions, DurableOpen};
 pub use engine::{Engine, EngineError, EngineRun};
-pub use executor::{run_plan, run_plan_on, RunOutcome};
+pub use executor::{run_plan, run_plan_on, run_plan_with, RunOutcome};
 pub use pq_mpc::net::{ClusterConfig, ClusterError, RetryPolicy, WorkerPool};
 pub use pq_obs::{MetricsRegistry, Phase, QueryTrace};
 pub use parser::{parse_query, ParseError, ParsedQuery, Span};

@@ -436,7 +436,8 @@ impl Coordinator<'_> {
     /// one after the other — that worker's fragments, one `Execute` per
     /// program, a flush — so the first starts joining while the rest are
     /// still being fed, then barrier on their answers and return, per
-    /// program, the merged, deduplicated result. Each program is the local
+    /// program, the set union of the workers' answers
+    /// ([`Relation::union_distinct`]). Each program is the local
     /// query of one block of logical servers; a worker answers every
     /// program over the fragments it holds, and the fragments of a block's
     /// relations only ever come from that block's servers. The shipment's
@@ -503,9 +504,9 @@ impl Coordinator<'_> {
         // worker counts the bytes it read since its previous Answer, so its
         // round total is the sum over its Answers.
         let mut wire_bytes = vec![0u64; workers];
-        let mut merged: Vec<Option<Relation>> = vec![None; programs.len()];
+        let mut answers: Vec<Vec<Relation>> = vec![Vec::with_capacity(workers); programs.len()];
         for (worker, wire) in wire_bytes.iter_mut().enumerate() {
-            for answer in &mut merged {
+            for parts in &mut answers {
                 let timeout = self.prepare_read(worker)?;
                 let (frame, frame_bytes) = self.connections[worker]
                     .read_frame()
@@ -527,10 +528,7 @@ impl Coordinator<'_> {
                         }
                         *wire += bytes_received;
                         metrics.result_wire_bytes += frame_bytes;
-                        match answer {
-                            Some(acc) => acc.append(&relation),
-                            None => *answer = Some(relation),
-                        }
+                        parts.push(relation);
                     }
                     Frame::Error { message } => {
                         return Err(ClusterError::Worker { worker, message })
@@ -544,12 +542,13 @@ impl Coordinator<'_> {
                 }
             }
         }
-        let outputs = merged
-            .into_iter()
-            .map(|answer| {
-                let mut output = answer.expect("at least one worker answered");
-                output.dedup();
-                output
+        // Every worker answered every program with a set; their union is
+        // the program's answer, in first-occurrence order over the workers.
+        let outputs = answers
+            .iter()
+            .map(|parts| {
+                let schema = parts.first().expect("at least one worker answered").schema();
+                Relation::union_distinct(schema.clone(), parts)
             })
             .collect();
         let stats = RoundStats {

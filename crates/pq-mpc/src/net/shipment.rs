@@ -63,6 +63,8 @@ impl Shipment {
     ) -> Shipment {
         let mut shipment = Shipment::new(p, workers);
         shipment.messages = messages.len();
+        // Per worker, the payloads of each relation name, in message order.
+        let mut held: Vec<Vec<Vec<Relation>>> = vec![Vec::new(); workers];
         for msg in messages {
             assert!(
                 msg.to < p,
@@ -71,16 +73,15 @@ impl Shipment {
             );
             shipment.received_bits[msg.to] += msg.payload.size_bits(bits_per_value);
             if let Payload::Tuples(relation) = msg.payload {
-                let held = &mut shipment.fragments[msg.to % workers];
-                match held.iter_mut().find(|f| f.name() == relation.name()) {
-                    Some(fragment) => fragment.append(&relation),
-                    None => held.push(relation),
+                let named = &mut held[msg.to % workers];
+                match named.iter_mut().find(|f| f[0].name() == relation.name()) {
+                    Some(parts) => parts.push(relation),
+                    None => named.push(vec![relation]),
                 }
             }
         }
-        for fragment in shipment.fragments.iter_mut().flatten() {
-            fragment.dedup();
-        }
+        let union = |f: &Vec<Relation>| Relation::union_distinct(f[0].schema().clone(), f);
+        shipment.fragments = held.iter().map(|named| named.iter().map(union).collect()).collect();
         shipment
     }
 }

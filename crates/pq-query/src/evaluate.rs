@@ -109,7 +109,11 @@ pub fn evaluate_bound<R: Borrow<Relation>>(query: &ConjunctiveQuery, bound: &[R]
 /// fragments (`servers[s]`, one per atom in atom order): one
 /// [`natural_join_block`], so fragment buffers the servers share are
 /// indexed once, then each server's answer projected onto the query's
-/// variables with set semantics, as [`evaluate_bound`] would return it.
+/// variables with set semantics, as [`evaluate_bound`] would return it —
+/// a set even where the fragments are bags. A round of servers needs the
+/// set union of these answers only: `pq_core`'s simulator projects without
+/// deduplicating and enforces set semantics once, at the round's merge
+/// ([`Relation::union_distinct`]).
 pub fn evaluate_block(query: &ConjunctiveQuery, servers: &[Vec<&Relation>]) -> Vec<Relation> {
     let head = query.variables();
     natural_join_block(servers, |joined| {

@@ -306,25 +306,39 @@ impl Relation {
     }
 
     /// Remove duplicate tuples (set semantics). Preserves first occurrence
-    /// order. Insert-if-absent on the join's compact chained key index
-    /// over the seeded row hash of [`crate::hash`], with
-    /// full-row verification on equal hashes — no per-row key allocation.
+    /// order: the one-part case of [`Relation::union_distinct`].
     pub fn dedup(&mut self) {
-        if self.rows <= 1 {
-            return;
+        if self.rows > 1 {
+            *self = Relation::union_distinct(self.schema.clone(), std::slice::from_ref(self));
         }
-        let arity = self.schema.arity();
-        if arity == 0 {
+    }
+
+    /// The set union of `parts` under `schema`: their rows in
+    /// first-occurrence order over the parts taken in order — byte for byte
+    /// what appending every part and then calling [`Relation::dedup`] gives,
+    /// without the appended copy. One seen-set sized to the parts' total row
+    /// count and one output buffer, allocated once: insert-if-absent on the
+    /// join's compact chained key index over the seeded row hash of
+    /// [`crate::hash`], with full-row verification on equal hashes.
+    ///
+    /// # Panics
+    /// Panics when a part's arity differs from the schema's.
+    pub fn union_distinct(schema: Schema, parts: &[Relation]) -> Relation {
+        let arity = schema.arity();
+        if let Some(part) = parts.iter().find(|part| part.arity() != arity) {
+            panic!("cannot merge `{}` (arity {}) into `{schema}`", part.name(), part.arity());
+        }
+        let total: usize = parts.iter().map(Relation::len).sum();
+        if total == 0 || arity == 0 {
             // All nullary rows are the empty tuple.
-            self.rows = 1;
-            return;
+            return Relation::from_values(schema, total.min(1), Vec::new());
         }
         // `kept` indexes the rows of `out`, the kept prefix; slice equality
         // against it resolves hash collisions exactly.
-        assert_indexable(self.rows, self.name());
-        let mut kept = RowKeyIndex::with_capacity(self.rows);
-        let mut out: Vec<Value> = Vec::with_capacity(self.values.len());
-        for row in self.iter() {
+        assert_indexable(total, schema.name());
+        let mut kept = RowKeyIndex::with_capacity(total);
+        let mut out: Vec<Value> = Vec::with_capacity(total * arity);
+        for row in parts.iter().flat_map(Relation::iter) {
             let h = hash_values(row);
             if !kept
                 .chain(h, kept.find(h))
@@ -334,8 +348,7 @@ impl Relation {
                 out.extend_from_slice(row);
             }
         }
-        self.rows = kept.len();
-        self.values = Arc::new(out);
+        Relation::from_values(schema, kept.len(), out)
     }
 
     /// Sort tuples lexicographically (useful for comparisons in tests).
@@ -626,6 +639,7 @@ impl<'a> IntoIterator for &'a Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Relation {
         Relation::from_rows(
@@ -693,6 +707,89 @@ mod tests {
         );
         r.dedup();
         assert_eq!(r.values(), &[5, 3, 9]);
+    }
+
+    /// The merge [`Relation::union_distinct`] replaces: append every part,
+    /// then deduplicate.
+    fn append_then_dedup(schema: &Schema, parts: &[Relation]) -> Relation {
+        let mut all = Relation::empty(schema.clone());
+        for part in parts {
+            all.append(part);
+        }
+        all.dedup();
+        all
+    }
+
+    /// The distinct rows of `parts` in first-occurrence order, kept by a
+    /// `HashSet` of owned rows: a reference that shares no code with
+    /// [`Relation::union_distinct`], of which `dedup` is now a case.
+    fn first_occurrences(parts: &[Relation]) -> (usize, Vec<Value>) {
+        let mut seen = std::collections::HashSet::new();
+        let mut out = Vec::new();
+        for row in parts.iter().flat_map(Relation::iter) {
+            if seen.insert(row.to_vec()) {
+                out.extend_from_slice(row);
+            }
+        }
+        (seen.len(), out)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn union_distinct_equals_append_then_dedup(
+            arity in 0usize..5,
+            cells in proptest::collection::vec(
+                proptest::collection::vec(0u64..4, 0..48),
+                0..9,
+            ),
+        ) {
+            // Values below 4 repeat rows within and across parts; a part
+            // with fewer cells than the arity is empty.
+            let attributes: Vec<String> = (0..arity).map(|i| format!("c{i}")).collect();
+            let schema = Schema::new("U", attributes.clone());
+            let parts: Vec<Relation> = cells
+                .iter()
+                .enumerate()
+                .map(|(j, cells)| {
+                    let rows = cells.len().checked_div(arity).unwrap_or(cells.len());
+                    let part = Schema::new(format!("P{j}"), attributes.clone());
+                    Relation::from_values(part, rows, cells[..rows * arity].to_vec())
+                })
+                .collect();
+            let merged = Relation::union_distinct(schema.clone(), &parts);
+            let expected = append_then_dedup(&schema, &parts);
+            prop_assert_eq!(merged.schema(), &schema);
+            prop_assert_eq!(merged.len(), expected.len());
+            prop_assert_eq!(merged.values(), expected.values());
+            let (rows, values) = first_occurrences(&parts);
+            prop_assert_eq!(merged.len(), rows);
+            prop_assert_eq!(merged.values(), values.as_slice());
+        }
+    }
+
+    #[test]
+    fn union_distinct_of_no_part_one_part_and_empty_parts() {
+        let schema = Schema::from_strs("U", &["x", "y"]);
+        let none = Relation::union_distinct(schema.clone(), &[]);
+        assert_eq!((none.len(), none.name()), (0, "U"));
+        let merged = Relation::union_distinct(schema.clone(), &[sample()]);
+        assert_eq!(merged.values(), &[1, 10, 2, 20, 3, 10]);
+        let empty = Relation::empty(Schema::from_strs("E", &["a", "b"]));
+        let parts = [empty.clone(), sample(), empty.clone(), sample().renamed("S"), empty];
+        let merged = Relation::union_distinct(schema, &parts);
+        assert_eq!(merged.values(), &[1, 10, 2, 20, 3, 10]);
+        // Nullary parts: one empty tuple however many are merged.
+        let nullary = Relation::from_values(Schema::from_strs("N", &[]), 3, Vec::new());
+        let parts = [nullary.clone(), nullary];
+        assert_eq!(Relation::union_distinct(Schema::from_strs("N", &[]), &parts).len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot merge")]
+    fn union_distinct_arity_mismatch_panics() {
+        Relation::union_distinct(Schema::from_strs("U", &["x"]), &[sample()]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Crate-internal compact hash index over the rows of a flat [`Relation`],
 //! keyed by a subset of column positions. This is the build side of the
 //! hash join, the key set of semijoin/antijoin and the seen-set of
-//! [`Relation::dedup`]: no key tuple is ever materialised — keys are hashed
-//! in place with [`crate::hash::hash_key`] and equal hashes are verified by
-//! comparing the key positions of the stored rows.
+//! [`Relation::union_distinct`]: no key tuple is ever materialised — keys
+//! are hashed in place with [`crate::hash::hash_key`] and equal hashes are
+//! verified by comparing the key positions of the stored rows.
 //!
 //! # Layout
 //!
@@ -35,8 +35,8 @@
 //! passes. The filter covers the rows indexed when it is built, so the
 //! index takes no insert after that (debug builds assert it): the join's
 //! build sides are complete before any probe, and the seen-set of
-//! [`Relation::dedup`], which does insert between lookups, never asks for
-//! a filter.
+//! [`Relation::union_distinct`], which does insert between lookups, never
+//! asks for a filter.
 
 use crate::hash::hash_key;
 use crate::relation::Relation;
