@@ -78,7 +78,7 @@ pub fn sequential_plan_join(
     p: usize,
     seed: u64,
 ) -> BaselineRun {
-    let mut transport = InProcess::new(p, database);
+    let mut transport = InProcess::new(p, query, database);
     let family = MultiplyShiftHash::new(seed);
 
     // Left-deep order: start with the first atom, greedily pick a connected
@@ -187,7 +187,7 @@ pub fn shuffle_hash_join(
         "shuffle_hash_join expects a binary join query"
     );
     let bound = instantiate(query, database);
-    let mut transport = InProcess::new(p, database);
+    let mut transport = InProcess::new(p, query, database);
     let family = MultiplyShiftHash::new(seed);
     let joined = shuffle_binary_join(&mut transport, &bound[0], &bound[1], &family, 0);
     let output = joined.project(&query.variables(), query.name());

@@ -433,7 +433,7 @@ pub fn run_one_round(
     p: usize,
     messages: Vec<Message>,
 ) -> (Relation, RunMetrics) {
-    let transport = InProcess::new(p, database);
+    let transport = InProcess::new(p, query, database);
     in_process(run_single(transport, query, Routing::Messages(messages)))
 }
 
@@ -455,7 +455,7 @@ pub fn run_hypercube_with_shares(
         router.grid_size()
     );
     let routing = Routing::grid(router, instantiate(query, database));
-    let (output, metrics) = in_process(run_single(InProcess::new(p, database), query, routing));
+    let (output, metrics) = in_process(run_single(InProcess::new(p, query, database), query, routing));
     HyperCubeRun {
         output,
         metrics,

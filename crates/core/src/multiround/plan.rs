@@ -173,7 +173,7 @@ pub fn execute_plan(
     p: usize,
     seed: u64,
 ) -> PlanRun {
-    in_process(execute_plan_on(plan, query, database, seed, &mut InProcess::new(p, database)))
+    in_process(execute_plan_on(plan, query, database, seed, &mut InProcess::new(p, query, database)))
 }
 
 /// Execute a plan for `query` over `database` on `transport`'s servers.

@@ -170,12 +170,19 @@ pub struct InProcess {
 
 impl InProcess {
     /// `p` simulated servers charging `database`'s bits per value, with
-    /// its total size as the run's input.
-    pub fn new(p: usize, database: &Database) -> InProcess {
+    /// the relations `query` names as the run's input.
+    pub fn new(p: usize, query: &ConjunctiveQuery, database: &Database) -> InProcess {
         let mut cluster = Cluster::new(p, database.bits_per_value());
-        cluster.set_input_bits(database.total_size_bits());
+        cluster.set_input_bits(input_bits(query, database));
         InProcess { cluster }
     }
+}
+
+/// The run's input `|I|`: the bits of the relations `query` names (each
+/// once: a query has no self-join), however many others `database` holds.
+fn input_bits(query: &ConjunctiveQuery, database: &Database) -> u64 {
+    let names = query.atoms().iter().map(|atom| atom.relation());
+    names.map(|name| database.relation_size_bits(name)).sum()
 }
 
 impl Transport for InProcess {
@@ -216,11 +223,13 @@ pub struct Workers<'a> {
 
 impl<'a> Workers<'a> {
     /// `p` logical servers folded onto `pool`'s workers, charging
-    /// `database`'s bits per value, with its total size as the run's input.
+    /// `database`'s bits per value, with the relations `query` names as the
+    /// run's input.
     pub fn new(
         pool: &'a WorkerPool,
         registry: Option<&'a Arc<MetricsRegistry>>,
         p: usize,
+        query: &ConjunctiveQuery,
         database: &Database,
     ) -> Workers<'a> {
         Workers {
@@ -229,7 +238,7 @@ impl<'a> Workers<'a> {
             p,
             bits_per_value: database.bits_per_value(),
             metrics: RunMetrics {
-                input_bits: database.total_size_bits(),
+                input_bits: input_bits(query, database),
                 ..RunMetrics::default()
             },
         }
@@ -283,5 +292,33 @@ fn program(query: &ConjunctiveQuery) -> RoundProgram {
                 variables: atom.distinct_variables(),
             })
             .collect(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pq_mpc::net::ClusterConfig;
+    use pq_relation::DataGenerator;
+
+    #[test]
+    fn the_input_is_the_querys_relations_alone() {
+        let query = ConjunctiveQuery::simple_join();
+        let mut generator = DataGenerator::new(3, 1 << 12);
+        let mut database = generator.matching_database(&[
+            (Schema::from_strs("S1", &["a", "b"]), 40),
+            (Schema::from_strs("S2", &["a", "b"]), 30),
+        ]);
+        let expected = database.total_size_bits();
+        let pool = WorkerPool::new(ClusterConfig::new(vec!["127.0.0.1:1".to_string()]));
+        let charged = |database: &Database| {
+            let simulated = InProcess::new(4, &query, database).metrics().input_bits;
+            let wired = Workers::new(&pool, None, 4, &query, database).metrics().input_bits;
+            assert_eq!(simulated, wired);
+            simulated
+        };
+        assert_eq!(charged(&database), expected);
+        database.insert(generator.matching_relation(Schema::from_strs("U", &["a", "b"]), 500));
+        assert_eq!(charged(&database), expected, "an unrelated relation is no input");
     }
 }

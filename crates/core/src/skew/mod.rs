@@ -21,3 +21,46 @@ pub mod heavy;
 pub mod oblivious;
 pub mod star;
 pub mod triangle;
+
+use crate::hypercube::HyperCubeRouter;
+use pq_mpc::Message;
+use pq_relation::Relation;
+
+/// The heavy-hitter statistics §4.2 assumes every server knows: one raw
+/// message of `bits` to each of the `p` servers, none when `bits` is 0.
+fn broadcast_statistics(p: usize, bits: u64) -> Vec<Message> {
+    let servers = if bits == 0 { 0..0 } else { 0..p };
+    servers
+        .map(|s| Message::raw(s, "heavy-hitter-statistics", bits))
+        .collect()
+}
+
+/// The server blocks of one round, handed out in turn: each block starts
+/// where the previous one ended, wrapping modulo `p`. Every heavy hitter's
+/// residual HyperCube gets the next one.
+struct Blocks {
+    p: usize,
+    next: usize,
+}
+
+impl Blocks {
+    fn new(p: usize) -> Blocks {
+        Blocks { p, next: 0 }
+    }
+
+    /// Route `bound` with `router`, a grid over servers `0..size`, onto
+    /// the next block of `size` servers.
+    fn route(
+        &mut self,
+        router: &HyperCubeRouter,
+        bound: &[Relation],
+        size: usize,
+    ) -> impl Iterator<Item = Message> {
+        let (p, offset) = (self.p, self.next);
+        self.next = (offset + size) % p;
+        router.route_bound(bound).into_iter().map(move |mut message| {
+            message.to = (offset + message.to) % p;
+            message
+        })
+    }
+}

@@ -24,6 +24,7 @@
 use crate::hypercube::{run_one_round, HyperCubeRouter};
 use crate::shares;
 use crate::skew::heavy::{heavy_hitters_of_variable, VariableHeavyHitters};
+use crate::skew::{broadcast_statistics, Blocks};
 use pq_mpc::{Message, RunMetrics};
 use pq_query::{instantiate, residual::residual_query, ConjunctiveQuery};
 use pq_relation::{Database, DatabaseStatistics, Relation, Value};
@@ -99,7 +100,6 @@ pub fn route_star_skew_aware(
     let z = star_center(query);
     let bound = instantiate(query, database);
     let hitters = heavy_hitters_of_variable(query, database, statistics, &z, p as f64);
-    let mut messages: Vec<Message> = Vec::new();
 
     // Broadcast the heavy-hitter statistics (O(p) values) to every server.
     let stats_bits = hitters
@@ -107,11 +107,7 @@ pub fn route_star_skew_aware(
         .values()
         .map(|m| m.len() as u64 * 2 * database.bits_per_value())
         .sum::<u64>();
-    if stats_bits > 0 {
-        for s in 0..p {
-            messages.push(Message::raw(s, "heavy-hitter-statistics", stats_bits));
-        }
-    }
+    let mut messages = broadcast_statistics(p, stats_bits);
 
     // ---- Light part: hash partition on z over all p servers. ----
     let mut light_shares = BTreeMap::new();
@@ -132,7 +128,7 @@ pub fn route_star_skew_aware(
     let residual = residual_query(query, std::slice::from_ref(&z));
     let heavy_values: Vec<Value> = hitters.values.iter().copied().collect();
     let allocations = heavy_allocations(query, &hitters, &heavy_values, database, p);
-    let mut next_offset = 0usize;
+    let mut blocks = Blocks::new(p);
     for (idx, &h) in heavy_values.iter().enumerate() {
         let p_h = allocations[idx].min(p).max(1);
         // Residual relation sizes M_j(h) in bits.
@@ -160,12 +156,7 @@ pub fn route_star_skew_aware(
             .zip(z_positions.iter())
             .map(|(r, &pos)| r.filter(|t| t[pos] == h))
             .collect();
-        let offset = next_offset;
-        next_offset = (next_offset + p_h) % p;
-        for mut msg in router.route_bound(&selected) {
-            msg.to = (offset + msg.to) % p;
-            messages.push(msg);
-        }
+        messages.extend(blocks.route(&router, &selected, p_h));
     }
 
     (messages, heavy_values)

@@ -22,7 +22,11 @@
 //! All three parts are routed within a single communication round; local
 //! joins at each server produce the triangles, which are deduplicated.
 //!
-//! Statistics are given, as §4.2 assumes: [`route_triangle_skew_aware`]
+//! The algorithm is defined on the *roles* of the variables, not on a
+//! stored layout: any triangle-shaped query is routed as it is written,
+//! its atoms read where they are stored, whatever their names and column
+//! order ([`triangle_roles`] says which variable plays `x_1`, `x_2`,
+//! `x_3`). Statistics are given, as §4.2 assumes: [`route_triangle_skew_aware`]
 //! reads both heavy-hitter levels from a [`DatabaseStatistics`] catalogue
 //! and scans no data for them; [`run_triangle_skew_aware`], which has only
 //! the database, analyses it once.
@@ -31,8 +35,9 @@ use crate::hypercube::{run_one_round, HyperCubeRouter};
 use crate::shares;
 use crate::skew::heavy::{all_heavy_hitters, VariableHeavyHitters};
 use crate::skew::star::SkewAwareRun;
+use crate::skew::{broadcast_statistics, Blocks};
 use pq_mpc::{broadcast_relation, Message};
-use pq_query::{instantiate, ConjunctiveQuery};
+use pq_query::{instantiate, residual_query, Atom, ConjunctiveQuery};
 use pq_relation::{Database, DatabaseStatistics, Relation, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -41,9 +46,11 @@ use std::collections::{BTreeMap, BTreeSet};
 /// [`ConjunctiveQuery::triangle`]; it is analysed once for the degree
 /// statistics the algorithm assumes known.
 pub fn run_triangle_skew_aware(database: &Database, p: usize, seed: u64) -> SkewAwareRun {
+    let query = ConjunctiveQuery::triangle();
     let statistics = DatabaseStatistics::compute(database);
-    let (messages, heavy_hitters) = route_triangle_skew_aware(database, &statistics, p, seed);
-    let (output, metrics) = run_one_round(&ConjunctiveQuery::triangle(), database, p, messages);
+    let (messages, heavy_hitters) =
+        route_triangle_skew_aware(&query, database, &statistics, p, seed);
+    let (output, metrics) = run_one_round(&query, database, p, messages);
     SkewAwareRun {
         output,
         metrics,
@@ -51,25 +58,56 @@ pub fn run_triangle_skew_aware(database: &Database, p: usize, seed: u64) -> Skew
     }
 }
 
+/// The variables of a triangle query in the roles of `x1, x2, x3`: the
+/// first atom's two variables in written order, then the third. `None`
+/// when the query is not a triangle (three binary atoms over three
+/// variables, every variable in exactly two atoms).
+pub fn triangle_roles(query: &ConjunctiveQuery) -> Option<[String; 3]> {
+    let vars = query.variables();
+    let binary = |atom: &Atom| atom.arity() == 2 && atom.distinct_variables().len() == 2;
+    if query.num_atoms() != 3
+        || vars.len() != 3
+        || !query.atoms().iter().all(binary)
+        || vars.iter().any(|v| query.atoms_of(v).len() != 2)
+    {
+        return None;
+    }
+    let [v1, v2] = [0, 1].map(|i| query.atoms()[0].variables()[i].clone());
+    let v3 = vars.into_iter().find(|v| *v != v1 && *v != v2)?;
+    Some([v1, v2, v3])
+}
+
 /// Where the skew-aware triangle algorithm sends each tuple of the
-/// canonical `S1`, `S2`, `S3`: the single round's messages (statistics
-/// broadcast plus the three parts above) and every `m/p^{1/3}`-heavy value,
-/// read from the catalogue `statistics` of `database`.
+/// triangle `query`'s relations: the single round's messages (statistics
+/// broadcast plus the three parts above) and every `m/p^{1/3}`-heavy
+/// value, read from the catalogue `statistics` of `database`. The
+/// fragments are the query's own bound atoms, as stored.
+///
+/// # Panics
+/// Panics when `query` is not a triangle (see [`triangle_roles`]).
 pub fn route_triangle_skew_aware(
+    query: &ConjunctiveQuery,
     database: &Database,
     statistics: &DatabaseStatistics,
     p: usize,
     seed: u64,
 ) -> (Vec<Message>, Vec<Value>) {
-    let query = ConjunctiveQuery::triangle();
+    let roles = triangle_roles(query)
+        .unwrap_or_else(|| panic!("query `{}` is not a triangle", query.name()));
+    let role = |i: usize| roles[i % 3].as_str();
+    // The query's atoms in role order, atom `i` binding roles `i` and
+    // `i + 1`: the routers see the variables in role order, and the atoms
+    // bind the relations where they are stored.
+    let edge = |i: usize| {
+        let atom = query.atoms().iter().find(|a| a.contains(role(i)) && a.contains(role(i + 1)));
+        atom.expect("a triangle binds every edge").clone()
+    };
+    let query = ConjunctiveQuery::new(query.name(), (0..3).map(edge).collect());
     let bound = instantiate(&query, database);
-    let variables = query.variables(); // x1, x2, x3
 
     // Heavy-hitter sets at the two thresholds of §4.2.2.
     let heavy_p = all_heavy_hitters(&query, database, statistics, p as f64);
     let heavy_cube = all_heavy_hitters(&query, database, statistics, (p as f64).powf(1.0 / 3.0));
-
-    let mut messages: Vec<Message> = Vec::new();
 
     // Broadcast the heavy-hitter statistics.
     let stats_values: u64 = heavy_p
@@ -77,12 +115,7 @@ pub fn route_triangle_skew_aware(
         .chain(heavy_cube.values())
         .map(|hitters| hitters.values.len() as u64)
         .sum();
-    if stats_values > 0 {
-        let bits = stats_values * 2 * database.bits_per_value();
-        for s in 0..p {
-            messages.push(Message::raw(s, "heavy-hitter-statistics", bits));
-        }
-    }
+    let mut messages = broadcast_statistics(p, stats_values * 2 * database.bits_per_value());
 
     let var_positions = |rel: &Relation| -> Vec<(String, usize)> {
         rel.schema()
@@ -100,10 +133,7 @@ pub fn route_triangle_skew_aware(
         // Integer cube root of p (the largest c with c^3 <= p), computed
         // exactly to avoid the floating-point pitfall 64^(1/3) = 3.999…
         let cube = (1..=p).take_while(|c| c * c * c <= p).last().unwrap_or(1);
-        let mut shares_a = BTreeMap::new();
-        for v in &variables {
-            shares_a.insert(v.clone(), cube);
-        }
+        let shares_a = roles.iter().map(|v| (v.clone(), cube)).collect();
         let router = HyperCubeRouter::new(&query, &shares_a, seed, 0, 0);
         let light: Vec<Relation> = bound
             .iter()
@@ -120,17 +150,11 @@ pub fn route_triangle_skew_aware(
     }
 
     // ---- Part B (Case 1): pairs of m/p-heavy values. ----
-    // Pair (x1, x2) shares S1, remaining variable x3; and cyclic shifts.
-    let pair_specs = [
-        ("x1", "x2", 0usize, 1usize, 2usize, "x3"),
-        ("x2", "x3", 1, 2, 0, "x1"),
-        ("x3", "x1", 2, 0, 1, "x2"),
-    ];
-    for (spec_idx, &(va, vb, shared_idx, rel_b_idx, rel_a_idx, join_var)) in
-        pair_specs.iter().enumerate()
-    {
+    // Pair (x_i, x_{i+1}) shares atom i; the remaining variable is x_{i+2}.
+    for i in 0..3 {
+        let (va, vb) = (role(i), role(i + 1));
         // Tuples of the shared relation with both endpoints m/p-heavy.
-        let shared = &bound[shared_idx];
+        let shared = &bound[i];
         let positions = var_positions(shared);
         let heavy_heavy = shared.filter(|t| {
             positions.iter().all(|(var, pos)| {
@@ -145,11 +169,9 @@ pub fn route_triangle_skew_aware(
 
         // The other two relations, restricted to the heavy value of the pair
         // variable they contain, hashed on the third variable.
-        let mut join_shares = BTreeMap::new();
-        join_shares.insert(join_var.to_string(), p);
-        let router = HyperCubeRouter::new(&query, &join_shares, seed, 40 + spec_idx * 7, 0);
-        for &(rel_idx, pair_var) in &[(rel_b_idx, vb), (rel_a_idx, va)] {
-            let rel = &bound[rel_idx];
+        let join_shares = BTreeMap::from([(role(i + 2).to_string(), p)]);
+        let router = HyperCubeRouter::new(&query, &join_shares, seed, 40 + i * 7, 0);
+        for (rel, pair_var) in [(&bound[(i + 1) % 3], vb), (&bound[(i + 2) % 3], va)] {
             let pos = rel
                 .schema()
                 .position(pair_var)
@@ -163,100 +185,100 @@ pub fn route_triangle_skew_aware(
 
     // ---- Part C (Case 2): one p^{1/3}-heavy value, other endpoints light
     // at the m/p level. ----
-    // For variable x1: residual S1'(x2), S2(x2,x3), S3'(x3); cyclic shifts.
-    let case2_specs = [
-        ("x1", 0usize, 2usize, 1usize, "x2", "x3"),
-        ("x2", 1, 0, 2, "x3", "x1"),
-        ("x3", 2, 1, 0, "x1", "x2"),
-    ];
-    let mut next_offset = 0usize;
-    for (spec_idx, &(hv, rel_r_idx, rel_t_idx, rel_s_idx, var_y, var_z)) in
-        case2_specs.iter().enumerate()
-    {
+    // For x_i: residual R'(x_{i+1}), S(x_{i+1}, x_{i+2}), T'(x_{i+2}) with
+    // R = atom i, S = atom i+1, T = atom i+2.
+    let mut blocks = Blocks::new(p);
+    for i in 0..3 {
+        let hv = role(i);
         let hitters: Vec<Value> = heavy_cube[hv].values.iter().copied().collect();
         if hitters.is_empty() {
             continue;
         }
+        let (r, s, t) = (i, (i + 1) % 3, (i + 2) % 3);
         // Per-hitter products M_R(h)·M_T(h) for the allocation.
-        let freq_of =
-            |rel_idx: usize, h: Value| heavy_cube[hv].frequency(bound[rel_idx].name(), h) as f64;
+        let freq_of = |atom: usize, h: Value| heavy_cube[hv].frequency(bound[atom].name(), h) as f64;
         let products: Vec<f64> = hitters
             .iter()
-            .map(|&h| (freq_of(rel_r_idx, h) * freq_of(rel_t_idx, h)).max(1.0))
+            .map(|&h| (freq_of(r, h) * freq_of(t, h)).max(1.0))
             .collect();
         let total_product: f64 = products.iter().sum();
+        // S with both endpoints light at the m/p level.
+        let s_rel = {
+            let positions = var_positions(&bound[s]);
+            bound[s].filter(|t| {
+                positions
+                    .iter()
+                    .all(|(var, pos)| !is_heavy(&heavy_p, var, t[*pos]))
+            })
+        };
 
         for (hi, &h) in hitters.iter().enumerate() {
             let p_h = ((p as f64 / hitters.len() as f64).ceil() as usize
                 + (p as f64 * products[hi] / total_product).ceil() as usize)
                 .clamp(1, p);
-            // Restrict: R' and T' to the hitter and a light other endpoint;
-            // S to both endpoints light at the m/p level.
-            let restrict_light = |rel_idx: usize, exclude_var: &str| -> Relation {
-                let rel = &bound[rel_idx];
+            // R' and T': the hitter, with a light other endpoint.
+            let restrict = |rel: &Relation| -> Relation {
                 let positions = var_positions(rel);
                 rel.filter(|t| {
                     positions.iter().all(|(var, pos)| {
                         if var == hv {
                             t[*pos] == h
-                        } else if var == exclude_var || var == var_y || var == var_z {
-                            !is_heavy(&heavy_p, var, t[*pos])
                         } else {
-                            true
+                            !is_heavy(&heavy_p, var, t[*pos])
                         }
                     })
                 })
             };
-            let r_prime = restrict_light(rel_r_idx, var_y);
-            let t_prime = restrict_light(rel_t_idx, var_z);
+            let r_prime = restrict(&bound[r]);
+            let t_prime = restrict(&bound[t]);
             if r_prime.is_empty() || t_prime.is_empty() {
                 continue;
             }
-            let s_rel = {
-                let rel = &bound[rel_s_idx];
-                let positions = var_positions(rel);
-                rel.filter(|t| {
-                    positions
-                        .iter()
-                        .all(|(var, pos)| !is_heavy(&heavy_p, var, t[*pos]))
-                })
-            };
-
-            // Residual query over (var_y, var_z): share LP over its sizes.
             let bits = database.bits_per_value();
-            let residual_sizes: BTreeMap<String, u64> = [
-                (r_prime.name().to_string(), r_prime.size_bits(bits).max(1)),
-                (s_rel.name().to_string(), s_rel.size_bits(bits).max(1)),
-                (t_prime.name().to_string(), t_prime.size_bits(bits).max(1)),
-            ]
-            .into_iter()
-            .collect();
-            let residual = pq_query::residual_query(&query, std::slice::from_ref(&hv.to_string()));
-            let mut block_shares = if p_h >= 2 {
-                shares::shares_for_query(&residual, &residual_sizes, p_h)
-            } else {
-                BTreeMap::new()
-            };
-            block_shares.insert(hv.to_string(), 1);
-            let router = HyperCubeRouter::new(
-                &query,
-                &block_shares,
-                seed,
-                200 + spec_idx * 61 + hi * 3,
-                0,
-            );
-            let offset = next_offset;
-            next_offset = (next_offset + p_h) % p;
-            for mut msg in router.route_bound(&[r_prime, s_rel, t_prime]) {
-                msg.to = (offset + msg.to) % p;
-                messages.push(msg);
+            let mut sizes = [0u64; 3];
+            for (atom, rel) in [(r, &r_prime), (s, &s_rel), (t, &t_prime)] {
+                sizes[atom] = rel.size_bits(bits).max(1);
             }
+            let block_shares = residual_shares(&roles, i, sizes, p_h);
+            let router =
+                HyperCubeRouter::new(&query, &block_shares, seed, 200 + i * 61 + hi * 3, 0);
+            let residual = [r_prime, s_rel.clone(), t_prime];
+            messages.extend(blocks.route(&router, &residual, p_h));
         }
     }
 
     let all_heavy: BTreeSet<Value> =
         heavy_cube.values().flat_map(|hitters| hitters.values.iter().copied()).collect();
     (messages, all_heavy.into_iter().collect())
+}
+
+/// The shares of Case 2's residual block for a heavy value of role
+/// `heavy`: the share LP over the residual of `C_3` itself, with `sizes`
+/// (in bits) per role atom, and share 1 on the heavy variable, keyed by
+/// the query's variables in their roles. Solving over `C_3`'s own names
+/// makes the integer rounding break ties in role order, so a renaming of
+/// the query's variables never moves a tuple.
+fn residual_shares(
+    roles: &[String; 3],
+    heavy: usize,
+    sizes: [u64; 3],
+    p_h: usize,
+) -> BTreeMap<String, usize> {
+    let canonical = ConjunctiveQuery::triangle();
+    let x = canonical.variables();
+    let mut block_shares = if p_h >= 2 {
+        let residual = residual_query(&canonical, std::slice::from_ref(&x[heavy]));
+        let sizes = canonical.relation_names().into_iter().zip(sizes).collect();
+        shares::shares_for_query(&residual, &sizes, p_h)
+    } else {
+        BTreeMap::new()
+    };
+    block_shares.insert(x[heavy].clone(), 1);
+    let role_of = |v: &str| x.iter().position(|xi| xi == v).expect("a variable of C_3");
+    block_shares
+        .into_iter()
+        .map(|(v, share)| (roles[role_of(&v)].clone(), share))
+        .collect()
 }
 
 #[cfg(test)]

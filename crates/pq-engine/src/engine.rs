@@ -29,7 +29,7 @@ use crate::cache::{CacheStats, PlanCache, PlanKey};
 use crate::delta::{Delta, DeltaError};
 use crate::executor::RunOutcome;
 use crate::obs::EngineObs;
-use pq_mpc::net::{ClusterConfig, ClusterError};
+use pq_mpc::net::ClusterError;
 use crate::parser::{ParseError, ParsedQuery};
 use crate::planner::{plan_query_on, Plan, PlanError, Strategy};
 use crate::session::Session;
@@ -251,35 +251,6 @@ impl Engine {
             .expect("configure the engine before sharing it")
             .default_seed = seed;
         Engine { shared }
-    }
-
-    /// Select the plan-cache capacity. Builder-style: call before the
-    /// handle is cloned.
-    ///
-    /// # Panics
-    /// Panics when the engine handle has already been cloned or has live
-    /// sessions.
-    pub fn with_cache_capacity(self, capacity: usize) -> Self {
-        let mut shared = self.shared;
-        *lock_unpoisoned(
-            &Arc::get_mut(&mut shared)
-                .expect("configure the engine before sharing it")
-                .cache,
-        ) = PlanCache::new(capacity);
-        Engine { shared }
-    }
-
-    /// Hand new sessions the distributed backend: plans execute on the
-    /// configured `pqd --worker` processes instead of the in-process
-    /// simulator (sessions can still switch per-session with
-    /// [`Session::set_backend`]). Builder-style: call before the handle is
-    /// cloned.
-    ///
-    /// # Panics
-    /// Panics when the engine handle has already been cloned or has live
-    /// sessions.
-    pub fn with_cluster(self, config: ClusterConfig) -> Self {
-        self.with_backend(ExecBackend::cluster(config))
     }
 
     /// Select the default [`ExecBackend`] handed to new sessions.
@@ -762,22 +733,9 @@ pub(crate) fn adapt_cached_plan(mut plan: Plan, parsed: ParsedQuery) -> Plan {
         let rename = |v: &String| -> String {
             map.get(v).map_or_else(|| v.clone(), |s| (*s).clone())
         };
-        plan.strategy = match plan.strategy {
-            Strategy::HyperCube { shares } => Strategy::HyperCube {
-                shares: shares.iter().map(|(k, &s)| (rename(k), s)).collect(),
-            },
-            Strategy::SkewAwareStar { center } => Strategy::SkewAwareStar {
-                center: rename(&center),
-            },
-            Strategy::SkewAwareTriangle { canonical_vars } => Strategy::SkewAwareTriangle {
-                canonical_vars: [
-                    rename(&canonical_vars[0]),
-                    rename(&canonical_vars[1]),
-                    rename(&canonical_vars[2]),
-                ],
-            },
-            multi_round @ Strategy::MultiRound { .. } => multi_round,
-        };
+        if let Strategy::HyperCube { shares } = &mut plan.strategy {
+            *shares = shares.iter().map(|(k, &s)| (rename(k), s)).collect();
+        }
         plan.shares = plan.shares.iter().map(|(k, &s)| (rename(k), s)).collect();
         plan.exponents.exponents = plan
             .exponents
@@ -846,9 +804,9 @@ mod tests {
 
     #[test]
     fn renamed_cache_hit_still_executes_specialised_strategies() {
-        // A skewed triangle: the cached plan is a SkewAwareTriangle whose
-        // canonical variables must be rekeyed when an alpha-renamed query
-        // hits the cache.
+        // A skewed triangle: the cached plan is a SkewAwareTriangle, and an
+        // alpha-renamed query that hits the cache must explain and run it
+        // on its own variables.
         let mut db = Database::new(1 << 20);
         for name in ["R", "S", "T"] {
             let mut rows: Vec<Vec<u64>> = (0..100).map(|i| vec![i, i]).collect();
@@ -866,19 +824,12 @@ mod tests {
         }
         let session = Engine::new(db, 16).session();
         let first = session.run("Q(a, b, c) :- R(a, b), S(b, c), T(c, a)").unwrap();
-        assert!(
-            matches!(first.plan.strategy, crate::planner::Strategy::SkewAwareTriangle { .. }),
-            "got {}",
-            first.plan.strategy.name()
-        );
+        assert_eq!(first.plan.strategy, Strategy::SkewAwareTriangle);
         let renamed = session.run("P(u, v, w) :- R(u, v), S(v, w), T(w, u)").unwrap();
         assert!(renamed.cache_hit);
-        let crate::planner::Strategy::SkewAwareTriangle { canonical_vars } =
-            &renamed.plan.strategy
-        else {
-            panic!("strategy changed across the cache");
-        };
-        assert_eq!(canonical_vars, &["u".to_string(), "v".to_string(), "w".to_string()]);
+        assert_eq!(renamed.plan.strategy, Strategy::SkewAwareTriangle);
+        let explain = renamed.plan.explain();
+        assert!(explain.contains("(u → x1, v → x2, w → x3)"), "{explain}");
         assert_eq!(
             renamed.outcome.output.canonicalized().to_tuples(),
             first.outcome.output.canonicalized().to_tuples()

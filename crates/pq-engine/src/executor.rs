@@ -11,8 +11,12 @@
 //! model account ([`RunMetrics`]) bit-identical to the simulator's. Between
 //! the rounds of a multi-round plan the coordinator holds the views, so
 //! every round on the wire is a self-contained pool run, retried on its
-//! own. Answers are returned with columns in the user's head order,
-//! whatever variable order the underlying algorithm produced.
+//! own. Every strategy routes the user's own atoms over the snapshot's
+//! relations as stored — the skew-aware ones read the roles of the
+//! query's variables from the query itself — so no run copies the data,
+//! and every server joins the user's query. The model account charges the
+//! relations the query names as the run's input. Answers are returned
+//! with columns in the user's head order.
 //!
 //! Statistics are given, as §4.2 assumes: the skew-aware routers read
 //! their heavy hitters from the snapshot's catalogue
@@ -30,9 +34,8 @@ use pq_core::skew::triangle::route_triangle_skew_aware;
 use pq_mpc::net::ClusterError;
 use pq_mpc::RunMetrics;
 use pq_obs::MetricsRegistry;
-use pq_query::{bind_atom, instantiate, ConjunctiveQuery};
-use pq_relation::{Database, DatabaseStatistics, Relation};
-use std::collections::{BTreeMap, HashMap};
+use pq_query::instantiate;
+use pq_relation::{Database, Relation};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -60,7 +63,7 @@ pub struct RunOutcome {
 /// or re-shaped since planning); the engine re-plans on any statistics
 /// change, so this indicates misuse of the raw executor API.
 pub fn run_plan(plan: &Plan, snapshot: &Snapshot, seed: u64) -> RunOutcome {
-    in_process(run_plan_with(plan, snapshot, seed, |data| InProcess::new(plan.p, data)))
+    in_process(run_plan_with(plan, snapshot, seed, |data| InProcess::new(plan.p, &plan.parsed.query, data)))
 }
 
 /// Execute `plan` on the chosen backend: [`run_plan`] on the simulator, or
@@ -89,7 +92,7 @@ pub fn run_plan_on(
     let ExecBackend::Cluster { pool, fallback } = backend else {
         return Ok(run_plan(plan, snapshot, seed));
     };
-    let workers = |data: &Database| Workers::new(pool, registry, plan.p, data);
+    let workers = |data: &Database| Workers::new(pool, registry, plan.p, &plan.parsed.query, data);
     match (run_plan_with(plan, snapshot, seed, workers), fallback) {
         (Err(_), FallbackPolicy::Simulator) => {
             // Graceful degradation: the cluster stayed unhealthy past its
@@ -114,11 +117,10 @@ pub fn run_plan_on(
     }
 }
 
-/// Run `plan` on the transport `transport` opens over the database the
-/// rounds read: what [`run_plan`] and [`run_plan_on`] do with their own
+/// Run `plan` on the transport `transport` opens over the snapshot's
+/// database: what [`run_plan`] and [`run_plan_on`] do with their own
 /// transports, open to any other [`Transport`]. The one `match` on the
-/// strategy builds the rounds: the query every server joins locally, the
-/// database it reads and where each tuple goes. On the wire every round is
+/// strategy builds the rounds: where each tuple goes. On the wire every round is
 /// asked for its shipment again per retry attempt, over the immutable
 /// snapshot (and the views the coordinator holds) for that attempt's live
 /// worker count — which is what makes the pool's automatic retry of a
@@ -145,24 +147,13 @@ pub fn run_plan_with<T: Transport>(
             let routing = Routing::grid(router, instantiate(query, database));
             run_single(transport(database), query, routing)?
         }
-        Strategy::SkewAwareStar { .. } => {
+        Strategy::SkewAwareStar => {
             let messages = route_star_skew_aware(query, database, statistics, p, seed).0;
             run_single(transport(database), query, Routing::Messages(messages))?
         }
-        Strategy::SkewAwareTriangle { canonical_vars } => {
-            // The canonical `C_3` runs over a re-laid-out database; its
-            // x1..x3 columns map back to the user's variables.
-            let (canonical, statistics) =
-                canonical_triangle(query, canonical_vars, database, statistics);
-            let messages = route_triangle_skew_aware(&canonical, &statistics, p, seed).0;
-            let triangle = ConjunctiveQuery::triangle();
-            let (raw, metrics) =
-                run_single(transport(&canonical), &triangle, Routing::Messages(messages))?;
-            let user_vars: HashMap<String, String> = (1..)
-                .map(|i| format!("x{i}"))
-                .zip(canonical_vars.iter().cloned())
-                .collect();
-            (raw.with_attributes_renamed(&user_vars), metrics)
+        Strategy::SkewAwareTriangle => {
+            let messages = route_triangle_skew_aware(query, database, statistics, p, seed).0;
+            run_single(transport(database), query, Routing::Messages(messages))?
         }
         Strategy::MultiRound { plan: node, .. } => {
             let run = execute_plan_on(node, query, database, seed, &mut transport(database))?;
@@ -182,53 +173,12 @@ pub fn run_plan_with<T: Transport>(
     })
 }
 
-/// Rebuild the database in the canonical triangle layout expected by
-/// [`route_triangle_skew_aware`]: relations `S1(x1,x2), S2(x2,x3), S3(x3,x1)`
-/// with columns in canonical variable order, whatever order the user's
-/// atoms bind them in — together with its statistics catalogue, which maps
-/// every canonical column back to the stored attribute's degree statistics
-/// instead of analysing the copy.
-fn canonical_triangle(
-    query: &ConjunctiveQuery,
-    canonical_vars: &[String; 3],
-    database: &Database,
-    statistics: &DatabaseStatistics,
-) -> (Database, DatabaseStatistics) {
-    let [v1, v2, v3] = canonical_vars;
-    let edges = [(v1, v2), (v2, v3), (v3, v1)];
-    let mut out = Database::new(database.domain_size());
-    let mut analysed = BTreeMap::new();
-    for (i, (a, b)) in edges.iter().enumerate() {
-        let atom = query
-            .atoms()
-            .iter()
-            .find(|at| at.contains(a) && at.contains(b))
-            .expect("planner verified the triangle shape");
-        let stored = database.expect_relation(atom.relation());
-        let name = format!("S{}", i + 1);
-        out.insert(bind_atom(atom, stored).project(&[(*a).clone(), (*b).clone()], &name));
-        let columns = stored.schema().attributes().iter().zip(atom.variables());
-        let view = statistics
-            .relation(atom.relation())
-            .expect("the plan was made against this snapshot")
-            .renamed(&name, columns);
-        analysed.insert(name, Arc::new(view));
-    }
-    let statistics = DatabaseStatistics::from_relations(database.domain_size(), analysed);
-    debug_assert_eq!(
-        statistics,
-        DatabaseStatistics::compute(&out),
-        "the mapped catalogue must equal an analysis of the canonical copy"
-    );
-    (out, statistics)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_query;
     use crate::planner::plan_query;
-    use pq_query::evaluate_sequential;
+    use pq_query::{evaluate_sequential, ConjunctiveQuery};
     use pq_relation::{DataGenerator, Schema, Tuple};
 
     fn matching_db(query: &ConjunctiveQuery, m: usize, seed: u64) -> Database {
@@ -274,7 +224,7 @@ mod tests {
         }
         let plan = plan_query(&parsed, &db, 16).unwrap();
         assert!(
-            matches!(plan.strategy, Strategy::SkewAwareTriangle { .. }),
+            plan.strategy == Strategy::SkewAwareTriangle,
             "got {}",
             plan.strategy.name()
         );
@@ -292,7 +242,7 @@ mod tests {
             db.relation_mut("S").unwrap().push(Tuple::from([5, 800_000 + i]));
         }
         let plan = plan_query(&parsed, &db, 16).unwrap();
-        assert!(matches!(plan.strategy, Strategy::SkewAwareStar { .. }));
+        assert_eq!(plan.strategy, Strategy::SkewAwareStar);
         let run = run_plan(&plan, &Snapshot::new(db.clone()), 17);
         assert_eq!(run.output.canonicalized(), oracle(&plan, &db));
     }

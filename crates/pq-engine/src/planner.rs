@@ -32,6 +32,8 @@ use crate::snapshot::Snapshot;
 use pq_core::multiround::plan::PlanNode;
 use pq_core::shares::{self, ShareExponents, ShareRounding};
 use pq_core::skew::heavy::heavy_hitters_of_variable;
+use pq_core::skew::star::star_center;
+use pq_core::skew::triangle::triangle_roles;
 use pq_lp::{ConstraintOp, LinearProgram, Objective};
 use pq_query::{agm_bound, ConjunctiveQuery, Hypergraph};
 use pq_relation::{Database, DatabaseStatistics};
@@ -54,19 +56,13 @@ pub enum Strategy {
         shares: BTreeMap<String, usize>,
     },
     /// The skew-aware one-round star algorithm (Section 4.2.1): hash the
-    /// light tuples on the centre, give every heavy hitter its own server
-    /// block for the residual join.
-    SkewAwareStar {
-        /// The centre variable (occurs in every atom).
-        center: String,
-    },
-    /// The skew-aware one-round triangle algorithm (Section 4.2.2), applied
-    /// through the variable renaming that maps the query onto the canonical
-    /// `C_3`.
-    SkewAwareTriangle {
-        /// The user's variables in the roles of `x1, x2, x3`.
-        canonical_vars: [String; 3],
-    },
+    /// light tuples on the centre ([`pq_core::skew::star::star_center`]),
+    /// give every heavy hitter its own server block for the residual join.
+    SkewAwareStar,
+    /// The skew-aware one-round triangle algorithm (Section 4.2.2), on the
+    /// query's variables in their roles
+    /// ([`pq_core::skew::triangle::triangle_roles`]).
+    SkewAwareTriangle,
     /// A multi-round bushy plan (Section 5): every operator is a one-round
     /// HyperCube join on its own server block.
     MultiRound {
@@ -82,8 +78,8 @@ impl Strategy {
     pub fn name(&self) -> &'static str {
         match self {
             Strategy::HyperCube { .. } => "one-round HyperCube",
-            Strategy::SkewAwareStar { .. } => "skew-aware star",
-            Strategy::SkewAwareTriangle { .. } => "skew-aware triangle",
+            Strategy::SkewAwareStar => "skew-aware star",
+            Strategy::SkewAwareTriangle => "skew-aware triangle",
             Strategy::MultiRound { .. } => "multi-round bushy plan",
         }
     }
@@ -197,18 +193,16 @@ impl Plan {
                 .collect();
             push(&mut out, "heavy hitters", hh.join(" · "));
         }
+        let query = &self.parsed.query;
         let strategy = match &self.strategy {
             Strategy::HyperCube { .. } => self.strategy.name().to_string(),
-            Strategy::SkewAwareStar { center } => {
-                format!("{} (centre `{center}`)", self.strategy.name())
+            Strategy::SkewAwareStar => {
+                format!("{} (centre `{}`)", self.strategy.name(), star_center(query))
             }
-            Strategy::SkewAwareTriangle { canonical_vars } => format!(
-                "{} ({} → x1, {} → x2, {} → x3)",
-                self.strategy.name(),
-                canonical_vars[0],
-                canonical_vars[1],
-                canonical_vars[2]
-            ),
+            Strategy::SkewAwareTriangle => {
+                let [v1, v2, v3] = triangle_roles(query).expect("planned as a triangle");
+                format!("{} ({v1} → x1, {v2} → x2, {v3} → x3)", self.strategy.name())
+            }
             Strategy::MultiRound { rounds, .. } => {
                 format!("{} ({rounds} rounds)", self.strategy.name())
             }
@@ -379,61 +373,41 @@ fn plan_with_statistics(
     // Skew routes to a specialised one-round algorithm when the shape has
     // one (Section 4.2); otherwise the skew is noted and the skew-free cost
     // model decides.
+    let mut skew_aware = None;
     if !heavy.is_empty() {
-        if let Some(canonical_vars) = detect_triangle(query) {
+        if triangle_roles(query).is_some() {
             notes.push(format!(
                 "skew above m/{p} detected; splitting light/heavy tuples as in §4.2.2"
             ));
-            return Ok(Plan {
-                parsed: parsed.clone(),
-                p,
-                strategy: Strategy::SkewAwareTriangle { canonical_vars },
-                estimated_load_bits: one_round_load.max(max_relation_bits / p as f64),
-                exponents,
-                shares: integer,
-                packing_lambda,
-                estimated_output_tuples,
-                heavy,
-                fingerprint,
-                input_tuples,
-                notes,
-            });
+            let load = one_round_load.max(max_relation_bits / p as f64);
+            skew_aware = Some((Strategy::SkewAwareTriangle, load));
+        } else if let Some(center) = detect_star_center(query)
+            .filter(|center| heavy.iter().any(|h| h.variable == *center))
+        {
+            notes.push(format!(
+                "skew on centre `{center}` above m/{p}; residual joins get dedicated \
+                 server blocks as in §4.2.1"
+            ));
+            skew_aware = Some((Strategy::SkewAwareStar, max_relation_bits / p as f64));
+        } else {
+            notes.push(
+                "heavy hitters present but no specialised one-round algorithm for this \
+                 shape; falling back to the skew-free cost model"
+                    .to_string(),
+            );
         }
-        if let Some(center) = detect_star_center(query) {
-            if heavy.iter().any(|h| h.variable == center) {
-                notes.push(format!(
-                    "skew on centre `{center}` above m/{p}; residual joins get dedicated \
-                     server blocks as in §4.2.1"
-                ));
-                return Ok(Plan {
-                    parsed: parsed.clone(),
-                    p,
-                    strategy: Strategy::SkewAwareStar { center },
-                    estimated_load_bits: max_relation_bits / p as f64,
-                    exponents,
-                    shares: integer,
-                    packing_lambda,
-                    estimated_output_tuples,
-                    heavy,
-                    fingerprint,
-                    input_tuples,
-                    notes,
-                });
-            }
-        }
-        notes.push(
-            "heavy hitters present but no specialised one-round algorithm for this \
-             shape; falling back to the skew-free cost model"
-                .to_string(),
-        );
     }
 
-    // Multi-round candidate for connected queries of at least three atoms.
-    let mut strategy = Strategy::HyperCube {
-        shares: integer.clone(),
-    };
-    let mut estimated_load_bits = one_round_load;
-    if query.num_atoms() >= 3 && Hypergraph::of(query).is_connected() {
+    // Multi-round candidate for skew-free plans of connected queries of at
+    // least three atoms.
+    let (mut strategy, mut estimated_load_bits) = skew_aware.unwrap_or_else(|| {
+        let shares = integer.clone();
+        (Strategy::HyperCube { shares }, one_round_load)
+    });
+    if matches!(strategy, Strategy::HyperCube { .. })
+        && query.num_atoms() >= 3
+        && Hypergraph::of(query).is_connected()
+    {
         let plan_node = bushy_plan(query);
         if let Some(estimate) = estimate_multiround(&plan_node, query, database, statistics, p) {
             notes.push(format!(
@@ -531,34 +505,6 @@ fn packing_dual_lambda(
     lp.solve().map(|s| s.objective.max(0.0)).unwrap_or(0.0)
 }
 
-/// Detect a triangle query (three binary atoms over three variables, every
-/// variable in exactly two atoms); returns the variables in the roles of
-/// the canonical `x1, x2, x3`.
-pub(crate) fn detect_triangle(query: &ConjunctiveQuery) -> Option<[String; 3]> {
-    if query.num_atoms() != 3 {
-        return None;
-    }
-    let vars = query.variables();
-    if vars.len() != 3 {
-        return None;
-    }
-    for atom in query.atoms() {
-        if atom.arity() != 2 || atom.distinct_variables().len() != 2 {
-            return None;
-        }
-    }
-    for v in &vars {
-        if query.atoms_of(v).len() != 2 {
-            return None;
-        }
-    }
-    let first = &query.atoms()[0];
-    let v1 = first.variables()[0].clone();
-    let v2 = first.variables()[1].clone();
-    let v3 = vars.into_iter().find(|v| *v != v1 && *v != v2)?;
-    Some([v1, v2, v3])
-}
-
 /// Detect a star query: at least two binary atoms, all sharing one centre
 /// variable. Returns the centre.
 ///
@@ -579,7 +525,7 @@ pub(crate) fn detect_star_center(query: &ConjunctiveQuery) -> Option<String> {
         .variables()
         .iter()
         .any(|v| query.atoms().iter().all(|a| a.contains(v)))
-        .then(|| pq_core::skew::star::star_center(query))
+        .then(|| star_center(query))
 }
 
 /// Order the atoms greedily by connectivity (never pull in a Cartesian
@@ -853,12 +799,13 @@ mod tests {
             db.relation_mut("T").unwrap().push(Tuple::from([200_000 + i, 0]));
         }
         let plan = plan_query(&parsed, &db, 16).expect("plans");
-        let Strategy::SkewAwareTriangle { canonical_vars } = &plan.strategy else {
-            panic!("expected skew-aware triangle, got {}", plan.strategy.name());
-        };
-        assert_eq!(canonical_vars, &["a".to_string(), "b".to_string(), "c".to_string()]);
+        assert_eq!(plan.strategy, Strategy::SkewAwareTriangle);
         assert!(!plan.heavy.is_empty());
-        assert!(plan.explain().contains("skew-aware triangle"));
+        let explain = plan.explain();
+        assert!(
+            explain.contains("skew-aware triangle (a → x1, b → x2, c → x3)"),
+            "{explain}"
+        );
     }
 
     #[test]
@@ -870,10 +817,9 @@ mod tests {
             db.relation_mut("S").unwrap().push(Tuple::from([7, 400_000 + i]));
         }
         let plan = plan_query(&parsed, &db, 16).expect("plans");
-        let Strategy::SkewAwareStar { center } = &plan.strategy else {
-            panic!("expected skew-aware star, got {}", plan.strategy.name());
-        };
-        assert_eq!(center, "z");
+        assert_eq!(plan.strategy, Strategy::SkewAwareStar);
+        let explain = plan.explain();
+        assert!(explain.contains("skew-aware star (centre `z`)"), "{explain}");
     }
 
     #[test]
@@ -924,15 +870,15 @@ mod tests {
     #[test]
     fn triangle_and_star_detection() {
         let triangle = parse_query("Q(x, y, z) :- A(x, y), B(y, z), C(z, x)").unwrap();
-        assert!(detect_triangle(&triangle.query).is_some());
+        assert!(triangle_roles(&triangle.query).is_some());
         assert!(detect_star_center(&triangle.query).is_none());
 
         let star = parse_query("Q(z, a, b, c) :- R(z, a), S(z, b), T(z, c)").unwrap();
-        assert!(detect_triangle(&star.query).is_none());
+        assert!(triangle_roles(&star.query).is_none());
         assert_eq!(detect_star_center(&star.query), Some("z".to_string()));
 
         let chain = parse_query("Q(a, b, c) :- R(a, b), S(b, c)").unwrap();
-        assert!(detect_triangle(&chain.query).is_none());
+        assert!(triangle_roles(&chain.query).is_none());
         assert_eq!(detect_star_center(&chain.query), Some("b".to_string()));
     }
 

@@ -54,14 +54,6 @@ pub struct ClusterConfig {
     pub deadline: Duration,
     /// How failed runs are retried on a freshly rebuilt topology.
     pub retry: RetryPolicy,
-    /// A pooled connection idle longer than this is pinged before reuse;
-    /// a missed pong means a silent redial rather than a failed round.
-    pub health_check_after: Duration,
-    /// Minimum live workers a *retry* attempt may route around dead
-    /// peers down to. `0` (the default) means a majority of the
-    /// configured workers. The first attempt of every run always requires
-    /// the full topology.
-    pub min_workers: usize,
     /// Consecutive failed runs before the circuit breaker opens.
     pub breaker_threshold: u32,
     /// How long an open breaker fails fast before admitting a half-open
@@ -72,16 +64,14 @@ pub struct ClusterConfig {
 impl ClusterConfig {
     /// A config for the given worker addresses with the default 10 s read
     /// timeout, a 30 s per-query deadline, 2 retries (50 ms base backoff,
-    /// 2 s cap), majority `min_workers`, and a breaker that opens after
-    /// 3 consecutive failed runs for a 5 s cooldown.
+    /// 2 s cap), and a breaker that opens after 3 consecutive failed runs
+    /// for a 5 s cooldown.
     pub fn new(workers: Vec<String>) -> Self {
         ClusterConfig {
             workers,
             read_timeout: Duration::from_secs(10),
             deadline: Duration::from_secs(30),
             retry: RetryPolicy::default(),
-            health_check_after: Duration::from_millis(500),
-            min_workers: 0,
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_secs(5),
         }
@@ -108,14 +98,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Replace the minimum live workers retry attempts may degrade to
-    /// (`0` = majority of the configured workers).
-    #[must_use]
-    pub fn with_min_workers(mut self, min_workers: usize) -> Self {
-        self.min_workers = min_workers;
-        self
-    }
-
     /// Replace the circuit-breaker tuning.
     #[must_use]
     pub fn with_breaker(mut self, threshold: u32, cooldown: Duration) -> Self {
@@ -124,23 +106,12 @@ impl ClusterConfig {
         self
     }
 
-    /// Replace the idle age past which pooled connections are pinged.
-    #[must_use]
-    pub fn with_health_check_after(mut self, age: Duration) -> Self {
-        self.health_check_after = age;
-        self
-    }
-
-    /// The live-worker floor retry attempts enforce: `min_workers`, or a
-    /// majority of the configured workers when it is `0`, never more than
-    /// the configured worker count and never less than one.
-    pub fn effective_min_workers(&self) -> usize {
-        let floor = if self.min_workers == 0 {
-            self.workers.len() / 2 + 1
-        } else {
-            self.min_workers
-        };
-        floor.clamp(1, self.workers.len().max(1))
+    /// The live-worker floor a *retry* attempt may route around dead
+    /// peers down to: a majority of the configured workers (at least
+    /// one). The first attempt of every run always requires the full
+    /// topology.
+    pub fn min_workers(&self) -> usize {
+        self.workers.len() / 2 + 1
     }
 }
 
@@ -187,8 +158,8 @@ pub enum ClusterError {
         /// Time left on the cooldown before a probe run is admitted.
         retry_in: Duration,
     },
-    /// Too few workers are reachable to satisfy the configured
-    /// `min_workers` floor, even routing around the dead ones.
+    /// Too few workers are reachable to satisfy the majority floor
+    /// ([`ClusterConfig::min_workers`]), even routing around the dead ones.
     Unavailable {
         /// Workers that answered.
         live: usize,

@@ -13,8 +13,8 @@
 //! 2. starts the deadline clock — a budget covering dials, health
 //!    pings, the round *and* backoff pauses, so a run can never hang past
 //!    it;
-//! 3. acquires connections: pooled sockets idle past
-//!    `health_check_after` are pinged (`Ping`/`Pong`) first, dead ones
+//! 3. acquires connections: pooled sockets idle past 500 ms
+//!    (`HEALTH_CHECK_AFTER`) are pinged (`Ping`/`Pong`) first, dead ones
 //!    silently redialled;
 //! 4. runs the round over the borrowed connections (the coordinator
 //!    side of the protocol, [`crate::net::coordinator`]);
@@ -49,7 +49,7 @@
 //! the common case, and the one whose cost accounting
 //! (`wire_bytes.len() == workers`) downstream assertions rely on. Retry
 //! attempts may *shrink* the topology to the workers that still answer,
-//! as long as at least [`ClusterConfig::effective_min_workers`] of them
+//! as long as at least [`ClusterConfig::min_workers`] of them
 //! do (default: a majority). That is sound because the routing closure
 //! folds the `p` logical servers onto whatever worker count the attempt
 //! Hello'd (`server % workers` — see [`crate::net`]): a 2-worker retry of
@@ -69,7 +69,11 @@ use pq_obs::MetricsRegistry;
 use pq_relation::Relation;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// A pooled connection idle this long is pinged before reuse; a missed
+/// pong means a silent redial rather than a failed round.
+const HEALTH_CHECK_AFTER: Duration = Duration::from_millis(500);
 
 /// A pooled idle connection and when it was last used (for the
 /// health-check age test).
@@ -407,7 +411,7 @@ impl WorkerPool {
             let candidate = match pooled[slot].take() {
                 Some(idle) => {
                     let stale = now.saturating_duration_since(idle.last_used)
-                        >= inner.config.health_check_after;
+                        >= HEALTH_CHECK_AFTER;
                     let mut connection = idle.connection;
                     let nonce = inner.nonces.fetch_add(1, Ordering::Relaxed);
                     if !stale || connection.ping(nonce) {
@@ -441,7 +445,7 @@ impl WorkerPool {
                 needed: total,
             }));
         }
-        let floor = inner.config.effective_min_workers();
+        let floor = inner.config.min_workers();
         if live.len() < floor {
             return Err(ClusterError::Unavailable {
                 live: live.len(),

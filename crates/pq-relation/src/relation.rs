@@ -1,9 +1,9 @@
 //! Relations: a schema plus a multiset of rows in flat columnar storage.
 //!
 //! Relations support the operations the paper's analysis needs: projection,
-//! selection, semijoin/antijoin (used in the multi-round machinery of
-//! Section 5.2), frequency ("degree") computation `d_J(R)` from the
-//! HyperCube load analysis, and bit-size accounting.
+//! selection, set union, frequency ("degree") computation `d_J(R)` from the
+//! HyperCube load analysis, and bit-size accounting; joins live in
+//! [`crate::join`].
 //!
 //! # Storage layout
 //!
@@ -17,8 +17,7 @@
 //!
 //! The buffer is **shared and copy-on-write** (`Arc<Vec<Value>>`): every
 //! operation that keeps the rows as they are — [`Clone`],
-//! [`Relation::with_schema`], [`Relation::renamed`],
-//! [`Relation::with_attributes_renamed`], an identity
+//! [`Relation::with_schema`], [`Relation::renamed`], an identity
 //! [`Relation::project`] — is O(1) and hands out another handle on the same
 //! buffer. That is how a HyperCube fragment reaches every server of its
 //! destination subcube without being copied once per server. A mutation
@@ -414,23 +413,6 @@ impl Relation {
         }
     }
 
-    /// Return a relation with the same tuples (sharing the buffer) but
-    /// attributes renamed according to `mapping` (old name -> new name).
-    /// Attributes not in the mapping keep their name.
-    pub fn with_attributes_renamed(&self, mapping: &HashMap<String, String>) -> Relation {
-        let attrs: Vec<String> = self
-            .schema
-            .attributes()
-            .iter()
-            .map(|a| mapping.get(a).cloned().unwrap_or_else(|| a.clone()))
-            .collect();
-        Relation {
-            schema: Schema::new(self.schema.name(), attrs),
-            values: self.values.clone(),
-            rows: self.rows,
-        }
-    }
-
     /// Project onto the given attributes (set semantics is *not* enforced;
     /// call [`Relation::dedup`] afterwards if needed). When the requested
     /// attributes are exactly this relation's columns in order, the buffer
@@ -539,43 +521,6 @@ impl Relation {
             }
         }
         true
-    }
-
-    /// Semijoin `self ⋉ other`: tuples of `self` that agree with at least
-    /// one tuple of `other` on their common attributes. With no common
-    /// attributes this is `self` when `other` is non-empty, and empty
-    /// otherwise.
-    pub fn semijoin(&self, other: &Relation) -> Relation {
-        self.semijoin_filter(other, true)
-    }
-
-    /// Antijoin `self ▷ other`: tuples of `self` with *no* matching tuple in
-    /// `other` on the common attributes.
-    pub fn antijoin(&self, other: &Relation) -> Relation {
-        self.semijoin_filter(other, false)
-    }
-
-    fn semijoin_filter(&self, other: &Relation, keep_matching: bool) -> Relation {
-        let common = self.schema.common_attributes(other.schema());
-        if common.is_empty() {
-            return if other.is_empty() != keep_matching {
-                self.clone()
-            } else {
-                Relation::empty(self.schema.clone())
-            };
-        }
-        let self_positions: Vec<usize> = common
-            .iter()
-            .map(|a| self.schema.position(a).expect("common attribute"))
-            .collect();
-        let other_positions: Vec<usize> = common
-            .iter()
-            .map(|a| other.schema().position(a).expect("common attribute"))
-            .collect();
-        let index = RowKeyIndex::build(other, &other_positions);
-        self.filter(|row| {
-            index.contains(other, &other_positions, row, &self_positions) == keep_matching
-        })
     }
 }
 
@@ -880,37 +825,6 @@ mod tests {
         assert!(m.is_matching());
         assert!(!sample().is_matching());
         assert!(Relation::empty(Schema::from_strs("E", &["x"])).is_matching());
-    }
-
-    #[test]
-    fn semijoin_and_antijoin() {
-        let r = sample();
-        let s = Relation::from_rows(Schema::from_strs("S", &["y", "z"]), vec![vec![10, 100]]);
-        let semi = r.semijoin(&s);
-        assert_eq!(semi.len(), 3);
-        let anti = r.antijoin(&s);
-        assert_eq!(anti.len(), 1);
-        assert_eq!(anti.row(0), &[2, 20]);
-        // Disjoint attributes: semijoin keeps everything iff other non-empty.
-        let t = Relation::from_rows(Schema::from_strs("T", &["w"]), vec![vec![7]]);
-        assert_eq!(r.semijoin(&t).len(), r.len());
-        assert_eq!(r.antijoin(&t).len(), 0);
-        let empty_t = Relation::empty(Schema::from_strs("T", &["w"]));
-        assert_eq!(r.semijoin(&empty_t).len(), 0);
-        assert_eq!(r.antijoin(&empty_t).len(), r.len());
-    }
-
-    #[test]
-    fn attribute_renaming() {
-        let r = sample();
-        let mut mapping = HashMap::new();
-        mapping.insert("x".to_string(), "a".to_string());
-        let renamed = r.with_attributes_renamed(&mapping);
-        assert_eq!(
-            renamed.schema().attributes(),
-            &["a".to_string(), "y".to_string()]
-        );
-        assert_eq!(renamed.values(), r.values());
     }
 
     #[test]

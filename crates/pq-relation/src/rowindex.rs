@@ -1,7 +1,6 @@
 //! Crate-internal compact hash index over the rows of a flat [`Relation`],
 //! keyed by a subset of column positions. This is the build side of the
-//! hash join, the key set of semijoin/antijoin and the seen-set of
-//! [`Relation::union_distinct`]: no key tuple is ever materialised — keys
+//! hash join and the seen-set of [`Relation::union_distinct`]: no key tuple is ever materialised — keys
 //! are hashed in place with [`crate::hash::hash_key`] and equal hashes are
 //! verified by comparing the key positions of the stored rows.
 //!
@@ -40,7 +39,6 @@
 
 use crate::hash::hash_key;
 use crate::relation::Relation;
-use crate::tuple::Value;
 use std::sync::OnceLock;
 
 /// The end of a chain (and the one row id the index cannot hold).
@@ -157,26 +155,6 @@ impl RowKeyIndex {
             row: start,
         }
     }
-
-    /// True when some indexed row agrees with `probe_row` on the key: the
-    /// indexed relation's `key_positions` against the probe's
-    /// `probe_positions` (both in the same key order).
-    pub(crate) fn contains(
-        &self,
-        indexed: &Relation,
-        key_positions: &[usize],
-        probe_row: &[Value],
-        probe_positions: &[usize],
-    ) -> bool {
-        let h = hash_key(probe_row, probe_positions);
-        self.chain(h, self.find(h)).any(|i| {
-            let row = indexed.row(i);
-            key_positions
-                .iter()
-                .zip(probe_positions.iter())
-                .all(|(&kp, &pp)| row[kp] == probe_row[pp])
-        })
-    }
 }
 
 /// The blocked Bloom filter of the module docs: a power-of-two number of
@@ -249,9 +227,16 @@ mod tests {
     use super::*;
     use crate::hash::hash_values;
     use crate::schema::Schema;
+    use crate::tuple::Value;
 
     fn rows_of(index: &RowKeyIndex, hash: u64) -> Vec<usize> {
         index.chain(hash, index.find(hash)).collect()
+    }
+
+    /// Does some row of `indexed` (keyed on `key`) equal `probe` on it?
+    fn holds(index: &RowKeyIndex, indexed: &Relation, key: &[usize], probe: &[Value]) -> bool {
+        let rows = rows_of(index, hash_values(probe));
+        rows.into_iter().any(|i| key.iter().map(|&k| indexed.row(i)[k]).eq(probe.iter().copied()))
     }
 
     #[test]
@@ -264,8 +249,8 @@ mod tests {
         let h = hash_values(&[1]);
         // Equal keys come out in reverse insertion order.
         assert_eq!(rows_of(&idx, h), vec![2, 0]);
-        assert!(idx.contains(&r, &[0], &[99, 1], &[1]));
-        assert!(!idx.contains(&r, &[0], &[99, 5], &[1]));
+        assert!(holds(&idx, &r, &[0], &[1]));
+        assert!(!holds(&idx, &r, &[0], &[5]));
     }
 
     #[test]
@@ -288,17 +273,17 @@ mod tests {
     #[test]
     fn equal_hashes_of_different_keys_are_rejected_by_the_key_check() {
         // A 64-bit collision, simulated: two different keys inserted under
-        // one hash. The chain yields both; `contains` compares the values.
+        // one hash. The chain yields both; the key check compares the values.
         let r = Relation::from_rows(Schema::from_strs("R", &["x"]), vec![vec![7], vec![8]]);
         let h = hash_values(&[7]);
         let mut idx = RowKeyIndex::with_capacity(2);
         idx.insert(h);
         idx.insert(h);
         assert_eq!(rows_of(&idx, h), vec![1, 0]);
-        assert!(idx.contains(&r, &[0], &[7], &[0]));
+        assert!(holds(&idx, &r, &[0], &[7]));
         // Row 1 (value 8) sits on hash(7)'s chain but is no match for 7,
         // and a probe for 8 hashes elsewhere: nothing on its chain.
-        assert!(!idx.contains(&r, &[0], &[8], &[0]));
+        assert!(!holds(&idx, &r, &[0], &[8]));
     }
 
     #[test]
@@ -307,11 +292,11 @@ mod tests {
         let idx = RowKeyIndex::build(&empty, &[0]);
         assert_eq!(idx.len(), 0);
         assert_eq!(idx.find(hash_values(&[1])), NONE);
-        assert!(!idx.contains(&empty, &[0], &[1], &[0]));
+        assert!(!holds(&idx, &empty, &[0], &[1]));
         let one = Relation::from_rows(Schema::from_strs("O", &["x"]), vec![vec![3]]);
         let idx = RowKeyIndex::build(&one, &[0]);
         assert_eq!(rows_of(&idx, hash_values(&[3])), vec![0]);
-        assert!(idx.contains(&one, &[0], &[3], &[0]));
+        assert!(holds(&idx, &one, &[0], &[3]));
     }
 
     /// `n` distinct seeded random 64-bit hashes.

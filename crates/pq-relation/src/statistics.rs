@@ -26,8 +26,7 @@ use std::sync::Arc;
 
 /// Degree statistics of one column: the histogram of its values. Which
 /// relation and attribute it describes is the key it is filed under in
-/// [`RelationStatistics::degrees`], so a renamed view of a relation can
-/// share it (see [`RelationStatistics::renamed`]).
+/// [`RelationStatistics::degrees`].
 ///
 /// The histogram is kept in two parts so that counting an insert into
 /// statistics a snapshot still shares copies little: `base`, the
@@ -245,31 +244,6 @@ impl RelationStatistics {
         self.size_bits = attributes.len() as u64 * self.cardinality as u64 * bits_per_value;
     }
 
-    /// The statistics of this relation seen under another name with its
-    /// columns renamed (and possibly reordered) — what analysing
-    /// `π_{new…}(ρ(relation))` would compute, without touching a tuple: the
-    /// per-column histograms are shared, not copied. `columns` pairs each
-    /// stored attribute with its new name.
-    ///
-    /// # Panics
-    /// Panics when a stored attribute is not in the degree catalogue.
-    pub fn renamed<'a>(
-        &self,
-        relation: &str,
-        columns: impl IntoIterator<Item = (&'a String, &'a String)>,
-    ) -> RelationStatistics {
-        let degrees = columns
-            .into_iter()
-            .map(|(stored, new)| (new.clone(), Arc::clone(&self.degrees[stored])))
-            .collect();
-        RelationStatistics {
-            relation: relation.to_string(),
-            cardinality: self.cardinality,
-            size_bits: self.size_bits,
-            degrees,
-        }
-    }
-
     /// Maximum frequency of any value of `attribute`.
     pub fn max_degree(&self, attribute: &str) -> usize {
         self.degrees
@@ -324,7 +298,7 @@ pub struct DatabaseStatistics {
 impl DatabaseStatistics {
     /// A catalogue over already analysed relations (keyed by name) of a
     /// database with this domain size — no data is scanned.
-    pub fn from_relations(
+    fn from_relations(
         domain_size: u64,
         relations: BTreeMap<String, Arc<RelationStatistics>>,
     ) -> Self {
@@ -577,20 +551,6 @@ mod tests {
         assert_eq!(stats.max_degree("x"), 5);
         assert_eq!(stats.max_degree("y"), 1);
         assert_eq!(stats.max_degree("nonexistent"), 0);
-    }
-
-    #[test]
-    fn renamed_statistics_equal_analysing_the_renamed_projection() {
-        let r = skewed_relation();
-        let stats = RelationStatistics::compute(&r, 8);
-        let (x, y, a, b) = ("x".to_string(), "y".to_string(), "a".to_string(), "b".to_string());
-        // Columns swapped and renamed: S(b, a) = π_{y→b, x→a}(R).
-        let view = stats.renamed("S", [(&y, &b), (&x, &a)]);
-        let copy = r
-            .with_attributes_renamed(&[(x.clone(), a.clone()), (y.clone(), b.clone())].into())
-            .project(&[b, a], "S");
-        assert_eq!(view, RelationStatistics::compute(&copy, 8));
-        assert!(Arc::ptr_eq(&view.degrees["a"], &stats.degrees["x"]), "shared, not copied");
     }
 
     #[test]

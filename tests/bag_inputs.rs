@@ -209,7 +209,7 @@ fn assert_bags_answer_as_sets(
                 ThreeDedupSimulator::new(plan.p, data)
             })),
             ExecBackend::Cluster { pool, .. } => run_plan_with(plan, &snapshot, seed, |data| {
-                RededupWorkers(Workers::new(pool, None, plan.p, data))
+                RededupWorkers(Workers::new(pool, None, plan.p, &plan.parsed.query, data))
             })
             .expect("replay on the cluster"),
         }

@@ -97,7 +97,7 @@ fn skewed_triangle_routes_to_the_skew_aware_algorithm_and_is_correct() {
     let session = Engine::new(db.clone(), 16).session();
     let run = session.run(&query.to_string()).expect("runs");
     assert!(
-        matches!(run.plan.strategy, Strategy::SkewAwareTriangle { .. }),
+        matches!(run.plan.strategy, Strategy::SkewAwareTriangle),
         "expected the skew split, got {}",
         run.plan.strategy.name()
     );
@@ -111,7 +111,7 @@ fn skewed_star_routes_to_the_skew_aware_algorithm_and_is_correct() {
     let session = Engine::new(db.clone(), 16).session();
     let run = session.run(&query.to_string()).expect("runs");
     assert!(
-        matches!(run.plan.strategy, Strategy::SkewAwareStar { .. }),
+        matches!(run.plan.strategy, Strategy::SkewAwareStar),
         "expected the skew-aware star, got {}",
         run.plan.strategy.name()
     );

@@ -1,6 +1,5 @@
 //! Oracle equivalence for the flat-storage relation layer: `natural_join`,
-//! `natural_join_all`, `project` and `semijoin`/`antijoin` over the
-//! row-major flat buffers must be **set-equal** to naive tuple-at-a-time
+//! `natural_join_all` and `project` over the row-major flat buffers must be **set-equal** to naive tuple-at-a-time
 //! reference implementations (the pre-refactor semantics) on random
 //! databases, plus deterministic edge cases — nullary relations, empty
 //! relations, arity 1, and duplicate rows ahead of `dedup`.
@@ -76,30 +75,6 @@ fn oracle_join_all(relations: &[Relation]) -> BTreeSet<BTreeMap<String, Value>> 
         acc = next;
     }
     acc
-}
-
-/// Reference semijoin membership test.
-fn oracle_semijoin(rel: &Relation, other: &Relation) -> BTreeSet<BTreeMap<String, Value>> {
-    let common = rel.schema().common_attributes(other.schema());
-    let other_keys: BTreeSet<Vec<Value>> = other
-        .iter()
-        .map(|row| {
-            common
-                .iter()
-                .map(|a| row[other.schema().position(a).unwrap()])
-                .collect()
-        })
-        .collect();
-    row_set(rel)
-        .into_iter()
-        .filter(|m| {
-            if common.is_empty() {
-                return !other.is_empty();
-            }
-            let key: Vec<Value> = common.iter().map(|a| m[a]).collect();
-            other_keys.contains(&key)
-        })
-        .collect()
 }
 
 /// A tiny deterministic generator (xorshift64*) so random databases derive
@@ -192,24 +167,6 @@ proptest! {
     }
 
     #[test]
-    fn semijoin_and_antijoin_match_tuple_oracle(seed in 0u64..1_000_000) {
-        let mut rng = Xs(seed);
-        let rel = random_relation(&mut rng, "L");
-        let other = random_relation(&mut rng, "R");
-        let semi = rel.semijoin(&other);
-        prop_assert_eq!(row_set(&semi), oracle_semijoin(&rel, &other));
-        // Semijoin + antijoin partition the (deduplicated) relation.
-        let anti = rel.antijoin(&other);
-        prop_assert_eq!(semi.len() + anti.len(), rel.len());
-        let mut union = semi.clone();
-        union.append(&anti);
-        prop_assert_eq!(
-            union.canonicalized().to_tuples(),
-            rel.canonicalized().to_tuples()
-        );
-    }
-
-    #[test]
     fn dedup_collapses_exact_duplicates_only(seed in 0u64..1_000_000) {
         let mut rng = Xs(seed);
         let rel = random_relation(&mut rng, "R");
@@ -246,8 +203,6 @@ fn empty_relations_annihilate_joins() {
     assert!(natural_join(&empty, &r).is_empty());
     assert!(natural_join(&r, &empty).is_empty());
     assert!(natural_join_all(&[r.clone(), empty.clone()]).is_empty());
-    assert!(r.semijoin(&empty).is_empty());
-    assert_eq!(r.antijoin(&empty).len(), 1);
 }
 
 #[test]

@@ -19,15 +19,17 @@ use pq_bench::{hub_triangle_database, matching_database_for_query, skewed_star_d
 use pq_core::hypercube::run_one_round;
 use pq_core::skew::heavy::{heavy_hitters_of_variable, VariableHeavyHitters};
 use pq_core::skew::star::route_star_skew_aware;
-use pq_core::skew::triangle::route_triangle_skew_aware;
-use pq_engine::{parse_query, Delta, Engine};
-use pq_query::{bind_atom, ConjunctiveQuery};
-use pq_relation::{Database, DatabaseStatistics, Relation, Schema, Tuple, Value};
+use pq_core::skew::triangle::{route_triangle_skew_aware, triangle_roles};
+use pq_engine::{parse_query, Delta, Engine, ExecBackend, Strategy};
+use pq_mpc::net::{ClusterConfig, LocalWorkers};
+use pq_mpc::{Message, Payload};
+use pq_query::{bind_atom, evaluate_sequential, ConjunctiveQuery};
+use pq_relation::{load_database_dir, Database, DatabaseStatistics, Relation, Schema, Tuple, Value};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 mod common;
-use common::{digest_messages, digest_metrics};
+use common::{digest_messages, digest_metrics, digest_relation, Fnv};
 
 /// The detector as it was before the catalogue: bind every atom holding the
 /// variable, count its column, threshold at `m_j / divisor`, then look the
@@ -253,7 +255,13 @@ fn triangle_routing_is_what_the_scanning_detector_produced() {
     ] {
         let database = hub_triangle_database(m, hub, seed);
         let statistics = DatabaseStatistics::compute(&database);
-        let (messages, heavy) = route_triangle_skew_aware(&database, &statistics, p, hash_seed);
+        let (messages, heavy) = route_triangle_skew_aware(
+            &ConjunctiveQuery::triangle(),
+            &database,
+            &statistics,
+            p,
+            hash_seed,
+        );
         assert_eq!(heavy, hitters, "hub={hub}");
         assert_eq!(digest_messages(&messages), messages_digest, "hub={hub}");
         let (_, metrics) = run_one_round(&ConjunctiveQuery::triangle(), &database, p, messages);
@@ -332,5 +340,169 @@ fn engine_runs_account_what_the_scanning_detector_accounted() {
             metrics_digest,
             "{text}"
         );
+    }
+}
+
+/// Every message in order — destination, relation, then each row with its
+/// values in the order of `roles` (the variable each column binds), or a
+/// raw payload's label and bits: what a router decided, whatever column
+/// order the routed relation is stored in.
+fn digest_routing(messages: &[Message], roles: &[String]) -> u64 {
+    let mut h = Fnv::new();
+    for message in messages {
+        h.u64(message.to as u64);
+        match &message.payload {
+            Payload::Tuples(fragment) => {
+                h.str(fragment.name());
+                let columns: Vec<usize> = roles
+                    .iter()
+                    .filter_map(|role| fragment.schema().position(role))
+                    .collect();
+                h.u64(fragment.len() as u64);
+                for row in fragment.iter() {
+                    for &c in &columns {
+                        h.u64(row[c]);
+                    }
+                }
+            }
+            Payload::Raw { label, bits } => {
+                h.str(label);
+                h.u64(*bits);
+            }
+        }
+    }
+    h.0
+}
+
+/// The messages of both skew-aware routers, pinned to the digests recorded
+/// before the triangle routed the user's atoms in place: on this file's
+/// fixtures the parent routed the same relations; for the engine queries
+/// it routed a re-laid-out copy (`S1..S3`, columns in role order), and
+/// the digests read its fragments under the user's relation names. So
+/// renamed variables, permuted atoms and swapped stored columns leave
+/// every row where the copy sent it.
+#[test]
+fn skew_routing_messages_are_the_canonical_copys() {
+    for ((k, m, heavy, seed, p, hash_seed), digest) in [
+        ((2usize, 6000usize, 400usize, 17u64, 64usize, 19u64), 0xf323915a735288e2u64),
+        ((2, 6000, 1200, 17, 64, 19), 0x209a043d47c8977e),
+        ((2, 4000, 1000, 23, 64, 29), 0xa55e00585031de8f),
+        ((3, 600, 40, 31, 16, 5), 0x3cd873bc39ffe562),
+    ] {
+        let query = match k {
+            2 => ConjunctiveQuery::simple_join(),
+            _ => ConjunctiveQuery::star(k),
+        };
+        let database = skewed_star_database(k, m, heavy, seed);
+        let statistics = DatabaseStatistics::compute(&database);
+        let (messages, _) = route_star_skew_aware(&query, &database, &statistics, p, hash_seed);
+        assert_eq!(digest_routing(&messages, &query.variables()), digest, "k={k} heavy={heavy}");
+    }
+    let star = ConjunctiveQuery::star(3);
+    let database = hub_database(&star, 300, 43);
+    let statistics = DatabaseStatistics::compute(&database);
+    let (messages, _) = route_star_skew_aware(&star, &database, &statistics, 16, 7);
+    assert_eq!(digest_routing(&messages, &star.variables()), 0xc300cb8b2e3f4119);
+
+    let triangle = ConjunctiveQuery::triangle();
+    let (hubs, engine) = (
+        [
+            (40usize, 0x322c73eb3850ba81u64),
+            (400, 0x8343ff06303a9ab1),
+            (2000, 0xb41b2a136a12e64c),
+        ],
+        [
+            ("Q(x1, x2, x3) :- S1(x1, x2), S2(x2, x3), S3(x3, x1)", 41u64, 16usize, 0x16e90e3426cdc151u64),
+            ("Q(c, a, b) :- S1(a, b), S2(c, b), S3(c, a)", 47, 27, 0x44e1374ee116f70a),
+            ("Q(x, y, z) :- S2(y, z), S3(z, x), S1(x, y)", 47, 27, 0xd5264014c906f6d0),
+            ("Q(b, c, a) :- S3(a, c), S1(b, a), S2(c, b)", 41, 16, 0x38cb15c11ddc00b1),
+        ],
+    );
+    for (hub, digest) in hubs {
+        let database = hub_triangle_database(4000, hub, 37);
+        let statistics = DatabaseStatistics::compute(&database);
+        let (messages, _) = route_triangle_skew_aware(&triangle, &database, &statistics, 64, 41);
+        assert_eq!(digest_routing(&messages, &triangle.variables()), digest, "hub={hub}");
+    }
+    for (text, seed, p, digest) in engine {
+        let query = parse_query(text).expect("parses").query;
+        let roles = triangle_roles(&query).expect("a triangle");
+        let database = hub_database(&triangle, 300, seed);
+        let statistics = DatabaseStatistics::compute(&database);
+        let (messages, _) = route_triangle_skew_aware(&query, &database, &statistics, p, 7);
+        assert_eq!(digest_routing(&messages, &roles), digest, "{text}");
+    }
+}
+
+/// A skewed triangle written with its atoms permuted, over data storing one
+/// relation with its columns swapped, is the same triangle: on the
+/// simulator and on 1 and 3 workers it answers the oracle's set with the
+/// model account of the query in role order over the unswapped data.
+#[test]
+fn a_permuted_triangle_over_swapped_columns_accounts_like_the_role_order_one() {
+    let in_order = "Q(x1, x2, x3) :- S1(x1, x2), S2(x2, x3), S3(x3, x1)";
+    let permuted = "Q(x1, x2, x3) :- S1(x1, x2), S3(x3, x1), S2(x3, x2)";
+    let database = hub_triangle_database(600, 200, 3);
+    let mut swapped = database.clone();
+    let columns = ["b".to_string(), "a".to_string()];
+    swapped.insert(database.expect_relation("S2").project(&columns, "S2"));
+    let oracle = evaluate_sequential(&ConjunctiveQuery::triangle(), &database)
+        .canonicalized()
+        .to_tuples();
+    assert_eq!(oracle.len(), 200);
+    let reference = Engine::new(database, 16).session().run(in_order).expect("runs");
+    assert_eq!(reference.plan.strategy, Strategy::SkewAwareTriangle);
+    assert_eq!(reference.outcome.output.canonicalized().to_tuples(), oracle);
+
+    let engine = Engine::new(swapped, 16);
+    let workers = [1, 3].map(|w| LocalWorkers::spawn(w).expect("spawn local workers"));
+    let clusters = workers
+        .iter()
+        .map(|w| ExecBackend::cluster(ClusterConfig::new(w.addresses().to_vec())));
+    for backend in [ExecBackend::Simulator].into_iter().chain(clusters) {
+        let mut session = engine.session();
+        session.set_backend(backend);
+        let run = session.run(permuted).expect("runs");
+        assert_eq!(run.plan.strategy, Strategy::SkewAwareTriangle);
+        assert_eq!(run.outcome.output.canonicalized().to_tuples(), oracle);
+        assert_eq!(
+            digest_metrics(&run.outcome.metrics),
+            digest_metrics(&reference.outcome.metrics)
+        );
+    }
+    for w in workers {
+        w.shutdown();
+    }
+}
+
+/// `data/sample`'s skewed triangle in written and in permuted atom order:
+/// the EXPLAIN text and the model account recorded before the triangle
+/// routed the user's atoms in place, and the same 260 triangles.
+#[test]
+fn the_sample_triangle_explains_and_accounts_as_recorded() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../data/sample");
+    let (database, _) = load_database_dir(&dir).expect("the sample loads");
+    let engine = Engine::new(database, 16);
+    for (text, explain_digest, metrics_digest) in [
+        (
+            "T(x, y, z) :- H1(x, y), H2(y, z), H3(z, x)",
+            0x80660c73412f9e7fu64,
+            0xf2c1c830d2c5654bu64,
+        ),
+        (
+            "T(x, y, z) :- H2(y, z), H3(z, x), H1(x, y)",
+            0x58cc3d0924f70d6a,
+            0x315d79925b440118,
+        ),
+    ] {
+        let session = engine.session();
+        let mut explain = Fnv::new();
+        explain.str(&session.explain(text).expect("explains"));
+        let run = session.run(text).expect("runs");
+        assert_eq!(explain.0, explain_digest, "{text}");
+        assert_eq!(digest_metrics(&run.outcome.metrics), metrics_digest, "{text}");
+        let answer = run.outcome.output.canonicalized();
+        assert_eq!(answer.len(), 260, "{text}");
+        assert_eq!(digest_relation(&answer), 0x28b5e2b641057c04, "{text}");
     }
 }
